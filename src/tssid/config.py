@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -314,9 +315,19 @@ def _canonical(value):
         return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
-    if isinstance(value, float) and value == int(value) and abs(value) < 2**53:
-        return value
     return value
+
+
+def _reject_non_finite(value, key: str) -> None:
+    """Raise ConfigError naming the first ``.inf`` or ``.nan`` under ``key``."""
+    if isinstance(value, Mapping):
+        for k, v in value.items():
+            _reject_non_finite(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _reject_non_finite(v, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value}")
 
 
 def compute_fingerprint(resolved: Mapping) -> str:
@@ -338,6 +349,7 @@ def load_config(path: str | Path, seed_override: int | None = None,
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     raw = _as_mapping(raw, str(path))
+    _reject_non_finite(raw, "")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")

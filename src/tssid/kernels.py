@@ -1,20 +1,38 @@
-"""Backend selection for the numeric kernels.
+"""Numeric kernels: RK4 integrators and the neural forward and gradient passes.
 
-By default every kernel in :mod:`tssid._kernels_src` is compiled with
-numba's nopython mode.  Setting the environment variable ``TSSID_NUMBA=0``
-(also ``false``/``no``/``off``) keeps the plain numpy implementations, and
-so does a missing numba installation.  The flag changes execution speed
-only, never results: both backends run the same source and produce the
-same float64 arithmetic.
+Integration uses classical fixed-step RK4.  Control inputs are sampled
+series; stage values use linear interpolation between samples (the value
+at the half step is the midpoint average), so one RK4 step spans exactly
+one sampling interval.
 
-``BACKEND`` reports which path is active ("numba" or "numpy").
+Neural parameter vectors are flat 1-D float64 arrays.  Layouts:
+
+MLP, layer sizes ``d0, d1, ..., dL`` (ReLU on hidden layers, linear head):
+    for each layer l in 1..L: W_l with shape (d_{l-1}, d_l), then b_l (d_l,)
+
+LSTM, ``n_layers`` stacked cells of hidden width H over input width D,
+followed by a scalar linear head read out at every time step:
+    for each layer l: W_x (in_l, 4H), W_h (H, 4H), b (4H,)
+        where in_l = D for the first layer and H above it,
+        gate order along the 4H axis is [input, forget, cell, output]
+    head: W_y (H,), b_y (one scalar)
+
+The cell is the standard LSTM:
+    i = sigmoid(x W_xi + h W_hi + b_i)        f = sigmoid(... + b_f)
+    g = tanh(...)                             o = sigmoid(... + b_o)
+    c' = f * c + i * g                        h' = o * tanh(c')
+with h and c starting at zero for every window.  The training loss is the
+mean squared error of the per-step head outputs over every (window, step).
+
+The neural kernels work on whole arrays; only the LSTM recurrence over
+time steps is a Python loop.  The public kernels never call one another,
+so the per-kernel call counts and times of ``perfbench/tracer.py``, which
+wraps each of them, stay separate.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_src as _src
+import numpy as np
 
 __all__ = [
     "BACKEND",
@@ -27,27 +45,343 @@ __all__ = [
     "lstm_value_and_grad",
 ]
 
-_KERNEL_NAMES = __all__[1:]
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("TSSID_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
+#: the only implementation; reported next to benchmark results
 BACKEND = "numpy"
 
-if _want_numba():
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        numba = None
-    if numba is not None:
-        _jit = numba.njit(cache=True, fastmath=False)
-        for _name in _KERNEL_NAMES:
-            globals()[_name] = _jit(getattr(_src, _name))
-        BACKEND = "numba"
 
-if BACKEND == "numpy":
-    for _name in _KERNEL_NAMES:
-        globals()[_name] = getattr(_src, _name)
+def rk4_first_order(a, b, c, u, dt, x0):
+    """Integrate dx/dt = -a - b*x + c*u(t) over the samples of ``u``.
+
+    Returns the state series, same length as ``u``, with ``out[0] = x0``.
+    """
+    n = u.shape[0]
+    out = np.empty(n)
+    x = x0
+    out[0] = x
+    for k in range(n - 1):
+        u0 = u[k]
+        u1 = u[k + 1]
+        um = 0.5 * (u0 + u1)
+        k1 = -a - b * x + c * u0
+        k2 = -a - b * (x + 0.5 * dt * k1) + c * um
+        k3 = -a - b * (x + 0.5 * dt * k2) + c * um
+        k4 = -a - b * (x + dt * k3) + c * u1
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = x
+    return out
+
+
+def rk4_cascade(mu, tau1, tau2, u, dt, x0, v0):
+    """Integrate tau1*tau2*x'' + (tau1+tau2)*x' + x = mu*u(t).
+
+    State is (x, v = dx/dt).  Returns (x_series, v_series).
+    """
+    n = u.shape[0]
+    xs = np.empty(n)
+    vs = np.empty(n)
+    p = tau1 * tau2
+    q = tau1 + tau2
+    x = x0
+    v = v0
+    xs[0] = x
+    vs[0] = v
+    for k in range(n - 1):
+        u0 = u[k]
+        u1 = u[k + 1]
+        um = 0.5 * (u0 + u1)
+
+        k1x = v
+        k1v = (mu * u0 - x - q * v) / p
+        x2 = x + 0.5 * dt * k1x
+        v2 = v + 0.5 * dt * k1v
+        k2x = v2
+        k2v = (mu * um - x2 - q * v2) / p
+        x3 = x + 0.5 * dt * k2x
+        v3 = v + 0.5 * dt * k2v
+        k3x = v3
+        k3v = (mu * um - x3 - q * v3) / p
+        x4 = x + dt * k3x
+        v4 = v + dt * k3v
+        k4x = v4
+        k4v = (mu * u1 - x4 - q * v4) / p
+
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        xs[k + 1] = x
+        vs[k + 1] = v
+    return xs, vs
+
+
+def rk4_sparse(xi, expo, trig, u, dt, x_init):
+    """Integrate a fitted sparse model dx_s/dt = sum_j xi[s, j] * theta_j(x, u).
+
+    xi     : (n_state, n_terms) coefficient matrix, one row per state equation
+    expo   : (n_terms, n_vars) int64 monomial exponent of each variable,
+             variables ordered states-then-inputs
+    trig   : (n_terms, n_vars) int64 trig factor code per variable:
+             0 none, 1 sin(var), 2 cos(var)
+    u      : (n_samples, n_inputs) control series
+    x_init : (n_state,) initial state
+
+    Returns (states, quad):
+      states : (n_samples, n_state)
+      quad   : (n_samples, n_state + n_inputs) running RK4 integrals of each
+               state and each (interpolated) input, starting at zero.  The
+               quadrature states are integrated inside the same RK4 stages,
+               so any linear first integral of the model holds to rounding.
+    """
+    n = u.shape[0]
+    n_in = u.shape[1]
+    n_state = xi.shape[0]
+    n_terms = xi.shape[1]
+    n_vars = n_state + n_in
+
+    states = np.empty((n, n_state))
+    quad = np.zeros((n, n_state + n_in))
+
+    x = x_init.copy()
+    z = np.zeros(n_state + n_in)
+    vars_val = np.empty(n_vars)
+    ustage = np.empty(n_in)
+    kx = np.empty((4, n_state))
+    kz = np.empty((4, n_state + n_in))
+    xs = np.empty(n_state)
+
+    for s in range(n_state):
+        states[0, s] = x[s]
+
+    for k in range(n - 1):
+        for stage in range(4):
+            # state and input values at this stage
+            if stage == 0:
+                for j in range(n_in):
+                    ustage[j] = u[k, j]
+                for s in range(n_state):
+                    xs[s] = x[s]
+            else:
+                if stage == 3:
+                    for j in range(n_in):
+                        ustage[j] = u[k + 1, j]
+                else:
+                    for j in range(n_in):
+                        ustage[j] = 0.5 * (u[k, j] + u[k + 1, j])
+                h = dt if stage == 3 else 0.5 * dt
+                prev = stage - 1
+                for s in range(n_state):
+                    xs[s] = x[s] + h * kx[prev, s]
+
+            for s in range(n_state):
+                vars_val[s] = xs[s]
+            for j in range(n_in):
+                vars_val[n_state + j] = ustage[j]
+
+            # rhs of the model equations
+            for s in range(n_state):
+                acc = 0.0
+                for t in range(n_terms):
+                    coef = xi[s, t]
+                    if coef != 0.0:
+                        v = 1.0
+                        for w in range(n_vars):
+                            e = expo[t, w]
+                            for _ in range(e):
+                                v *= vars_val[w]
+                            tc = trig[t, w]
+                            if tc == 1:
+                                v *= np.sin(vars_val[w])
+                            elif tc == 2:
+                                v *= np.cos(vars_val[w])
+                        acc += coef * v
+                kx[stage, s] = acc
+            # rhs of the quadrature states: the integrands themselves
+            for s in range(n_state):
+                kz[stage, s] = xs[s]
+            for j in range(n_in):
+                kz[stage, n_state + j] = ustage[j]
+
+        for s in range(n_state):
+            x[s] = x[s] + (dt / 6.0) * (
+                kx[0, s] + 2.0 * kx[1, s] + 2.0 * kx[2, s] + kx[3, s]
+            )
+            states[k + 1, s] = x[s]
+        for s in range(n_state + n_in):
+            z[s] = z[s] + (dt / 6.0) * (
+                kz[0, s] + 2.0 * kz[1, s] + 2.0 * kz[2, s] + kz[3, s]
+            )
+            quad[k + 1, s] = z[s]
+
+    return states, quad
+
+
+def _mlp_layers(flat, sizes):
+    """(W, b) views of each layer of an MLP parameter (or gradient) vector."""
+    layers = []
+    off = 0
+    for fin, fout in zip(sizes[:-1].tolist(), sizes[1:].tolist()):
+        w = flat[off:off + fin * fout].reshape(fin, fout)
+        off += fin * fout
+        layers.append((w, flat[off:off + fout]))
+        off += fout
+    return layers
+
+
+def mlp_forward(flat, sizes, x):
+    """Forward pass of the MLP.  x: (batch, sizes[0]) -> (batch, sizes[-1])."""
+    *hidden, (w, b) = _mlp_layers(flat, sizes)
+    h = x
+    for wl, bl in hidden:
+        h = np.maximum(h @ wl + bl, 0.0)
+    return h @ w + b
+
+
+def mlp_value_and_grad(flat, sizes, x, y):
+    """MSE loss and gradient of the MLP on one batch.
+
+    x: (batch, sizes[0]); y: (batch, sizes[-1]).
+    Loss is mean over batch * output entries.  Returns (loss, grad) with
+    grad laid out exactly like ``flat``.
+    """
+    layers = _mlp_layers(flat, sizes)
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    d = acts[-1] @ w + b - y
+    loss = np.sum(d * d) / d.size
+
+    grad = np.empty_like(flat)
+    glayers = _mlp_layers(grad, sizes)
+    delta = (2.0 / d.size) * d
+    for l in range(len(layers) - 1, -1, -1):
+        gw, gb = glayers[l]
+        gw[...] = acts[l].T @ delta
+        gb[...] = delta.sum(axis=0)
+        if l > 0:
+            # ReLU passes the gradient where its output is positive
+            delta = (delta @ layers[l][0].T) * (acts[l] > 0.0)
+    return loss, grad
+
+
+def _lstm_params(flat, input_dim, hidden, n_layers):
+    """Views of an LSTM parameter (or gradient) vector:
+    ([(W_x, W_h, b) per layer], W_y, b_y), with b_y of shape (1,)."""
+    g = 4 * hidden
+    layers = []
+    off = 0
+    fin = input_dim
+    for _ in range(n_layers):
+        wx = flat[off:off + fin * g].reshape(fin, g)
+        off += fin * g
+        wh = flat[off:off + hidden * g].reshape(hidden, g)
+        off += hidden * g
+        layers.append((wx, wh, flat[off:off + g]))
+        off += g
+        fin = hidden
+    return layers, flat[off:off + hidden], flat[off + hidden:off + hidden + 1]
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _lstm_layer(seq, wx, wh, b):
+    """Run one LSTM layer over the time-major sequence ``seq`` (T, batch, fin).
+
+    Returns (gates, cells, hidden): the gate activations (T, batch, 4H) in
+    [i, f, g, o] order, and the cell and hidden states (T, batch, H).
+    """
+    T, bsz, fin = seq.shape
+    H = wh.shape[0]
+    # input-to-gate products of every step in one matmul; each step then
+    # adds its recurrent term and squashes its slice in place
+    gates = (seq.reshape(T * bsz, fin) @ wx + b).reshape(T, bsz, 4 * H)
+    cells = np.empty((T, bsz, H))
+    hidden = np.empty((T, bsz, H))
+    h = np.zeros((bsz, H))
+    c = np.zeros((bsz, H))
+    for t in range(T):
+        a = gates[t]
+        a += h @ wh
+        a[:, :2 * H] = _sigmoid(a[:, :2 * H])
+        a[:, 2 * H:3 * H] = np.tanh(a[:, 2 * H:3 * H])
+        a[:, 3 * H:] = _sigmoid(a[:, 3 * H:])
+        c = a[:, H:2 * H] * c + a[:, :H] * a[:, 2 * H:3 * H]
+        h = a[:, 3 * H:] * np.tanh(c)
+        cells[t] = c
+        hidden[t] = h
+    return gates, cells, hidden
+
+
+#: windows per block of ``lstm_forward``: the gate arrays of a block stay
+#: near 2 MB where a whole flight's windows would take tens of MB
+_FORWARD_BLOCK = 512
+
+
+def lstm_forward(flat, input_dim, hidden, n_layers, x):
+    """Forward pass of the stacked LSTM.  x: (batch, T, input_dim) -> (batch, T)."""
+    layers, wy, by = _lstm_params(flat, input_dim, hidden, n_layers)
+    out = np.empty(x.shape[:2])
+    for lo in range(0, x.shape[0], _FORWARD_BLOCK):
+        seq = np.ascontiguousarray(x[lo:lo + _FORWARD_BLOCK].transpose(1, 0, 2))
+        for wx, wh, b in layers:
+            seq = _lstm_layer(seq, wx, wh, b)[2]
+        out[lo:lo + _FORWARD_BLOCK] = (seq @ wy + by).T
+    return out
+
+
+def lstm_value_and_grad(flat, input_dim, hidden, n_layers, x, y):
+    """MSE loss and full-BPTT gradient of the stacked LSTM on one batch.
+
+    x: (batch, T, input_dim); y: (batch, T) per-step targets.
+    Loss is mean over batch * T.  Returns (loss, grad).
+    """
+    H = hidden
+    layers, wy, by = _lstm_params(flat, input_dim, hidden, n_layers)
+    seqs = [np.ascontiguousarray(x.transpose(1, 0, 2))]
+    states = []
+    for wx, wh, b in layers:
+        states.append(_lstm_layer(seqs[-1], wx, wh, b))
+        seqs.append(states[-1][2])
+
+    top = seqs[-1]
+    d = (top @ wy + by) - y.T
+    loss = np.sum(d * d) / d.size
+    dy = (2.0 / d.size) * d
+
+    grad = np.empty_like(flat)
+    glayers, gwy, gby = _lstm_params(grad, input_dim, hidden, n_layers)
+    gwy[...] = np.tensordot(top, dy, axes=([0, 1], [0, 1]))
+    gby[...] = dy.sum()
+
+    # backward through time one layer at a time, top layer first; dh holds
+    # the loss gradient reaching each hidden state from outside its layer
+    dh = dy[:, :, None] * wy
+    for l in range(n_layers - 1, -1, -1):
+        wx, wh, _ = layers[l]
+        gates, cells, hs = states[l]
+        tch = np.tanh(cells)
+        dz = np.empty_like(gates)
+        dh_next = np.zeros_like(dh[0])
+        dc_next = np.zeros_like(dh[0])
+        for t in range(x.shape[1] - 1, -1, -1):
+            a = gates[t]
+            i_t = a[:, :H]
+            f_t = a[:, H:2 * H]
+            g_t = a[:, 2 * H:3 * H]
+            o_t = a[:, 3 * H:]
+            c_prev = cells[t - 1] if t > 0 else np.zeros_like(dc_next)
+            dht = dh[t] + dh_next
+            dc = dht * o_t * (1.0 - tch[t] * tch[t]) + dc_next
+            dz[t, :, :H] = (dc * g_t) * i_t * (1.0 - i_t)
+            dz[t, :, H:2 * H] = (dc * c_prev) * f_t * (1.0 - f_t)
+            dz[t, :, 2 * H:3 * H] = (dc * i_t) * (1.0 - g_t * g_t)
+            dz[t, :, 3 * H:] = (dht * tch[t]) * o_t * (1.0 - o_t)
+            dh_next = dz[t] @ wh.T
+            dc_next = dc * f_t
+        gwx, gwh, gb = glayers[l]
+        gwx[...] = np.tensordot(seqs[l], dz, axes=([0, 1], [0, 1]))
+        gwh[...] = np.tensordot(hs[:-1], dz[1:], axes=([0, 1], [0, 1]))
+        gb[...] = dz.sum(axis=(0, 1))
+        if l > 0:
+            dh = dz @ wx.T
+    return loss, grad

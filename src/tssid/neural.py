@@ -3,7 +3,7 @@
 Both families share conventions:
 
 * parameters live in one flat float64 vector (layouts documented in
-  :mod:`tssid._kernels_src`), which keeps optimizers and finite-difference
+  :mod:`tssid.kernels`), which keeps optimizers and finite-difference
   checks trivial;
 * training minimizes mean squared error with manual gradients
   (backpropagation for the MLP, full backpropagation-through-time for the
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (
+    ComputationError,
     DimensionMismatch,
     EmptyDataset,
     EmptyGrid,
@@ -462,6 +463,10 @@ def train(model_config: MLPConfig | LSTMConfig, train_config: TrainConfig,
             _, grad = step_batch(params, xb, yb)
             params, opt = stepper(params, grad, opt, train_config.learning_rate)
         train_hist[epoch] = _full_mse(kind, model_config, params, train_data)
+        if not np.isfinite(train_hist[epoch]):
+            raise ComputationError(
+                f"{kind} training diverged at epoch {epoch + 1}: train MSE is "
+                f"{train_hist[epoch]}; no weights were saved")
         val_hist[epoch] = (_full_mse(kind, model_config, params, val_data)
                            if val_data is not None else float("nan"))
     return TrainedNet(kind, model_config, train_config, params, train_hist, val_hist)

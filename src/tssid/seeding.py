@@ -9,15 +9,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root: int, *parts: str) -> int:
     """A stable 63-bit seed for the stream identified by ``parts``."""
     key = "/".join([str(int(root))] + [str(p) for p in parts])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
-
-
-def rng_for(root: int, *parts: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root, *parts))

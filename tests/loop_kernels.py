@@ -1,206 +1,14 @@
-"""Reference implementations of the numeric hot loops.
+"""Loop reference for the neural kernels in :mod:`tssid.kernels`.
 
-Everything in this module is written in the restricted numpy/scalar style
-that numba's nopython mode accepts, so the exact same source runs either
-JIT-compiled (the default, see ``tssid.kernels``) or as plain numpy when
-the JIT is disabled.  Rules for code in this file:
-
-* self-contained functions only; no calls into other Python helpers,
-* no dicts, kwargs, closures or object-mode constructs,
-* float64 in, float64 out; integer metadata as int64 arrays or scalars.
-
-Integration uses classical fixed-step RK4.  Control inputs are sampled
-series; stage values use linear interpolation between samples (the value
-at the half step is the midpoint average), so one RK4 step spans exactly
-one sampling interval.
-
-Neural parameter vectors are flat 1-D float64 arrays.  Layouts:
-
-MLP, layer sizes ``d0, d1, ..., dL`` (ReLU on hidden layers, linear head):
-    for each layer l in 1..L: W_l with shape (d_{l-1}, d_l), then b_l (d_l,)
-
-LSTM, ``n_layers`` stacked cells of hidden width H over input width D,
-followed by a scalar linear head read out at every time step:
-    for each layer l: W_x (in_l, 4H), W_h (H, 4H), b (4H,)
-        where in_l = D for the first layer and H above it,
-        gate order along the 4H axis is [input, forget, cell, output]
-    head: W_y (H,), b_y (one scalar)
-
-The cell is the standard LSTM:
-    i = sigmoid(x W_xi + h W_hi + b_i)        f = sigmoid(... + b_f)
-    g = tanh(...)                             o = sigmoid(... + b_o)
-    c' = f * c + i * g                        h' = o * tanh(c')
-with h and c starting at zero for every window.  The training loss is the
-mean squared error of the per-step head outputs over every (window, step).
+These are the scalar-loop implementations the array-style kernels
+replaced, kept verbatim as an oracle: the loss, the bias sums and the LSTM
+head are accumulated element by element, and every LSTM step multiplies
+its own inputs into the gates.  ``tests/test_kernels.py`` requires the
+kernels to agree with them to 1e-13 relative.  Parameter layouts are those
+documented in :mod:`tssid.kernels`.
 """
 
-from __future__ import annotations
-
 import numpy as np
-
-
-def rk4_first_order(a, b, c, u, dt, x0):
-    """Integrate dx/dt = -a - b*x + c*u(t) over the samples of ``u``.
-
-    Returns the state series, same length as ``u``, with ``out[0] = x0``.
-    """
-    n = u.shape[0]
-    out = np.empty(n)
-    x = x0
-    out[0] = x
-    for k in range(n - 1):
-        u0 = u[k]
-        u1 = u[k + 1]
-        um = 0.5 * (u0 + u1)
-        k1 = -a - b * x + c * u0
-        k2 = -a - b * (x + 0.5 * dt * k1) + c * um
-        k3 = -a - b * (x + 0.5 * dt * k2) + c * um
-        k4 = -a - b * (x + dt * k3) + c * u1
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = x
-    return out
-
-
-def rk4_cascade(mu, tau1, tau2, u, dt, x0, v0):
-    """Integrate tau1*tau2*x'' + (tau1+tau2)*x' + x = mu*u(t).
-
-    State is (x, v = dx/dt).  Returns (x_series, v_series).
-    """
-    n = u.shape[0]
-    xs = np.empty(n)
-    vs = np.empty(n)
-    p = tau1 * tau2
-    q = tau1 + tau2
-    x = x0
-    v = v0
-    xs[0] = x
-    vs[0] = v
-    for k in range(n - 1):
-        u0 = u[k]
-        u1 = u[k + 1]
-        um = 0.5 * (u0 + u1)
-
-        k1x = v
-        k1v = (mu * u0 - x - q * v) / p
-        x2 = x + 0.5 * dt * k1x
-        v2 = v + 0.5 * dt * k1v
-        k2x = v2
-        k2v = (mu * um - x2 - q * v2) / p
-        x3 = x + 0.5 * dt * k2x
-        v3 = v + 0.5 * dt * k2v
-        k3x = v3
-        k3v = (mu * um - x3 - q * v3) / p
-        x4 = x + dt * k3x
-        v4 = v + dt * k3v
-        k4x = v4
-        k4v = (mu * u1 - x4 - q * v4) / p
-
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        xs[k + 1] = x
-        vs[k + 1] = v
-    return xs, vs
-
-
-def rk4_sparse(xi, expo, trig, u, dt, x_init):
-    """Integrate a fitted sparse model dx_s/dt = sum_j xi[s, j] * theta_j(x, u).
-
-    xi     : (n_state, n_terms) coefficient matrix, one row per state equation
-    expo   : (n_terms, n_vars) int64 monomial exponent of each variable,
-             variables ordered states-then-inputs
-    trig   : (n_terms, n_vars) int64 trig factor code per variable:
-             0 none, 1 sin(var), 2 cos(var)
-    u      : (n_samples, n_inputs) control series
-    x_init : (n_state,) initial state
-
-    Returns (states, quad):
-      states : (n_samples, n_state)
-      quad   : (n_samples, n_state + n_inputs) running RK4 integrals of each
-               state and each (interpolated) input, starting at zero.  The
-               quadrature states are integrated inside the same RK4 stages,
-               so any linear first integral of the model holds to rounding.
-    """
-    n = u.shape[0]
-    n_in = u.shape[1]
-    n_state = xi.shape[0]
-    n_terms = xi.shape[1]
-    n_vars = n_state + n_in
-
-    states = np.empty((n, n_state))
-    quad = np.zeros((n, n_state + n_in))
-
-    x = x_init.copy()
-    z = np.zeros(n_state + n_in)
-    vars_val = np.empty(n_vars)
-    ustage = np.empty(n_in)
-    kx = np.empty((4, n_state))
-    kz = np.empty((4, n_state + n_in))
-    xs = np.empty(n_state)
-
-    for s in range(n_state):
-        states[0, s] = x[s]
-
-    for k in range(n - 1):
-        for stage in range(4):
-            # state and input values at this stage
-            if stage == 0:
-                for j in range(n_in):
-                    ustage[j] = u[k, j]
-                for s in range(n_state):
-                    xs[s] = x[s]
-            else:
-                if stage == 3:
-                    for j in range(n_in):
-                        ustage[j] = u[k + 1, j]
-                else:
-                    for j in range(n_in):
-                        ustage[j] = 0.5 * (u[k, j] + u[k + 1, j])
-                h = dt if stage == 3 else 0.5 * dt
-                prev = stage - 1
-                for s in range(n_state):
-                    xs[s] = x[s] + h * kx[prev, s]
-
-            for s in range(n_state):
-                vars_val[s] = xs[s]
-            for j in range(n_in):
-                vars_val[n_state + j] = ustage[j]
-
-            # rhs of the model equations
-            for s in range(n_state):
-                acc = 0.0
-                for t in range(n_terms):
-                    coef = xi[s, t]
-                    if coef != 0.0:
-                        v = 1.0
-                        for w in range(n_vars):
-                            e = expo[t, w]
-                            for _ in range(e):
-                                v *= vars_val[w]
-                            tc = trig[t, w]
-                            if tc == 1:
-                                v *= np.sin(vars_val[w])
-                            elif tc == 2:
-                                v *= np.cos(vars_val[w])
-                        acc += coef * v
-                kx[stage, s] = acc
-            # rhs of the quadrature states: the integrands themselves
-            for s in range(n_state):
-                kz[stage, s] = xs[s]
-            for j in range(n_in):
-                kz[stage, n_state + j] = ustage[j]
-
-        for s in range(n_state):
-            x[s] = x[s] + (dt / 6.0) * (
-                kx[0, s] + 2.0 * kx[1, s] + 2.0 * kx[2, s] + kx[3, s]
-            )
-            states[k + 1, s] = x[s]
-        for s in range(n_state + n_in):
-            z[s] = z[s] + (dt / 6.0) * (
-                kz[0, s] + 2.0 * kz[1, s] + 2.0 * kz[2, s] + kz[3, s]
-            )
-            quad[k + 1, s] = z[s]
-
-    return states, quad
 
 
 def mlp_forward(flat, sizes, x):

@@ -297,6 +297,16 @@ def test_exit_code_2_unknown_model_id(tmp_path):
     assert run_cli("generate", "--config", cfg) == 2
 
 
+def test_exit_code_2_non_finite_number(tmp_path, capsys):
+    # YAML .inf and .nan are refused by key instead of crashing the fingerprint
+    cfg = make_run(tmp_path, "smoke", sindy={"threshold": float("inf")})
+    assert run_cli("generate", "--config", cfg) == 2
+    assert "sindy.threshold" in capsys.readouterr().err
+    cfg = make_run(tmp_path, "smoke", ffnn={"hidden_layers": [8, float("nan")]})
+    assert run_cli("generate", "--config", cfg) == 2
+    assert "ffnn.hidden_layers[1]" in capsys.readouterr().err
+
+
 def test_exit_code_3_ingest_before_generate(tmp_path, capsys):
     cfg = make_run(tmp_path, "smoke")
     assert run_cli("ingest", "--config", cfg) == 3
@@ -337,6 +347,17 @@ def test_exit_code_4_fingerprint_mismatch(tmp_path, capsys):
                    "--seed", 999) == 4
     err = capsys.readouterr().err
     assert "fingerprint" in err.lower()
+
+
+def test_exit_code_4_divergent_training_saves_no_weights(tmp_path, capsys):
+    train = {"optimizer": "rmsprop", "learning_rate": 1.0e200, "batch_size": 32,
+             "epochs": 3, "seed": 11}
+    cfg = make_run(tmp_path, "smoke", ffnn={"train": train})
+    assert run_cli("generate", "--config", cfg) == 0
+    assert run_cli("train", "--config", cfg, "--model", "ffnn") == 4
+    err = capsys.readouterr().err
+    assert "ffnn" in err and "epoch 1" in err
+    assert not (tmp_path / "out" / "ffnn_weights.bin").exists()
 
 
 def test_cli_rejects_unknown_subcommand():
