@@ -92,7 +92,7 @@ from .sindy import (
     format_equations,
     load_model,
     save_model,
-    simulate,
+    simulate_segments,
 )
 from .synthgen import generate_flight
 
@@ -133,8 +133,8 @@ def _corpus_cfg(cfg: RunConfig):
     return cfg.corpus
 
 
-def _load_records(cfg: RunConfig) -> list[FlightRecord]:
-    """Ingest every corpus flight from data_dir, with maneuver annotations."""
+def _load_records(cfg: RunConfig, ids: Sequence[str]) -> list[FlightRecord]:
+    """Ingest the listed corpus flights from data_dir, with maneuver annotations."""
     corpus = _corpus_cfg(cfg)
     flights_dir = cfg.data_dir / "flights"
     man_path = cfg.data_dir / "maneuvers.csv"
@@ -142,7 +142,7 @@ def _load_records(cfg: RunConfig) -> list[FlightRecord]:
         raise IoError(f"no corpus at {flights_dir}; run `tssid generate` first")
     segments = load_maneuvers(man_path) if man_path.exists() else {}
     records = []
-    for fid in corpus.flight_ids:
+    for fid in ids:
         path = flights_dir / f"{fid}.csv"
         if not path.exists():
             raise IoError(f"missing flight file {path}; run `tssid generate` first")
@@ -154,21 +154,13 @@ def _load_records(cfg: RunConfig) -> list[FlightRecord]:
     return records
 
 
-def _split_of(cfg: RunConfig, records: Sequence[FlightRecord]) -> DatasetSplit:
-    ids = [r.flight_id for r in records]
+def _split_of(cfg: RunConfig) -> DatasetSplit:
+    """The train/val/test split of the corpus flight ids; reads no flight."""
+    ids = list(_corpus_cfg(cfg).flight_ids)
     if cfg.split_explicit is not None:
         return split_dataset(ids, explicit=cfg.split_explicit)
     fractions = cfg.split_fractions or (0.8, 0.1, 0.1)
     return split_dataset(ids, fractions=fractions, seed=derive_seed(cfg.seed, "split"))
-
-
-def _by_id(records: Sequence[FlightRecord]) -> dict[str, FlightRecord]:
-    return {r.flight_id: r for r in records}
-
-
-def _pick(records: Sequence[FlightRecord], ids: Sequence[str]) -> list[FlightRecord]:
-    table = _by_id(records)
-    return [table[i] for i in ids]
 
 
 def _resolve_features(cfg: RunConfig, records: Sequence[FlightRecord]) -> tuple[str, ...]:
@@ -280,21 +272,24 @@ def _load_trained(cfg: RunConfig, kind: str) -> TrainedNet:
 
 def _simulate_record(model: SparseModel, rec: FlightRecord,
                      derivative_method: str) -> np.ndarray:
-    """Full-length prediction; NaN outside scoring segments."""
+    """Full-length prediction; NaN outside scoring segments.
+
+    All scoring segments of the flight are integrated in one batched pass.
+    """
     dt = rec.dt
-    trq = rec.values(model.state_names[0])
-    wf = rec.values(model.input_names[0])
+    segs = rec.scoring_segments()
+    trqs = [rec.values(model.state_names[0])[s.start_index:s.end_index] for s in segs]
+    us = [rec.values(model.input_names[0])[s.start_index:s.end_index] for s in segs]
+    x0s = [trq[0] for trq in trqs]
+    if model.order == 1:
+        trajs = simulate_segments(model, us, dt, x0s)
+    else:
+        xdot0s = [differentiate(trq, dt, derivative_method)[0] for trq in trqs]
+        u_dots = [differentiate(u, dt, derivative_method) for u in us]
+        trajs = simulate_segments(model, us, dt, x0s, xdot0s, u_dots)
     pred = np.full(rec.n_samples, np.nan)
-    for seg in rec.scoring_segments():
-        s, e = seg.start_index, seg.end_index
-        u = wf[s:e]
-        x0 = trq[s]
-        if model.order == 1:
-            pred[s:e] = simulate(model, u, dt, x0)
-        else:
-            xdot0 = differentiate(trq[s:e], dt, derivative_method)[0]
-            u_dot = differentiate(u, dt, derivative_method)
-            pred[s:e] = simulate(model, u, dt, x0, xdot0, u_dot)
+    for seg, traj in zip(segs, trajs):
+        pred[seg.start_index:seg.end_index] = traj.states[:, 0]
     return pred
 
 
@@ -344,7 +339,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_ingest(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg)
+    records = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
     lines = ["flight_id,n_samples,duration_s,n_maneuvers,n_excluded"]
     for rec in records:
         n_exc = sum(1 for seg in rec.maneuvers if seg.excluded)
@@ -361,7 +356,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_correlate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg)
+    records = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
     corr = correlation_matrix(records)
     lines = ["channel," + ",".join(corr.names)]
     for i, nm in enumerate(corr.names):
@@ -382,8 +377,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
 
 def cmd_split(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg)
-    split = _split_of(cfg, records)
+    split = _split_of(cfg)
     payload = {"train": list(split.train_ids), "val": list(split.val_ids),
                "test": list(split.test_ids)}
     out = cfg.out_dir / "split.yaml"
@@ -391,16 +385,14 @@ def cmd_split(cfg: RunConfig) -> int:
     _write_text(out, _yaml.safe_dump(payload, sort_keys=True))
     timings = {"total": time.perf_counter() - t0}
     _finish(cfg, "split", cfg.out_dir, [out], timings)
-    print(f"split {len(records)} flights: {len(split.train_ids)} train / "
+    print(f"split {len(_corpus_cfg(cfg).flight_ids)} flights: {len(split.train_ids)} train / "
           f"{len(split.val_ids)} val / {len(split.test_ids)} test -> {out}")
     return 0
 
 
 def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg)
-    split = _split_of(cfg, records)
-    train_recs = _pick(records, split.train_ids)
+    train_recs = _load_records(cfg, _split_of(cfg).train_ids)
     outputs = []
     timings: dict[str, float] = {}
     for order in orders:
@@ -427,10 +419,9 @@ def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
 
 def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg)
-    split = _split_of(cfg, records)
-    train_recs = _pick(records, split.train_ids)
-    val_recs = _pick(records, split.val_ids)
+    split = _split_of(cfg)
+    train_recs = _load_records(cfg, split.train_ids)
+    val_recs = _load_records(cfg, split.val_ids)
     inputs = _resolve_features(cfg, train_recs)
     outputs = []
     timings: dict[str, float] = {}
@@ -454,9 +445,7 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
 
 def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg)
-    split = _split_of(cfg, records)
-    test_recs = _pick(records, split.test_ids)
+    test_recs = _load_records(cfg, _split_of(cfg).test_ids)
     outputs = []
     for order in orders:
         model = _load_sindy(cfg, order)
@@ -510,9 +499,7 @@ def _evaluate_models(cfg: RunConfig, model_ids: Sequence[str],
 
 def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg)
-    split = _split_of(cfg, records)
-    test_recs = _pick(records, split.test_ids)
+    test_recs = _load_records(cfg, _split_of(cfg).test_ids)
     reports, outputs = _evaluate_models(cfg, model_ids, test_recs,
                                         cfg.out_dir, write_overlays=True)
     table = compare_models(reports)
@@ -535,8 +522,7 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     if not cfg.retrain_augment_ids:
         raise ConfigError("retrain-experiment needs retrain.augment_ids in the config")
-    records = _load_records(cfg)
-    split = _split_of(cfg, records)
+    split = _split_of(cfg)
     missing = [i for i in cfg.retrain_augment_ids if i not in split.test_ids]
     if missing:
         raise ConfigError(
@@ -546,9 +532,12 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
     if not eval_ids:
         raise ConfigError("augmentation would consume the whole test set; "
                           "leave at least one flight for evaluation")
-    eval_recs = _pick(records, eval_ids)
-    val_recs = _pick(records, split.val_ids)
-    inputs = _resolve_features(cfg, _pick(records, split.train_ids))
+    # the split covers every flight, and the experiment uses all of them
+    ids = _corpus_cfg(cfg).flight_ids
+    by_id = dict(zip(ids, _load_records(cfg, ids)))
+    eval_recs = [by_id[i] for i in eval_ids]
+    val_recs = [by_id[i] for i in split.val_ids]
+    inputs = _resolve_features(cfg, [by_id[i] for i in split.train_ids])
 
     rt_dir = cfg.out_dir / "retrain"
     outputs = []
@@ -561,7 +550,7 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
     runs = []
     for phase, train_ids in phases.items():
         t1 = time.perf_counter()
-        train_recs = _pick(records, train_ids)
+        train_recs = [by_id[i] for i in train_ids]
         reports = []
         for kind in NET_KINDS:
             net = _train_one(cfg, kind, train_recs, val_recs, inputs)

@@ -132,10 +132,6 @@ class EmptyDataset(TssidError):
     """No usable training samples or windows."""
 
 
-class EmptyGrid(TssidError):
-    """Grid search invoked with no candidate configurations."""
-
-
 # --- pipeline artifacts ------------------------------------------------------
 
 class MissingArtifact(ComputationError):

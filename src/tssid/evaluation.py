@@ -43,16 +43,6 @@ def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.mean(np.abs(p - a)))
 
 
-def rmae_maneuver(predicted: np.ndarray, actual: np.ndarray,
-                  flight_mean_trq: float) -> float:
-    """Relative MAE of one maneuver against its flight's mean torque."""
-    if flight_mean_trq <= 0.0:
-        raise NonPositiveFlightMean(
-            f"flight mean torque must be positive, got {flight_mean_trq}"
-        )
-    return mae(predicted, actual) / float(flight_mean_trq)
-
-
 def flight_mean_trq(record: FlightRecord, target: str = "TRQ") -> float:
     """Mean physical torque over the flight's non-excluded samples."""
     vals = record.values(target)[record.included_mask()]
@@ -105,7 +95,8 @@ def score_model(model_id: str, predictions: Mapping[str, np.ndarray],
 
     ``predictions`` maps flight id to a series as long as the flight;
     every record must have one (:class:`MissingPrediction`).  Only
-    non-excluded maneuvers are scored.
+    non-excluded maneuvers are scored.  A flight whose mean target is not
+    positive cannot normalize its errors (:class:`NonPositiveFlightMean`).
     """
     if not records:
         raise EmptyDataset("score_model needs at least one flight")
@@ -121,6 +112,11 @@ def score_model(model_id: str, predictions: Mapping[str, np.ndarray],
                 f"actual has {actual.shape}"
             )
         mean_trq = flight_mean_trq(rec, target)
+        if mean_trq <= 0.0:
+            raise NonPositiveFlightMean(
+                f"flight {rec.flight_id!r}: mean {target} must be positive to "
+                f"normalize its errors, got {mean_trq}"
+            )
         scores = []
         for seg in rec.scoring_segments():
             seg_mae = mae(pred[seg.start_index:seg.end_index],

@@ -164,11 +164,6 @@ class FlightRecord:
     def values(self, name: str) -> np.ndarray:
         return self.channel(name).samples
 
-    def select(self, names: Sequence[str]) -> "FlightRecord":
-        """Record restricted to ``names``, in the given order."""
-        chans = tuple(self.channel(n) for n in names)
-        return replace(self, channels=chans)
-
     def with_maneuvers(self, segments: Iterable[ManeuverSegment]) -> "FlightRecord":
         return replace(self, maneuvers=tuple(segments))
 

@@ -5,6 +5,17 @@ series; stage values use linear interpolation between samples (the value
 at the half step is the midpoint average), so one RK4 step spans exactly
 one sampling interval.
 
+``rk4_first_order`` and ``rk4_cascade`` integrate one series of the two
+ground-truth plants.  ``rk4_sparse`` integrates a batch of independent
+runs of a fitted sparse model, with time as the leading axis:
+    u (n_samples, batch, n_inputs), x_init (batch, n_state)
+    -> states (n_samples, batch, n_state),
+       quad (n_samples, batch, n_state + n_inputs)
+Runs of different lengths share the time axis: each run stops at its own
+length, and its outputs are NaN after it.  The library terms come from
+``library_terms``, which also evaluates the design matrix of the fit, so
+the term encoding has one decoder.
+
 Neural parameter vectors are flat 1-D float64 arrays.  Layouts:
 
 MLP, layer sizes ``d0, d1, ..., dL`` (ReLU on hidden layers, linear head):
@@ -24,10 +35,11 @@ The cell is the standard LSTM:
 with h and c starting at zero for every window.  The training loss is the
 mean squared error of the per-step head outputs over every (window, step).
 
-The neural kernels work on whole arrays; only the LSTM recurrence over
-time steps is a Python loop.  The public kernels never call one another,
-so the per-kernel call counts and times of ``perfbench/tracer.py``, which
-wraps each of them, stay separate.
+The neural kernels and ``rk4_sparse`` work on whole arrays; only the
+recurrences over time steps (LSTM steps, RK4 steps) are Python loops.  The
+kernels never call one another (``library_terms`` is a helper, not a
+kernel), so the per-kernel call counts and times of
+``perfbench/tracer.py``, which wraps each kernel, stay separate.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ __all__ = [
     "rk4_first_order",
     "rk4_cascade",
     "rk4_sparse",
+    "library_terms",
     "mlp_forward",
     "mlp_value_and_grad",
     "lstm_forward",
@@ -112,105 +125,107 @@ def rk4_cascade(mu, tau1, tau2, u, dt, x0, v0):
     return xs, vs
 
 
-def rk4_sparse(xi, expo, trig, u, dt, x_init):
-    """Integrate a fitted sparse model dx_s/dt = sum_j xi[s, j] * theta_j(x, u).
+def library_terms(expo, trig):
+    """Compile a term encoding into ``terms(values) -> term values``.
 
-    xi     : (n_state, n_terms) coefficient matrix, one row per state equation
-    expo   : (n_terms, n_vars) int64 monomial exponent of each variable,
-             variables ordered states-then-inputs
-    trig   : (n_terms, n_vars) int64 trig factor code per variable:
-             0 none, 1 sin(var), 2 cos(var)
-    u      : (n_samples, n_inputs) control series
-    x_init : (n_state,) initial state
-
-    Returns (states, quad):
-      states : (n_samples, n_state)
-      quad   : (n_samples, n_state + n_inputs) running RK4 integrals of each
-               state and each (interpolated) input, starting at zero.  The
-               quadrature states are integrated inside the same RK4 stages,
-               so any linear first integral of the model holds to rounding.
+    expo, trig : (n_terms, n_vars) int64, as taken by :func:`rk4_sparse`
+    ``terms`` maps values of shape (..., n_vars) to (..., n_terms).  Term j
+    is the product over variables w, in order, of values[w] multiplied in
+    expo[j, w] times, then sin(values[w]) or cos(values[w]) where trig[j, w]
+    is 1 or 2.  This is the only decoder of the encoding.
     """
-    n = u.shape[0]
-    n_in = u.shape[1]
+    n_terms, n_vars = expo.shape
+    # The factor table has the columns 1, values, sin(values), cos(values).
+    # Per variable w, term j takes expo[j, w] copies of column 1 + w, then
+    # column 1 + c*n_vars + w once if its trig code c is not 0.
+    w = np.arange(n_vars)
+    column = np.stack(np.broadcast_arrays(1 + w, 1 + n_vars * trig + w), axis=-1)
+    copies = np.stack([expo, trig != 0], axis=-1)
+    counts = copies.sum(axis=(1, 2))
+    # one row of factor columns per term, padded with the constant column
+    factors = np.zeros((n_terms, max(counts.max(initial=0), 1)), dtype=np.int64)
+    factors[np.arange(factors.shape[1]) < counts[:, None]] = np.repeat(column.ravel(),
+                                                                       copies.ravel())
+    factors = list(factors.T)
+    n_cols = 1 + (3 if np.any(trig) else 1) * n_vars
+
+    def terms(values):
+        table = np.empty(values.shape[:-1] + (n_cols,))
+        table[..., 0] = 1.0
+        table[..., 1:1 + n_vars] = values
+        if n_cols > 1 + n_vars:
+            np.sin(values, out=table[..., 1 + n_vars:1 + 2 * n_vars])
+            np.cos(values, out=table[..., 1 + 2 * n_vars:])
+        out = table.take(factors[0], axis=-1)
+        for slot in factors[1:]:  # one pass per factor, at most the library degree
+            out *= table.take(slot, axis=-1)
+        return out
+
+    return terms
+
+
+def rk4_sparse(xi, expo, trig, u, dt, x_init, lengths=None):
+    """Integrate a batch of runs of a sparse model dx_s/dt = sum_j xi[s, j] * theta_j(x, u).
+
+    xi      : (n_state, n_terms) coefficient matrix, one row per state equation
+    expo    : (n_terms, n_vars) int64 monomial exponent of each variable,
+              variables ordered states-then-inputs
+    trig    : (n_terms, n_vars) int64 trig factor code per variable:
+              0 none, 1 sin(var), 2 cos(var)
+    u       : (n_samples, batch, n_inputs) control series, time leading
+    x_init  : (batch, n_state) initial states
+    lengths : (batch,) samples in each run, n_samples for all when None.
+              Nothing is evaluated past a run's end, so a run's result is
+              the one it gets alone; the rows of u past it are not used.
+
+    Returns (states, quad), NaN past each run's end:
+      states : (n_samples, batch, n_state)
+      quad   : (n_samples, batch, n_state + n_inputs) running RK4 integrals
+               of each state and each (interpolated) input, starting at zero.
+               The quadrature states are integrated inside the same RK4
+               stages, so any linear first integral of the model holds to
+               rounding.
+    """
+    used = np.flatnonzero(np.any(xi != 0.0, axis=0))
+    terms = library_terms(expo[used], trig[used])
+    coef = xi[:, used]
+    n, batch, n_in = u.shape
     n_state = xi.shape[0]
-    n_terms = xi.shape[1]
-    n_vars = n_state + n_in
-
-    states = np.empty((n, n_state))
-    quad = np.zeros((n, n_state + n_in))
-
-    x = x_init.copy()
-    z = np.zeros(n_state + n_in)
-    vars_val = np.empty(n_vars)
-    ustage = np.empty(n_in)
-    kx = np.empty((4, n_state))
-    kz = np.empty((4, n_state + n_in))
-    xs = np.empty(n_state)
-
-    for s in range(n_state):
-        states[0, s] = x[s]
-
+    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
+    # longest runs first, so that the runs still going at step k are the
+    # first going[k]
+    order = np.argsort(-lengths, kind="stable")
+    going = (lengths[order][:, None] > np.arange(1, n)).sum(axis=0)
+    u = u[:, order]
+    u_mid = 0.5 * (u[:-1] + u[1:])
+    # the inputs of the four stages of step k
+    u_stage = np.stack([u[:-1], u_mid, u_mid, u[1:]], axis=1)
+    # States and quadratures advance together: a row of traj is [states |
+    # quadratures], a stage's slopes are [kx | v], where v = (stage states,
+    # stage inputs) is both the quadratures' integrand and the terms' input.
+    traj = np.full((n, batch, 2 * n_state + n_in), np.nan)
+    traj[0, :, :n_state] = x_init[order]
+    traj[0, :, n_state:] = 0.0
+    slopes = np.empty((4, batch, 2 * n_state + n_in))
+    h = (0.5 * dt, 0.5 * dt, dt)
     for k in range(n - 1):
-        for stage in range(4):
-            # state and input values at this stage
-            if stage == 0:
-                for j in range(n_in):
-                    ustage[j] = u[k, j]
-                for s in range(n_state):
-                    xs[s] = x[s]
-            else:
-                if stage == 3:
-                    for j in range(n_in):
-                        ustage[j] = u[k + 1, j]
-                else:
-                    for j in range(n_in):
-                        ustage[j] = 0.5 * (u[k, j] + u[k + 1, j])
-                h = dt if stage == 3 else 0.5 * dt
-                prev = stage - 1
-                for s in range(n_state):
-                    xs[s] = x[s] + h * kx[prev, s]
-
-            for s in range(n_state):
-                vars_val[s] = xs[s]
-            for j in range(n_in):
-                vars_val[n_state + j] = ustage[j]
-
-            # rhs of the model equations
-            for s in range(n_state):
-                acc = 0.0
-                for t in range(n_terms):
-                    coef = xi[s, t]
-                    if coef != 0.0:
-                        v = 1.0
-                        for w in range(n_vars):
-                            e = expo[t, w]
-                            for _ in range(e):
-                                v *= vars_val[w]
-                            tc = trig[t, w]
-                            if tc == 1:
-                                v *= np.sin(vars_val[w])
-                            elif tc == 2:
-                                v *= np.cos(vars_val[w])
-                        acc += coef * v
-                kx[stage, s] = acc
-            # rhs of the quadrature states: the integrands themselves
-            for s in range(n_state):
-                kz[stage, s] = xs[s]
-            for j in range(n_in):
-                kz[stage, n_state + j] = ustage[j]
-
-        for s in range(n_state):
-            x[s] = x[s] + (dt / 6.0) * (
-                kx[0, s] + 2.0 * kx[1, s] + 2.0 * kx[2, s] + kx[3, s]
-            )
-            states[k + 1, s] = x[s]
-        for s in range(n_state + n_in):
-            z[s] = z[s] + (dt / 6.0) * (
-                kz[0, s] + 2.0 * kz[1, s] + 2.0 * kz[2, s] + kz[3, s]
-            )
-            quad[k + 1, s] = z[s]
-
-    return states, quad
+        m = going[k]
+        if k == 0 or m < going[k - 1]:  # views of each stage, for the runs going
+            kx = [s[:m, :n_state] for s in slopes]
+            v = [s[:m, n_state:] for s in slopes]
+            xs = [s[:m, n_state:2 * n_state] for s in slopes]
+        x = traj[k, :m, :n_state]
+        slopes[:, :m, 2 * n_state:] = u_stage[k, :, :m]
+        xs[0][...] = x
+        np.einsum("bj,sj->bs", terms(v[0]), coef, out=kx[0])
+        for i in range(1, 4):
+            np.multiply(kx[i - 1], h[i - 1], out=xs[i])
+            xs[i] += x
+            np.einsum("bj,sj->bs", terms(v[i]), coef, out=kx[i])
+        k1, k2, k3, k4 = slopes[:, :m]
+        np.add(traj[k, :m], (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=traj[k + 1, :m])
+    inverse = np.argsort(order)
+    return traj[:, inverse, :n_state], traj[:, inverse, n_state:]
 
 
 def _mlp_layers(flat, sizes):

@@ -33,7 +33,6 @@ from .errors import (
     ComputationError,
     DimensionMismatch,
     EmptyDataset,
-    EmptyGrid,
     IoError,
     LengthMismatch,
     SeriesTooShort,
@@ -95,15 +94,8 @@ class LSTMConfig:
         return n + h + 1
 
 
-def init_xavier(fan_in: int, fan_out: int, seed: int) -> np.ndarray:
-    """Xavier-uniform matrix: U(-limit, limit), limit = sqrt(6/(fan_in+fan_out))."""
-    if fan_in < 1 or fan_out < 1:
-        raise DimensionMismatch("fan_in and fan_out must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _xavier(rng, fan_in, fan_out)
-
-
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Xavier-uniform matrix: U(-limit, limit), limit = sqrt(6/(fan_in+fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
@@ -504,33 +496,6 @@ def predict_series(net: TrainedNet, record: FlightRecord) -> np.ndarray:
     pred[:lb - 1] = y[0, :lb - 1]
     pred[lb - 1:] = y[:, lb - 1]
     return unscale_series(scaler, net.target_name, pred)
-
-
-@dataclass(frozen=True)
-class GridResult:
-    model_config: MLPConfig | LSTMConfig
-    train_config: TrainConfig
-    final_train_mse: float
-    final_val_mse: float
-
-
-def grid_search(candidates: Sequence[tuple[MLPConfig | LSTMConfig, TrainConfig]],
-                train_data, val_data) -> list[GridResult]:
-    """Train every candidate and rank by final validation MSE (ties keep
-    candidate order; NaN validation ranks last)."""
-    if not candidates:
-        raise EmptyGrid("grid_search needs at least one candidate")
-    results = []
-    for mc, tc in candidates:
-        net = train(mc, tc, train_data, val_data)
-        results.append(GridResult(mc, tc,
-                                  float(net.train_mse[-1]), float(net.val_mse[-1])))
-    def key(i_r):
-        i, r = i_r
-        v = r.final_val_mse
-        return (np.isnan(v), v if not np.isnan(v) else 0.0, i)
-    ranked = sorted(enumerate(results), key=key)
-    return [r for _, r in ranked]
 
 
 # --- persistence -------------------------------------------------------------------

@@ -17,10 +17,13 @@ with normalized coefficient magnitude below the threshold are pruned, and
 the solve repeats until the active set reaches a fixed point.  Final
 coefficients are reported on physical scale.
 
-Fitted models are integrated by fixed-step RK4 with linearly interpolated
-inputs (``tssid.kernels.rk4_sparse``), which also carries running
-integrals of every state and input so that linear first integrals of the
-model can be checked to machine precision.
+Library terms are evaluated by ``tssid.kernels.library_terms``, both for
+the design matrix and inside the integrator.  Fitted models are integrated
+by fixed-step RK4 with linearly interpolated inputs
+(``tssid.kernels.rk4_sparse``), all segments of a flight in one batched
+pass; the integrator also carries running integrals of every state and
+input so that linear first integrals of the model can be checked to
+machine precision.
 """
 
 from __future__ import annotations
@@ -179,21 +182,7 @@ def build_library(X: np.ndarray, U: np.ndarray, spec: LibrarySpec,
             f"state rows ({X.shape[0]}) and input rows ({U.shape[0]}) differ"
         )
     expo, trg, labels = build_term_encoding(state_names, input_names, spec)
-    vars_mat = np.hstack([X, U])
-    m, nv = vars_mat.shape
-    p = expo.shape[0]
-    values = np.ones((m, p))
-    for j in range(p):
-        col = values[:, j]
-        for w in range(nv):
-            e = int(expo[j, w])
-            if e:
-                col *= vars_mat[:, w] ** e
-            code = int(trg[j, w])
-            if code == 1:
-                col *= np.sin(vars_mat[:, w])
-            elif code == 2:
-                col *= np.cos(vars_mat[:, w])
+    values = kernels.library_terms(expo, trg)(np.hstack([X, U]))
     return DesignMatrix(values, labels, expo, trg, tuple(state_names), tuple(input_names))
 
 
@@ -474,35 +463,58 @@ def _input_matrix(model: SparseModel, u: np.ndarray, dt: float,
     if u.shape[0] < 2:
         raise SeriesTooShort("simulate needs at least 2 control samples")
     if model.order == 1:
-        return np.ascontiguousarray(u[:, None])
+        return u[:, None]
     if u_dot is None:
         u_dot = differentiate(u, dt, "central")
     u_dot = np.asarray(u_dot, dtype=np.float64)
     if u_dot.shape != u.shape:
         raise LengthMismatch("u_dot must match the control series length")
-    return np.ascontiguousarray(np.column_stack([u, u_dot]))
+    return np.column_stack([u, u_dot])
+
+
+def simulate_segments(model: SparseModel, us: Sequence[np.ndarray], dt: float,
+                      x0s: Sequence[float], xdot0s: Sequence[float] | None = None,
+                      u_dots: Sequence[np.ndarray] | None = None) -> list[SimTrajectory]:
+    """Integrate the fitted model over several segments in one RK4 pass.
+
+    ``us`` holds one control series per segment, of any lengths; ``x0s``
+    (and, for second order, ``xdot0s``) the initial values, and ``u_dots``
+    optional control derivatives.  Each segment's trajectory equals the
+    one it gets integrated alone.
+    """
+    if dt <= 0:
+        raise LengthMismatch(f"dt must be positive, got {dt}")
+    if not us:
+        return []
+    if u_dots is None:
+        u_dots = [None] * len(us)
+    inputs = [_input_matrix(model, u, dt, u_dot) for u, u_dot in zip(us, u_dots)]
+    if model.order == 1:
+        x_init = np.array([[float(x0)] for x0 in x0s])
+    elif xdot0s is None or any(v is None for v in xdot0s):
+        raise MissingInitialDerivative(
+            "second-order simulation needs the initial state derivative"
+        )
+    else:
+        x_init = np.array([[float(x0), float(v0)] for x0, v0 in zip(x0s, xdot0s)])
+    if len(x_init) != len(inputs):
+        raise LengthMismatch(f"{len(inputs)} control series but {len(x_init)} initial states")
+    lengths = [len(U) for U in inputs]
+    batch = np.full((max(lengths), len(inputs), inputs[0].shape[1]), np.nan)
+    for b, U in enumerate(inputs):
+        batch[:len(U), b] = U
+    states, quad = kernels.rk4_sparse(model.xi, model.expo, model.trig, batch,
+                                      float(dt), x_init, lengths)
+    return [SimTrajectory(states[:len(U), b], quad[:len(U), b])
+            for b, U in enumerate(inputs)]
 
 
 def simulate_full(model: SparseModel, u: np.ndarray, dt: float, x0: float,
                   xdot0: float | None = None,
                   u_dot: np.ndarray | None = None) -> SimTrajectory:
-    """Integrate the fitted model; returns states and quadratures."""
-    if dt <= 0:
-        raise LengthMismatch(f"dt must be positive, got {dt}")
-    U = _input_matrix(model, u, dt, u_dot)
-    if model.order == 1:
-        x_init = np.array([float(x0)])
-    else:
-        if xdot0 is None:
-            raise MissingInitialDerivative(
-                "second-order simulation needs the initial state derivative"
-            )
-        x_init = np.array([float(x0), float(xdot0)])
-    states, quad = kernels.rk4_sparse(
-        np.ascontiguousarray(model.xi), np.ascontiguousarray(model.expo),
-        np.ascontiguousarray(model.trig), U, float(dt), x_init,
-    )
-    return SimTrajectory(states, quad)
+    """Integrate the fitted model over one segment; returns states and quadratures."""
+    return simulate_segments(model, [u], dt, [x0], None if xdot0 is None else [xdot0],
+                             [u_dot])[0]
 
 
 def simulate(model: SparseModel, u: np.ndarray, dt: float, x0: float,

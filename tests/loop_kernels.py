@@ -1,11 +1,13 @@
-"""Loop reference for the neural kernels in :mod:`tssid.kernels`.
+"""Loop reference for the neural and sparse-RK4 kernels in :mod:`tssid.kernels`.
 
 These are the scalar-loop implementations the array-style kernels
 replaced, kept verbatim as an oracle: the loss, the bias sums and the LSTM
-head are accumulated element by element, and every LSTM step multiplies
-its own inputs into the gates.  ``tests/test_kernels.py`` requires the
-kernels to agree with them to 1e-13 relative.  Parameter layouts are those
-documented in :mod:`tssid.kernels`.
+head are accumulated element by element, every LSTM step multiplies its
+own inputs into the gates, and ``rk4_sparse`` integrates one series,
+evaluating every term variable by variable at every stage.
+``tests/test_kernels.py`` requires the kernels to agree with them to 1e-13
+relative (neural) or 1e-12 relative (sparse RK4).  Parameter layouts are
+those documented in :mod:`tssid.kernels`.
 """
 
 import numpy as np
@@ -287,3 +289,104 @@ def lstm_value_and_grad(flat, input_dim, hidden, n_layers, x, y):
             if l > 0:
                 dfromup = np.dot(dz, wx.T)
     return loss, grad
+
+
+def rk4_sparse(xi, expo, trig, u, dt, x_init):
+    """Integrate a fitted sparse model dx_s/dt = sum_j xi[s, j] * theta_j(x, u).
+
+    xi     : (n_state, n_terms) coefficient matrix, one row per state equation
+    expo   : (n_terms, n_vars) int64 monomial exponent of each variable,
+             variables ordered states-then-inputs
+    trig   : (n_terms, n_vars) int64 trig factor code per variable:
+             0 none, 1 sin(var), 2 cos(var)
+    u      : (n_samples, n_inputs) control series
+    x_init : (n_state,) initial state
+
+    Returns (states, quad):
+      states : (n_samples, n_state)
+      quad   : (n_samples, n_state + n_inputs) running RK4 integrals of each
+               state and each (interpolated) input, starting at zero.  The
+               quadrature states are integrated inside the same RK4 stages,
+               so any linear first integral of the model holds to rounding.
+    """
+    n = u.shape[0]
+    n_in = u.shape[1]
+    n_state = xi.shape[0]
+    n_terms = xi.shape[1]
+    n_vars = n_state + n_in
+
+    states = np.empty((n, n_state))
+    quad = np.zeros((n, n_state + n_in))
+
+    x = x_init.copy()
+    z = np.zeros(n_state + n_in)
+    vars_val = np.empty(n_vars)
+    ustage = np.empty(n_in)
+    kx = np.empty((4, n_state))
+    kz = np.empty((4, n_state + n_in))
+    xs = np.empty(n_state)
+
+    for s in range(n_state):
+        states[0, s] = x[s]
+
+    for k in range(n - 1):
+        for stage in range(4):
+            # state and input values at this stage
+            if stage == 0:
+                for j in range(n_in):
+                    ustage[j] = u[k, j]
+                for s in range(n_state):
+                    xs[s] = x[s]
+            else:
+                if stage == 3:
+                    for j in range(n_in):
+                        ustage[j] = u[k + 1, j]
+                else:
+                    for j in range(n_in):
+                        ustage[j] = 0.5 * (u[k, j] + u[k + 1, j])
+                h = dt if stage == 3 else 0.5 * dt
+                prev = stage - 1
+                for s in range(n_state):
+                    xs[s] = x[s] + h * kx[prev, s]
+
+            for s in range(n_state):
+                vars_val[s] = xs[s]
+            for j in range(n_in):
+                vars_val[n_state + j] = ustage[j]
+
+            # rhs of the model equations
+            for s in range(n_state):
+                acc = 0.0
+                for t in range(n_terms):
+                    coef = xi[s, t]
+                    if coef != 0.0:
+                        v = 1.0
+                        for w in range(n_vars):
+                            e = expo[t, w]
+                            for _ in range(e):
+                                v *= vars_val[w]
+                            tc = trig[t, w]
+                            if tc == 1:
+                                v *= np.sin(vars_val[w])
+                            elif tc == 2:
+                                v *= np.cos(vars_val[w])
+                        acc += coef * v
+                kx[stage, s] = acc
+            # rhs of the quadrature states: the integrands themselves
+            for s in range(n_state):
+                kz[stage, s] = xs[s]
+            for j in range(n_in):
+                kz[stage, n_state + j] = ustage[j]
+
+        for s in range(n_state):
+            x[s] = x[s] + (dt / 6.0) * (
+                kx[0, s] + 2.0 * kx[1, s] + 2.0 * kx[2, s] + kx[3, s]
+            )
+            states[k + 1, s] = x[s]
+        for s in range(n_state + n_in):
+            z[s] = z[s] + (dt / 6.0) * (
+                kz[0, s] + 2.0 * kz[1, s] + 2.0 * kz[2, s] + kz[3, s]
+            )
+            quad[k + 1, s] = z[s]
+
+    return states, quad

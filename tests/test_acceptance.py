@@ -164,8 +164,8 @@ def test_criterion_3_reduction_identity(cascade_run, capsys):
     test maneuver."""
     cfg = load_config(cascade_run["cfg"])
     model = load_model(cascade_run["out"] / "sindy2_model.txt")
-    records = tssid_cli._load_records(cfg)
-    split = tssid_cli._split_of(cfg, records)
+    split = tssid_cli._split_of(cfg)
+    records = tssid_cli._load_records(cfg, split.test_ids)
     method = cfg.sindy_config(2).derivative_method
     worst = 0.0
     n_maneuvers = 0

@@ -26,7 +26,6 @@ from tssid.evaluation import (
     flight_mean_trq,
     load_report,
     mae,
-    rmae_maneuver,
     save_report,
     score_model,
     write_comparison_csv,
@@ -49,13 +48,6 @@ def test_mae_validation():
         mae(np.empty(0), np.empty(0))
 
 
-def test_rmae_maneuver_hand_values():
-    assert rmae_maneuver(np.array([1.0, 3.0]), np.array([2.0, 2.0]), 10.0) \
-        == pytest.approx(0.1)
-    with pytest.raises(NonPositiveFlightMean):
-        rmae_maneuver(np.ones(2), np.ones(2), 0.0)
-    with pytest.raises(NonPositiveFlightMean):
-        rmae_maneuver(np.ones(2), np.ones(2), -5.0)
 
 
 def test_flight_mean_trq_respects_exclusions():
@@ -122,6 +114,18 @@ def test_score_model_errors():
     report = score_model("m", preds, records)
     with pytest.raises(MissingPrediction):
         report.flight("nope")
+
+
+def test_score_model_rejects_non_positive_flight_mean():
+    # torque from -5 to -1 has mean -3: an error of 3 would score rMAE -1.0
+    trq = np.linspace(-5.0, -1.0, 20)
+    neg = FlightRecord("neg", 10.0, (Channel("TRQ", "Nm", trq),))
+    with pytest.raises(NonPositiveFlightMean) as info:
+        score_model("m", {"neg": trq + 3.0}, [neg])
+    assert info.value.exit_code == 2
+    zero = FlightRecord("zero", 10.0, (Channel("TRQ", "Nm", np.zeros(4)),))
+    with pytest.raises(NonPositiveFlightMean):
+        score_model("m", {"zero": np.ones(4)}, [zero])
 
 
 def test_score_model_homogeneity():

@@ -85,12 +85,6 @@ def test_record_properties(record):
         record.channel("NG")
 
 
-def test_select_preserves_order_and_subsets(record):
-    sub = record.select(["WF"])
-    assert sub.channel_names == ("WF",)
-    np.testing.assert_array_equal(sub.values("WF"), record.values("WF"))
-
-
 # --- CSV round trip ------------------------------------------------------------
 
 

@@ -1,15 +1,29 @@
 """Numerical kernels against closed-form oracles and a loop reference.
 
-The array-style neural kernels sum in a different order than the scalar
-loops in ``loop_kernels.py``, so they are required to agree with them to
-1e-13 relative rather than bitwise.
+The array-style kernels sum in a different order than the scalar loops in
+``loop_kernels.py``, so they are required to agree with them to 1e-13
+relative (neural kernels) or 1e-12 relative (sparse RK4) rather than
+bitwise.
 """
+
+import warnings
 
 import loop_kernels
 import numpy as np
 import pytest
 
-from tssid import kernels
+from conftest import toy_record
+from tssid import cli, kernels
+from tssid.flightdata import ManeuverSegment
+from tssid.sindy import (
+    LibrarySpec,
+    SINDyConfig,
+    SparseModel,
+    build_library,
+    build_term_encoding,
+    differentiate,
+    simulate,
+)
 
 
 def _step_input(n, level=1.0):
@@ -80,9 +94,10 @@ def test_rk4_sparse_reproduces_dense_first_order():
     xi = np.array([[-10.0, -0.5, 0.2]])
     expo = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
     trig = np.zeros((3, 2), dtype=np.int64)
-    states, quad = kernels.rk4_sparse(xi, expo, trig, u[:, None], 0.02,
-                                      np.array([120.0]))
-    assert np.array_equal(states[:, 0], dense)
+    states, quad = kernels.rk4_sparse(xi, expo, trig, u[:, None, None], 0.02,
+                                      np.array([[120.0]]))
+    assert states.shape == (n, 1, 1) and quad.shape == (n, 1, 2)
+    assert np.array_equal(states[:, 0, 0], dense)
 
 
 def test_rk4_sparse_quadrature_is_exact_integral():
@@ -93,10 +108,10 @@ def test_rk4_sparse_quadrature_is_exact_integral():
     xi = np.array([[-1.0, 0.0]])
     expo = np.array([[1, 0], [0, 1]], dtype=np.int64)
     trig = np.zeros((2, 2), dtype=np.int64)
-    states, quad = kernels.rk4_sparse(xi, expo, trig, u[:, None], 0.05,
-                                      np.array([2.0]))
-    int_x = quad[:, 0]
-    assert np.max(np.abs(int_x - (2.0 - states[:, 0]))) < 1e-12
+    states, quad = kernels.rk4_sparse(xi, expo, trig, u[:, None, None], 0.05,
+                                      np.array([[2.0]]))
+    int_x = quad[:, 0, 0]
+    assert np.max(np.abs(int_x - (2.0 - states[:, 0, 0]))) < 1e-12
 
 
 def test_rk4_sparse_trig_terms():
@@ -106,9 +121,123 @@ def test_rk4_sparse_trig_terms():
     xi = np.array([[1.0]])
     expo = np.array([[0, 0]], dtype=np.int64)   # pure trig factor: exponent 0
     trig = np.array([[0, 1]], dtype=np.int64)   # sin on the input
-    states, _ = kernels.rk4_sparse(xi, expo, trig, u[:, None], 0.1, np.array([0.0]))
+    states, _ = kernels.rk4_sparse(xi, expo, trig, u[:, None, None], 0.1,
+                                   np.array([[0.0]]))
     t = np.arange(n) * 0.1
-    assert np.max(np.abs(states[:, 0] - np.sin(0.7) * t)) < 1e-12
+    assert np.max(np.abs(states[:, 0, 0] - np.sin(0.7) * t)) < 1e-12
+
+
+def _sparse_case(order, trig, rng):
+    """A fitted-looking sparse model: every library term active in its last equation."""
+    if order == 1:
+        names = (("TRQ",), ("WF",))
+        spec = LibrarySpec(degree=2, trig=trig)
+    else:
+        names = (("TRQ", "TRQ_dot"), ("WF", "WF_dot"))
+        spec = LibrarySpec(degree=2 if trig else 1, trig=trig)
+    expo, trg, labels = build_term_encoding(*names, spec)
+    xi = rng.normal(0.0, 1e-4, (order, len(labels)))
+    if order == 1:
+        xi[0, labels.index("TRQ")] = -0.5
+        xi[0, labels.index("WF")] = 0.2
+    else:
+        xi[0] = 0.0
+        xi[0, labels.index("TRQ_dot")] = 1.0
+        xi[1, labels.index("TRQ")] = -11.1
+        xi[1, labels.index("TRQ_dot")] = -8.3
+        xi[1, labels.index("WF")] = 4.4
+    return xi, expo, trg
+
+
+def _control(n, n_in, rng):
+    t = np.linspace(0.0, 6.0, n)
+    u = 3.0 + np.sin(t * rng.uniform(0.5, 2.0)) + rng.normal(0.0, 0.05, n)
+    return np.column_stack([u, np.gradient(u, 0.02)][:n_in])
+
+
+@pytest.mark.parametrize("order,trig", [(1, False), (2, False), (1, True), (2, True)])
+def test_rk4_sparse_matches_loop_reference(order, trig):
+    # one batch of ragged runs: every run must match the loop integrating it
+    # alone, and nothing past a run's end may reach its output or warn
+    rng = np.random.default_rng(10 * order + trig)
+    xi, expo, trg = _sparse_case(order, trig, rng)
+    n_in = order
+    lengths = [2, 3, 417, 250, 2]
+    runs = [_control(n, n_in, rng) for n in lengths]
+    x_init = np.column_stack([rng.uniform(1.0, 2.0, len(runs))]
+                             + [rng.normal(0.0, 0.1, len(runs))] * (order - 1))
+    u = np.zeros((max(lengths), len(runs), n_in))  # rows past a run's end are not used
+    for b, run in enumerate(runs):
+        u[:len(run), b] = run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, quad = kernels.rk4_sparse(xi, expo, trg, u, 0.02, x_init, lengths)
+    assert states.shape == (max(lengths), len(runs), order)
+    assert quad.shape == (max(lengths), len(runs), order + n_in)
+    for b, run in enumerate(runs):
+        n = len(run)
+        ref_states, ref_quad = loop_kernels.rk4_sparse(xi, expo, trg, run, 0.02, x_init[b])
+        assert _rel(states[:n, b], ref_states) < 1e-12
+        assert _rel(quad[1:n, b], ref_quad[1:]) < 1e-12
+        assert np.all(quad[0, b] == 0.0)
+        assert np.all(np.isnan(states[n:, b])) and np.all(np.isnan(quad[n:, b]))
+        alone_states, alone_quad = kernels.rk4_sparse(xi, expo, trg, run[:, None],
+                                                      0.02, x_init[b:b + 1])
+        assert np.array_equal(states[:n, b], alone_states[:, 0])
+        assert np.array_equal(quad[:n, b], alone_quad[:, 0])
+
+
+def test_library_terms_is_the_design_matrix_decoder():
+    # build_library evaluates its columns through the same decoder, in the
+    # loop's factor order: x^3 is ((x*x)*x), not pow(x, 3)
+    rng = np.random.default_rng(4)
+    X, U = rng.normal(size=(40, 2)), rng.normal(size=(40, 1))
+    spec = LibrarySpec(degree=3, trig=True)
+    design = build_library(X, U, spec, ("a", "b"), ("c",))
+    V = np.hstack([X, U])
+    assert np.array_equal(kernels.library_terms(design.expo, design.trig)(V), design.values)
+    a, b, c = V.T
+    for label, col in [("1", np.ones(40)), ("a^3", a * a * a), ("a*b*c", a * b * c),
+                       ("b^2*c", b * b * c), ("cos(c)", np.cos(c))]:
+        assert np.array_equal(design.values[:, design.labels.index(label)], col), label
+    # leading axes pass through: a (time, batch, vars) block evaluates row by row
+    terms = kernels.library_terms(design.expo, design.trig)
+    assert np.array_equal(terms(V.reshape(8, 5, 3)).reshape(40, -1), design.values)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_simulate_record_is_one_call_equal_to_per_segment_simulate(order, monkeypatch):
+    # the CLI integrates all scoring segments of a flight in one kernel call,
+    # and each segment comes out as sindy.simulate gives it alone
+    segments = (ManeuverSegment("a", 0, 5), ManeuverSegment("taxi", 5, 40, excluded=True),
+                ManeuverSegment("b", 40, 46), ManeuverSegment("c", 46, 400))
+    rec = toy_record(n=400, fs=50.0, seed=order, segments=segments)
+    rng = np.random.default_rng(order)
+    xi, expo, trg = _sparse_case(order, False, rng)
+    if order == 1:
+        names, spec = (("TRQ",), ("WF",)), LibrarySpec(degree=2)
+    else:
+        names, spec = (("TRQ", "TRQ_dot"), ("WF", "WF_dot")), LibrarySpec(degree=1)
+    labels = build_term_encoding(*names, spec)[2]
+    model = SparseModel(order, *names, xi, labels, expo, trg,
+                        SINDyConfig(library=spec), (0.0,) * order)
+    calls = []
+    real = kernels.rk4_sparse
+    monkeypatch.setattr(kernels, "rk4_sparse", lambda *a: calls.append(a) or real(*a))
+    pred = cli._simulate_record(model, rec, "central")
+    assert len(calls) == 1
+    dt, trq, wf = rec.dt, rec.values("TRQ"), rec.values("WF")
+    expected = np.full(rec.n_samples, np.nan)
+    for seg in rec.scoring_segments():
+        s, e = seg.start_index, seg.end_index
+        if order == 1:
+            expected[s:e] = simulate(model, wf[s:e], dt, trq[s])
+        else:
+            expected[s:e] = simulate(model, wf[s:e], dt, trq[s],
+                                     differentiate(trq[s:e], dt, "central")[0],
+                                     differentiate(wf[s:e], dt, "central"))
+    assert np.array_equal(pred, expected, equal_nan=True)
+    assert np.all(np.isnan(pred[5:40])) and not np.any(np.isnan(pred[40:]))
 
 
 # --- neural kernels -----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from tssid.sindy import (
     save_model,
     simulate,
     simulate_full,
+    simulate_segments,
     stlsq,
 )
 from tssid.synthgen import (
@@ -381,6 +384,25 @@ def test_simulate_validation():
         simulate(model, np.array([1.0]), 0.01, 0.0)
     with pytest.raises(LengthMismatch):
         simulate(model, np.ones(10), -0.1, 0.0)
+    with pytest.raises(LengthMismatch):
+        simulate_segments(model, [np.ones(10), np.ones(5)], 0.01, [0.0])
+
+
+def test_simulate_segments_never_integrates_past_a_segment_end():
+    # dx/dt = 40 x grows 1.49-fold per step: the 2-sample segment started
+    # near the float limit would overflow (and warn) if it were carried on
+    # over the 400 samples of the other one
+    spec = LibrarySpec(degree=1)
+    expo, trig, labels = build_term_encoding(("TRQ",), ("WF",), spec)
+    model = SparseModel(1, ("TRQ",), ("WF",), np.array([[0.0, 40.0, 0.0]]), labels,
+                        expo, trig, SINDyConfig(library=spec), (0.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        short, long = simulate_segments(model, [np.ones(2), np.ones(400)], 0.01,
+                                        [1e300, 1e-300])
+    assert short.states.shape == (2, 1) and long.states.shape == (400, 1)
+    assert np.array_equal(short.states, simulate_full(model, np.ones(2), 0.01, 1e300).states)
+    assert np.all(np.isfinite(long.states))
 
 
 # --- formatting and persistence -------------------------------------------------------
