@@ -71,6 +71,7 @@ from .flightdata import (
     scale_series,
     select_features,
     split_dataset,
+    write_float_csv,
 )
 from .manifest import RunManifest, write_manifest
 from .neural import (
@@ -459,11 +460,8 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
             for i, seg in enumerate(rec.scoring_segments()):
                 s, e = seg.start_index, seg.end_index
                 path = sim_dir / _segment_csv_name(rec, i, seg.label)
-                lines = ["time_s,WF,TRQ_actual,TRQ_pred"]
-                for k in range(s, e):
-                    lines.append(f"{float(t[k])!r},{float(wf[k])!r},"
-                                 f"{float(trq[k])!r},{float(pred[k])!r}")
-                _write_text(path, "\n".join(lines) + "\n")
+                write_float_csv(path, ("time_s", "WF", "TRQ_actual", "TRQ_pred"),
+                                (t[s:e], wf[s:e], trq[s:e], pred[s:e]))
                 outputs.append(path)
         print(f"simulated sindy{order} over {len(test_recs)} test flights -> {sim_dir}")
     timings = {"total": time.perf_counter() - t0}

@@ -29,7 +29,7 @@ from .errors import (
     MissingPrediction,
     NonPositiveFlightMean,
 )
-from .flightdata import FlightRecord
+from .flightdata import FlightRecord, write_float_csv
 
 
 def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -254,13 +254,5 @@ def write_comparison_csv(table: ComparisonTable, path: str | Path) -> None:
 def write_overlay_csv(path: str | Path, time_s: np.ndarray, actual: np.ndarray,
                       predicted: np.ndarray) -> None:
     """Per-maneuver overlay series used for plotting actual vs predicted."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not (len(time_s) == len(actual) == len(predicted)):
-        raise LengthMismatch("overlay series must share one length")
-    lines = ["time_s,actual,predicted"]
-    for t, a, p in zip(time_s, actual, predicted):
-        lines.append(f"{repr(float(t))},{repr(float(a))},{repr(float(p))}")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_float_csv(path, ("time_s", "actual", "predicted"),
+                    (time_s, actual, predicted))

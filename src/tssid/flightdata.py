@@ -16,9 +16,10 @@ exclusive and ``excluded`` is 0 or 1.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -189,6 +190,9 @@ class FlightRecord:
 
 # --- CSV ---------------------------------------------------------------------
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def ingest_csv(path: str | Path, sample_rate_hz: float,
                flight_id: str | None = None) -> FlightRecord:
     """Read one flight CSV into a :class:`FlightRecord`.
@@ -198,10 +202,61 @@ def ingest_csv(path: str | Path, sample_rate_hz: float,
     reports the 1-based data row and the channel name otherwise), and all
     columns must have equal length (ragged rows raise
     :class:`LengthMismatch`).
+
+    A well-formed body is parsed by numpy's C reader into one float64
+    block.  Any other file (a blank line, a quoted cell, ``1_000``, a
+    non-finite or bad cell, ...) goes through the cell-by-cell
+    :func:`_read_csv_strict`, which accepts and rejects exactly the same
+    files with the same messages.
     """
     path = Path(path)
     if flight_id is None:
         flight_id = path.stem
+    parsed = _read_csv_fast(path)
+    header, data = parsed if parsed is not None else _read_csv_strict(path)
+    channels = tuple(
+        Channel(name, CHANNEL_UNITS.get(name, ""), data[:, j + 1])
+        for j, name in enumerate(header[1:])
+    )
+    return FlightRecord(flight_id, sample_rate_hz, channels)
+
+
+def _read_csv_fast(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """Header and finite float64 body of a well-formed flight CSV, else None.
+
+    ``np.loadtxt`` skips blank lines silently and parses lines longer than
+    the csv module's field limit, which the strict reader refuses, so
+    either kind of line ends the fast parse.  Every other difference from
+    the strict reader makes the parse raise ``ValueError`` or gives a
+    column count other than the header's.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = [h.strip() for h in next(csv.reader(fh), ())]
+            if header[:1] != [TIME_COLUMN] or len(header) < 2:
+                return None
+            first = fh.readline()
+            if not first:
+                return None
+            data = np.loadtxt(_plain_lines(itertools.chain((first,), fh)),
+                              delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError):
+        return None
+    if data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    return header, data
+
+
+def _plain_lines(lines: Iterable[str]) -> Iterator[str]:
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit or not line.rstrip("\r\n"):
+            raise ValueError("line left to the strict reader")
+        yield line
+
+
+def _read_csv_strict(path: Path) -> tuple[list[str], np.ndarray]:
+    """Cell-by-cell reader; raises the exact error for a malformed file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -236,12 +291,7 @@ def ingest_csv(path: str | Path, sample_rate_hz: float,
         r, c = np.argwhere(~np.isfinite(data))[0]
         col = TIME_COLUMN if c == 0 else names[c - 1]
         raise NonNumericCell(int(r) + 1, col, rows[r][c])
-
-    channels = tuple(
-        Channel(name, CHANNEL_UNITS.get(name, ""), data[:, j + 1])
-        for j, name in enumerate(names)
-    )
-    return FlightRecord(flight_id, sample_rate_hz, channels)
+    return header, data
 
 
 def _parse_cells_strict(rows, header, path) -> np.ndarray:
@@ -257,24 +307,34 @@ def _parse_cells_strict(rows, header, path) -> np.ndarray:
 
 
 def emit_csv(record: FlightRecord, path: str | Path) -> None:
-    """Write a flight CSV that ingests back bit-exact.
+    """Write a flight CSV that ingests back bit-exact."""
+    names = record.channel_names
+    time_s = np.arange(record.n_samples) / record.sample_rate_hz
+    write_float_csv(path, (TIME_COLUMN,) + names,
+                    [time_s] + [record.values(n) for n in names])
+
+
+def write_float_csv(path: str | Path, header: Sequence[str],
+                    columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length float columns as a CSV, atomically.
 
     Floats are rendered with ``repr``, the shortest string that round-trips
-    the exact float64 value.
+    the exact float64 value.  Rows are formatted and written in blocks of
+    ``_CSV_BLOCK_ROWS`` to a ``.tmp`` file that then replaces ``path``, so
+    no string the size of the whole file is ever built.
     """
     path = Path(path)
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    n = len(cols[0])
+    if any(len(c) != n for c in cols):
+        raise LengthMismatch(f"{path.name}: CSV columns must share one length")
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = record.channel_names
-    cols = [record.values(n) for n in names]
-    fs = record.sample_rate_hz
-    lines = [",".join((TIME_COLUMN,) + names)]
-    for i in range(record.n_samples):
-        cells = [repr(i / fs)]
-        for col in cols:
-            cells.append(repr(float(col[i])))
-        lines.append(",".join(cells))
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            rows = zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in cols))
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     tmp.replace(path)
 
 
@@ -359,31 +419,54 @@ def correlation_matrix(records: Sequence[FlightRecord],
 
     Samples inside excluded maneuvers are dropped before pooling.  Raises
     :class:`ZeroVariance` if any pooled channel is constant.
+
+    The pool is streamed flight by flight and never concatenated: a first
+    pass takes each channel's sum, min and max, a second accumulates the
+    centred co-moment matrix one flight block at a time.
     """
     if not records:
         raise EmptyDataset("correlation_matrix needs at least one flight")
     if names is None:
         names = records[0].channel_names
     names = tuple(names)
-    pooled = []
-    for nm in names:
-        parts = []
-        for rec in records:
-            mask = rec.included_mask()
-            parts.append(rec.values(nm)[mask])
-        pooled.append(np.concatenate(parts))
-    n = pooled[0].shape[0]
+    k = len(names)
+    n = 0
+    total = np.zeros(k)
+    lo = np.full(k, np.inf)
+    hi = np.full(k, -np.inf)
+    for rec in records:
+        block = _included_block(rec, names)
+        if block.shape[0]:
+            n += block.shape[0]
+            total += block.sum(axis=0)
+            np.minimum(lo, block.min(axis=0), out=lo)
+            np.maximum(hi, block.max(axis=0), out=hi)
     if n < 2:
         raise EmptyDataset("correlation_matrix needs at least two pooled samples")
-    for nm, col in zip(names, pooled):
-        if np.max(col) == np.min(col):
+    for nm, a, b in zip(names, lo, hi):
+        if a == b:
             raise ZeroVariance(f"channel {nm!r} is constant over pooled samples")
-    stacked = np.vstack(pooled)
-    c = np.corrcoef(stacked)
+    mean = total / n
+    comoment = np.zeros((k, k))
+    for rec in records:
+        block = _included_block(rec, names)
+        block -= mean
+        comoment += block.T @ block
+    d = np.sqrt(np.diag(comoment))
+    c = comoment / d[:, None] / d[None, :]
     c = 0.5 * (c + c.T)
     np.clip(c, -1.0, 1.0, out=c)
     np.fill_diagonal(c, 1.0)
     return CorrelationMatrix(names, c)
+
+
+def _included_block(rec: FlightRecord, names: tuple[str, ...]) -> np.ndarray:
+    """(included samples, channels) float64 block of one flight."""
+    mask = rec.included_mask()
+    block = np.empty((int(np.count_nonzero(mask)), len(names)))
+    for j, nm in enumerate(names):
+        block[:, j] = rec.values(nm)[mask]
+    return block
 
 
 # --- min-max scaling ----------------------------------------------------------

@@ -442,25 +442,28 @@ def train(model_config: MLPConfig | LSTMConfig, train_config: TrainConfig,
     train_hist = np.empty(train_config.epochs)
     val_hist = np.empty(train_config.epochs)
     bs = min(train_config.batch_size, n)
-    for epoch in range(train_config.epochs):
-        order = rng.permutation(n) if train_config.shuffle else np.arange(n)
-        for lo in range(0, n, bs):
-            idx = order[lo:lo + bs]
-            if kind == "ffnn":
-                xb = np.ascontiguousarray(train_data.X[idx])
-                yb = np.ascontiguousarray(train_data.y[idx][:, None])
-            else:
-                xb = np.ascontiguousarray(train_data.inputs[idx])
-                yb = np.ascontiguousarray(train_data.targets[idx])
-            _, grad = step_batch(params, xb, yb)
-            params, opt = stepper(params, grad, opt, train_config.learning_rate)
-        train_hist[epoch] = _full_mse(kind, model_config, params, train_data)
-        if not np.isfinite(train_hist[epoch]):
-            raise ComputationError(
-                f"{kind} training diverged at epoch {epoch + 1}: train MSE is "
-                f"{train_hist[epoch]}; no weights were saved")
-        val_hist[epoch] = (_full_mse(kind, model_config, params, val_data)
-                           if val_data is not None else float("nan"))
+    # A diverging run overflows before its epoch check can stop it; the
+    # check below reports it, so numpy's warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(train_config.epochs):
+            order = rng.permutation(n) if train_config.shuffle else np.arange(n)
+            for lo in range(0, n, bs):
+                idx = order[lo:lo + bs]
+                if kind == "ffnn":
+                    xb = np.ascontiguousarray(train_data.X[idx])
+                    yb = np.ascontiguousarray(train_data.y[idx][:, None])
+                else:
+                    xb = np.ascontiguousarray(train_data.inputs[idx])
+                    yb = np.ascontiguousarray(train_data.targets[idx])
+                _, grad = step_batch(params, xb, yb)
+                params, opt = stepper(params, grad, opt, train_config.learning_rate)
+            train_hist[epoch] = _full_mse(kind, model_config, params, train_data)
+            if not np.isfinite(train_hist[epoch]):
+                raise ComputationError(
+                    f"{kind} training diverged at epoch {epoch + 1}: train MSE is "
+                    f"{train_hist[epoch]}; no weights were saved")
+            val_hist[epoch] = (_full_mse(kind, model_config, params, val_data)
+                               if val_data is not None else float("nan"))
     return TrainedNet(kind, model_config, train_config, params, train_hist, val_hist)
 
 

@@ -203,10 +203,10 @@ def _savgol_smooth(y: np.ndarray, window: int = 7, polyorder: int = 3) -> np.nda
     A = np.vander(k, polyorder + 1, increasing=True)
     # projection onto the local polynomial space
     P = A @ np.linalg.pinv(A)
-    out = np.empty(n)
-    center = P[half]
-    for i in range(half, n - half):
-        out[i] = center @ y[i - half:i + half + 1]
+    out = np.zeros(n)
+    interior = out[half:n - half]
+    for j, w in enumerate(P[half]):
+        interior += w * y[j:n - window + 1 + j]
     out[:half] = (P @ y[:window])[:half]
     out[n - half:] = (P @ y[n - window:])[window - half:]
     return out

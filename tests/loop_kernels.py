@@ -1,13 +1,16 @@
-"""Loop reference for the neural and sparse-RK4 kernels in :mod:`tssid.kernels`.
+"""Loop reference for the neural and sparse-RK4 kernels in :mod:`tssid.kernels`
+and for the Savitzky-Golay smoother in :mod:`tssid.sindy`.
 
 These are the scalar-loop implementations the array-style kernels
 replaced, kept verbatim as an oracle: the loss, the bias sums and the LSTM
 head are accumulated element by element, every LSTM step multiplies its
-own inputs into the gates, and ``rk4_sparse`` integrates one series,
-evaluating every term variable by variable at every stage.
-``tests/test_kernels.py`` requires the kernels to agree with them to 1e-13
-relative (neural) or 1e-12 relative (sparse RK4).  Parameter layouts are
-those documented in :mod:`tssid.kernels`.
+own inputs into the gates, ``rk4_sparse`` integrates one series,
+evaluating every term variable by variable at every stage, and
+``savgol_smooth`` takes one dot product per interior sample.
+``tests/test_kernels.py`` and ``tests/test_sindy.py`` require the array
+versions to agree with them to 1e-13 relative (neural) or 1e-12 relative
+(sparse RK4, smoothing).  Parameter layouts are those documented in
+:mod:`tssid.kernels`.
 """
 
 import numpy as np
@@ -390,3 +393,27 @@ def rk4_sparse(xi, expo, trig, u, dt, x_init):
             quad[k + 1, s] = z[s]
 
     return states, quad
+
+
+def savgol_smooth(y, window=7, polyorder=3):
+    """Savitzky-Golay smoothing (least-squares local polynomial).
+
+    Interior points use the centered projection row; each edge uses the
+    fitted polynomial of its end window.  Series shorter than the window
+    are returned unchanged.
+    """
+    n = y.shape[0]
+    if n < window:
+        return y.copy()
+    half = window // 2
+    k = np.arange(-half, half + 1, dtype=np.float64)
+    A = np.vander(k, polyorder + 1, increasing=True)
+    # projection onto the local polynomial space
+    P = A @ np.linalg.pinv(A)
+    out = np.empty(n)
+    center = P[half]
+    for i in range(half, n - half):
+        out[i] = center @ y[i - half:i + half + 1]
+    out[:half] = (P @ y[:window])[:half]
+    out[n - half:] = (P @ y[n - window:])[window - half:]
+    return out

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import reference_ingest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_record
@@ -21,6 +24,7 @@ from tssid.errors import (
     ZeroVariance,
 )
 from tssid.flightdata import (
+    CHANNEL_UNITS,
     Channel,
     CorrelationMatrix,
     FeatureRules,
@@ -141,6 +145,126 @@ def test_ingest_rejects_nan_cell(tmp_path):
     p.write_text("time_s,TRQ\n0.0,nan\n", encoding="utf-8")
     with pytest.raises(NonNumericCell):
         ingest_csv(p, 10.0)
+
+
+# --- ingest against the cell-by-cell reference ------------------------------------
+
+_ODD_CELLS = ("nan", "-inf", "Infinity", "1e400", "1_000", "1__0",
+              "\u0661\u0662\u0663", "\u0663.\u0665", " 1.5 ", "\t2", "2.5\x0c",
+              "\u20033", '"3.5"', '"1,5"', '"7', "", "abc", "+.5", "-0", "0x10",
+              "1.5j", "#1")
+
+
+@st.composite
+def _flight_csv_texts(draw):
+    """Flight CSV files, mostly well formed, with the oddities a log may carry."""
+    floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    cell = st.one_of(floats, floats, floats, st.sampled_from(_ODD_CELLS),
+                     st.text(alphabet='0123456789.e+-_ \t",x', max_size=5))
+    header = [draw(st.sampled_from(["time_s", " time_s ", "t"]))]
+    header += draw(st.lists(st.sampled_from(["TRQ", "WF", " NG", "X"]),
+                            max_size=3, unique=True))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(st.one_of(st.just(len(header)), st.integers(0, len(header) + 1)))
+        lines.append(",".join(draw(cell) for _ in range(width)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.integers(0, 9)) == 0 else "") + text
+
+
+def _ingest_outcome(ingest, path):
+    try:
+        rec = ingest(path, 10.0)
+    except Exception as exc:  # the reference's exception is the expectation
+        return type(exc), str(exc)
+    return [(ch.name, ch.unit, ch.samples.tobytes()) for ch in rec.channels]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_flight_csv_texts())
+@example(text="time_s,TRQ,WF\n0.0,312.5,260.125\n0.02,1e-300,-2.5e+17\n")
+@example(text="time_s,TRQ\n0.0,nan\n")
+@example(text="time_s,TRQ\n0.0,inf\n")
+@example(text="time_s,TRQ\n0.0,1_000\n")
+@example(text="time_s,TRQ\n0.0,\u0661\u0662\u0663\n")
+@example(text="time_s , TRQ\n 0.0 ,\t1.5 \n")
+@example(text='time_s,TRQ\n0.0,"1.5"\n')
+@example(text="time_s,TRQ\r\n0.0,1.5\r\n0.1,2.5\r\n")
+@example(text="time_s,TRQ\n0.0,1.5\n\n0.1,2.5\n")
+@example(text="time_s,TRQ\n0.0,1.5\n0.1,2.5\n\n")
+@example(text="time_s,TRQ\n0.0,1.5\n0.1\n")
+@example(text="time_s,TRQ\n0.0,1.5,2.5\n0.1,2.5,3.5\n")
+@example(text="time_s,TRQ\n0.0,1.5")
+@example(text="time_s,TRQ\n")
+@example(text="\ufefftime_s,TRQ\n0.0,1.5\n")
+@example(text="time_s,TRQ\n\n")
+@example(text="time_s,TRQ\n0.0," + "0" * 131072 + "1\n")
+@pytest.mark.filterwarnings("error")
+def test_ingest_matches_cell_reference(tmp_path, text):
+    path = tmp_path / "fl.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_ingest_outcome(ingest_csv, path)
+            == _ingest_outcome(reference_ingest.ingest_csv, path))
+
+
+def _corpus_io_flight(flight_id="fl", n=6000, seed=0):
+    """A flight of the size of the corpus-io workload: 6 000 rows, 14 channels."""
+    rng = np.random.default_rng(seed)
+    channels = tuple(Channel(nm, unit, 300.0 + rng.normal(size=n).cumsum())
+                     for nm, unit in CHANNEL_UNITS.items())
+    return FlightRecord(flight_id, 50.0, channels,
+                        (ManeuverSegment("taxiing", 0, 250, excluded=True),
+                         ManeuverSegment("cruise", 250, n)))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_peak_memory_is_a_few_times_the_float_block(tmp_path):
+    rec = _corpus_io_flight()
+    path = tmp_path / "fl.csv"
+    emit_csv(rec, path)
+    ingest_csv(path, 50.0)  # first call imports and caches outside the bound
+    block_bytes = rec.n_samples * (1 + len(rec.channels)) * 8
+    assert _traced_peak(ingest_csv, path, 50.0) <= 3 * block_bytes
+
+
+def test_correlation_peak_memory_is_a_few_flight_blocks():
+    recs = [_corpus_io_flight(f"fl{i}", seed=i) for i in range(8)]
+    correlation_matrix(recs[:1])
+    block_bytes = recs[0].n_samples * len(recs[0].channels) * 8
+    assert _traced_peak(correlation_matrix, recs) <= 4 * block_bytes
+
+
+def test_correlation_matches_corrcoef_on_the_pooled_corpus():
+    recs = [_corpus_io_flight(f"fl{i}", n=700, seed=i) for i in range(3)]
+    pooled = np.vstack([np.column_stack([r.values(nm)[r.included_mask()]
+                                         for nm in r.channel_names]) for r in recs])
+    np.testing.assert_allclose(correlation_matrix(recs).values,
+                               np.corrcoef(pooled.T), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_emit_csv_rows_are_the_per_sample_repr_format(tmp_path, n):
+    rec = toy_record(n=n, fs=3.0, segments=())
+    path = tmp_path / "fl.csv"
+    emit_csv(rec, path)
+    cols = [rec.values(nm) for nm in rec.channel_names]
+    lines = ["time_s,TRQ,WF"] + [
+        ",".join([repr(i / 3.0)] + [repr(float(c[i])) for c in cols])
+        for i in range(n)
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # --- maneuver annotations ------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 
+import loop_kernels
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from tssid.errors import (
     SeriesTooShort,
 )
 from tssid.sindy import (
+    _savgol_smooth,
     LibrarySpec,
     SINDyConfig,
     SparseModel,
@@ -153,6 +155,18 @@ def test_smoothed_central_attenuates_noise():
     err_smooth = np.abs(differentiate(y, dt, "smoothed_central") - np.cos(t))
     assert err_smooth[3:-3].mean() < 0.5 * err_plain[3:-3].mean()
 
+
+
+@pytest.mark.parametrize("n", [3, 6, 7, 8, 6000])
+def test_savgol_smooth_matches_loop_reference(n):
+    # the shifted multiply-adds sum each window in another order than the
+    # loop's dot product, so agreement is to rounding, not bitwise
+    rng = np.random.default_rng(n)
+    for y in (300.0 + rng.normal(size=n).cumsum(), rng.normal(size=n)):
+        got = _savgol_smooth(y)
+        ref = loop_kernels.savgol_smooth(y)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(y).max())
 
 # --- STLSQ --------------------------------------------------------------------------
 
