@@ -63,8 +63,9 @@ from .flightdata import (
     FlightRecord,
     correlation_matrix,
     filter_maneuvers,
+    file_sha256,
     fit_minmax,
-    ingest_csv,
+    ingest_cached,
     load_maneuvers,
     emit_csv,
     save_maneuvers,
@@ -116,12 +117,14 @@ def _relpaths(base: Path, paths: Sequence[Path]) -> tuple[str, ...]:
 
 
 def _finish(cfg: RunConfig, command: str, base_dir: Path, outputs: Sequence[Path],
-            timings: dict[str, float], extra: dict | None = None) -> Path:
+            timings: dict[str, float], extra: dict | None = None,
+            inputs: dict[str, str] | None = None) -> Path:
     manifest = RunManifest(
         command=command,
         config_fingerprint=cfg.fingerprint,
         seed=cfg.seed,
         outputs=_relpaths(base_dir, outputs),
+        inputs=tuple({"path": p, "sha256": d} for p, d in sorted((inputs or {}).items())),
         timings=timings,
         extra=extra or {},
     )
@@ -134,25 +137,36 @@ def _corpus_cfg(cfg: RunConfig):
     return cfg.corpus
 
 
-def _load_records(cfg: RunConfig, ids: Sequence[str]) -> list[FlightRecord]:
-    """Ingest the listed corpus flights from data_dir, with maneuver annotations."""
+def _load_records(cfg: RunConfig,
+                  ids: Sequence[str]) -> tuple[list[FlightRecord], dict[str, str]]:
+    """Ingest the listed corpus flights from data_dir, with maneuver annotations.
+
+    Flights are parsed through the cache under ``<out_dir>/cache``.  Also
+    returns the files read, as paths relative to data_dir with the sha256
+    of their bytes, for the stage's manifest.
+    """
     corpus = _corpus_cfg(cfg)
     flights_dir = cfg.data_dir / "flights"
     man_path = cfg.data_dir / "maneuvers.csv"
     if not flights_dir.is_dir():
         raise IoError(f"no corpus at {flights_dir}; run `tssid generate` first")
-    segments = load_maneuvers(man_path) if man_path.exists() else {}
+    files = {}
+    segments = {}
+    if man_path.exists():
+        segments = load_maneuvers(man_path)
+        files[man_path.name] = file_sha256(man_path)
     records = []
     for fid in ids:
         path = flights_dir / f"{fid}.csv"
         if not path.exists():
             raise IoError(f"missing flight file {path}; run `tssid generate` first")
-        rec = ingest_csv(path, corpus.sample_rate_hz, flight_id=fid)
+        rec, files[f"flights/{fid}.csv"] = ingest_cached(
+            path, corpus.sample_rate_hz, fid, cfg.out_dir / "cache")
         if fid in segments:
             rec = rec.with_maneuvers(segments[fid])
         rec = filter_maneuvers(rec, cfg.exclude_labels)
         records.append(rec)
-    return records
+    return records, files
 
 
 def _split_of(cfg: RunConfig) -> DatasetSplit:
@@ -340,7 +354,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_ingest(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
+    records, corpus_files = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
     lines = ["flight_id,n_samples,duration_s,n_maneuvers,n_excluded"]
     for rec in records:
         n_exc = sum(1 for seg in rec.maneuvers if seg.excluded)
@@ -349,7 +363,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     out = cfg.out_dir / "ingest_summary.csv"
     _write_text(out, "\n".join(lines) + "\n")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "ingest", cfg.out_dir, [out], timings)
+    _finish(cfg, "ingest", cfg.out_dir, [out], timings, inputs=corpus_files)
     total = sum(r.n_samples for r in records)
     print(f"ingested {len(records)} flights, {total} samples -> {out}")
     return 0
@@ -357,7 +371,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_correlate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    records = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
+    records, corpus_files = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
     corr = correlation_matrix(records)
     lines = ["channel," + ",".join(corr.names)]
     for i, nm in enumerate(corr.names):
@@ -365,7 +379,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
     out = cfg.out_dir / "correlation_matrix.csv"
     _write_text(out, "\n".join(lines) + "\n")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "correlate", cfg.out_dir, [out], timings)
+    _finish(cfg, "correlate", cfg.out_dir, [out], timings, inputs=corpus_files)
     target = cfg.features.target
     if target in corr.names:
         pairs = sorted(((abs(corr.corr(nm, target)), nm) for nm in corr.names
@@ -393,7 +407,7 @@ def cmd_split(cfg: RunConfig) -> int:
 
 def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
     t0 = time.perf_counter()
-    train_recs = _load_records(cfg, _split_of(cfg).train_ids)
+    train_recs, corpus_files = _load_records(cfg, _split_of(cfg).train_ids)
     outputs = []
     timings: dict[str, float] = {}
     for order in orders:
@@ -414,15 +428,16 @@ def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
         print(f"sindy order {order}:")
         print("  " + eq_text.replace("\n", "\n  "))
     timings["total"] = time.perf_counter() - t0
-    _finish(cfg, "fit-sindy", cfg.out_dir, outputs, timings)
+    _finish(cfg, "fit-sindy", cfg.out_dir, outputs, timings, inputs=corpus_files)
     return 0
 
 
 def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
     t0 = time.perf_counter()
     split = _split_of(cfg)
-    train_recs = _load_records(cfg, split.train_ids)
-    val_recs = _load_records(cfg, split.val_ids)
+    records, corpus_files = _load_records(cfg, split.train_ids + split.val_ids)
+    train_recs = records[:len(split.train_ids)]
+    val_recs = records[len(split.train_ids):]
     inputs = _resolve_features(cfg, train_recs)
     outputs = []
     timings: dict[str, float] = {}
@@ -440,13 +455,13 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
         print(f"trained {kind}: {len(net.train_mse)} epochs, "
               f"final train mse {net.train_mse[-1]:.3e}, val mse {final_val:.3e}")
     timings["total"] = time.perf_counter() - t0
-    _finish(cfg, "train", cfg.out_dir, outputs, timings)
+    _finish(cfg, "train", cfg.out_dir, outputs, timings, inputs=corpus_files)
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
     t0 = time.perf_counter()
-    test_recs = _load_records(cfg, _split_of(cfg).test_ids)
+    test_recs, corpus_files = _load_records(cfg, _split_of(cfg).test_ids)
     outputs = []
     for order in orders:
         model = _load_sindy(cfg, order)
@@ -465,7 +480,7 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
                 outputs.append(path)
         print(f"simulated sindy{order} over {len(test_recs)} test flights -> {sim_dir}")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "simulate", cfg.out_dir, outputs, timings)
+    _finish(cfg, "simulate", cfg.out_dir, outputs, timings, inputs=corpus_files)
     return 0
 
 
@@ -497,7 +512,7 @@ def _evaluate_models(cfg: RunConfig, model_ids: Sequence[str],
 
 def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     t0 = time.perf_counter()
-    test_recs = _load_records(cfg, _split_of(cfg).test_ids)
+    test_recs, corpus_files = _load_records(cfg, _split_of(cfg).test_ids)
     reports, outputs = _evaluate_models(cfg, model_ids, test_recs,
                                         cfg.out_dir, write_overlays=True)
     table = compare_models(reports)
@@ -505,7 +520,7 @@ def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     write_comparison_csv(table, cp)
     outputs.append(cp)
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "evaluate", cfg.out_dir, outputs, timings)
+    _finish(cfg, "evaluate", cfg.out_dir, outputs, timings, inputs=corpus_files)
     print(f"wrote {cp}")
     return 0
 
@@ -532,7 +547,8 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
                           "leave at least one flight for evaluation")
     # the split covers every flight, and the experiment uses all of them
     ids = _corpus_cfg(cfg).flight_ids
-    by_id = dict(zip(ids, _load_records(cfg, ids)))
+    records, corpus_files = _load_records(cfg, ids)
+    by_id = dict(zip(ids, records))
     eval_recs = [by_id[i] for i in eval_ids]
     val_recs = [by_id[i] for i in split.val_ids]
     inputs = _resolve_features(cfg, [by_id[i] for i in split.train_ids])
@@ -587,7 +603,7 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
     outputs.append(report_path)
     timings["total"] = time.perf_counter() - t0
     _finish(cfg, "retrain-experiment", cfg.out_dir, outputs, timings,
-            extra={"runs": runs})
+            extra={"runs": runs}, inputs=corpus_files)
     print(f"wrote {report_path}")
     return 0
 

@@ -58,6 +58,10 @@ class NonNumericCell(TssidError):
         super().__init__(f"non-numeric cell at row={self.row}, col={self.col}{detail}")
 
 
+class MalformedCsv(TssidError):
+    """A CSV file is not UTF-8 text or has a cell past the csv field limit."""
+
+
 class LengthMismatch(TssidError):
     """Series that must share a length do not."""
 

@@ -16,12 +16,16 @@ exclusive and ``excluded`` is 0 or 1.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import (
     DegenerateChannel,
@@ -29,6 +33,7 @@ from .errors import (
     IncompleteSplit,
     IoError,
     LengthMismatch,
+    MalformedCsv,
     MissingChannel,
     NonNumericCell,
     OverlappingIds,
@@ -201,7 +206,8 @@ def ingest_csv(path: str | Path, sample_rate_hz: float,
     channel.  Cells must parse as finite floats (:class:`NonNumericCell`
     reports the 1-based data row and the channel name otherwise), and all
     columns must have equal length (ragged rows raise
-    :class:`LengthMismatch`).
+    :class:`LengthMismatch`).  Text that is not UTF-8, or a cell longer
+    than the csv module's field limit, raises :class:`MalformedCsv`.
 
     A well-formed body is parsed by numpy's C reader into one float64
     block.  Any other file (a blank line, a quoted cell, ``1_000``, a
@@ -214,10 +220,102 @@ def ingest_csv(path: str | Path, sample_rate_hz: float,
         flight_id = path.stem
     parsed = _read_csv_fast(path)
     header, data = parsed if parsed is not None else _read_csv_strict(path)
-    channels = tuple(
-        Channel(name, CHANNEL_UNITS.get(name, ""), data[:, j + 1])
-        for j, name in enumerate(header[1:])
-    )
+    return _record(flight_id, sample_rate_hz, header[1:], data[:, 1:].T)
+
+
+def ingest_cached(path: str | Path, sample_rate_hz: float, flight_id: str,
+                  cache_dir: str | Path) -> tuple[FlightRecord, str]:
+    """:func:`ingest_csv` through a parsed-flight cache; also returns the
+    sha256 hex digest of the CSV's bytes.
+
+    The cache holds at most one entry per flight,
+    ``<cache_dir>/<flight_id>/<sha256>.npy``: the channel samples of the
+    last successful ingest of the flight's CSV, one float64 row per
+    channel, keyed by the digest of the CSV's bytes.  A hit takes the
+    samples from the entry and the channel names from the CSV's first line,
+    so it gives bitwise the record a fresh ingest gives, and any edit to
+    the CSV is a miss.  An entry that cannot be read or does not fit the
+    header counts as a miss; a miss ingests the CSV and, only if that
+    succeeds, replaces the flight's entry.
+    """
+    path = Path(path)
+    digest = file_sha256(path)
+    entry = Path(cache_dir) / flight_id / f"{digest}.npy"
+    hit = _load_entry(path, entry)
+    if hit is not None:
+        return _record(flight_id, sample_rate_hz, *hit), digest
+    rec = ingest_csv(path, sample_rate_hz, flight_id)
+    # a CSV edited during the parse must not be stored under the old digest
+    if file_sha256(path) == digest:
+        _store_entry(entry, rec)
+    return rec, digest
+
+
+def file_sha256(path: Path) -> str:
+    """sha256 hex digest of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 18), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
+def _load_entry(path: Path, entry: Path) -> tuple[list[str], np.ndarray] | None:
+    """Channel names and samples of a cache hit; None for a missing or
+    unusable entry.
+
+    The entry's ``.npy`` header must declare a C-order float64 block with
+    one row per channel of the CSV header, and the file must hold exactly
+    that block.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            names = [h.strip() for h in next(csv.reader(fh))][1:]
+        with open(entry, "rb") as fh:
+            if npy_format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = npy_format.read_array_header_1_0(fh)
+            if (dtype != np.float64 or fortran or len(shape) != 2
+                    or shape[0] != len(names) or shape[1] < 1):
+                return None
+            count = shape[0] * shape[1]
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * count:
+                return None
+            data = np.fromfile(fh, dtype=np.float64, count=count).reshape(shape)
+    except (OSError, ValueError, StopIteration, csv.Error):
+        return None
+    return (names, data) if np.isfinite(data).all() else None
+
+
+def _store_entry(entry: Path, rec: FlightRecord) -> None:
+    """Make ``entry`` the flight's only cache entry; best effort.
+
+    The samples go to a uniquely named ``.tmp`` file that is then renamed
+    into place, so concurrent stages never read a half-written entry.
+    """
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, np.stack([ch.samples for ch in rec.channels]),
+                    allow_pickle=False)
+        os.replace(tmp, entry)
+        for old in entry.parent.glob("*.npy"):
+            if old != entry:
+                old.unlink(missing_ok=True)
+    except OSError:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
+
+
+def _record(flight_id: str, sample_rate_hz: float, names: Sequence[str],
+            columns: Iterable[np.ndarray]) -> FlightRecord:
+    channels = tuple(Channel(name, CHANNEL_UNITS.get(name, ""), col)
+                     for name, col in zip(names, columns))
     return FlightRecord(flight_id, sample_rate_hz, channels)
 
 
@@ -240,7 +338,7 @@ def _read_csv_fast(path: Path) -> tuple[list[str], np.ndarray] | None:
                 return None
             data = np.loadtxt(_plain_lines(itertools.chain((first,), fh)),
                               delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError):
+    except (OSError, ValueError, csv.Error):
         return None
     if data.shape[1] != len(header) or not np.isfinite(data).all():
         return None
@@ -262,9 +360,11 @@ def _read_csv_strict(path: Path) -> tuple[list[str], np.ndarray]:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
+                rows = list(reader)
             except StopIteration:
                 raise MissingChannel(f"{path}: empty file") from None
-            rows = list(reader)
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise _malformed(path, reader, exc) from None
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
@@ -292,6 +392,20 @@ def _read_csv_strict(path: Path) -> tuple[list[str], np.ndarray]:
         col = TIME_COLUMN if c == 0 else names[c - 1]
         raise NonNumericCell(int(r) + 1, col, rows[r][c])
     return header, data
+
+
+def _malformed(path: Path, reader, exc: Exception) -> MalformedCsv:
+    """The error for text the csv reader cannot take: not UTF-8, or a cell
+    past the field limit.  Names the first bad byte or the line."""
+    if isinstance(exc, UnicodeDecodeError):
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as bad:
+            return MalformedCsv(f"{path}: byte {bad.start} is not UTF-8 ({bad.reason})")
+        except OSError:
+            pass
+        return MalformedCsv(f"{path}: not UTF-8 text")
+    return MalformedCsv(f"{path}: line {reader.line_num}: {exc}")
 
 
 def _parse_cells_strict(rows, header, path) -> np.ndarray:
@@ -361,17 +475,21 @@ def load_maneuvers(path: str | Path) -> dict[str, tuple[ManeuverSegment, ...]]:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             out: dict[str, list[ManeuverSegment]] = {}
-            for r, row in enumerate(reader, start=1):
-                try:
-                    seg = ManeuverSegment(
-                        label=row["label"],
-                        start_index=int(row["start_index"]),
-                        end_index=int(row["end_index"]),
-                        excluded=bool(int(row["excluded"])),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise NonNumericCell(r, "maneuvers", str(exc)) from None
-                out.setdefault(row["flight_id"], []).append(seg)
+            try:
+                for r, row in enumerate(reader, start=1):
+                    try:
+                        seg = ManeuverSegment(
+                            label=row["label"],
+                            start_index=int(row["start_index"]),
+                            end_index=int(row["end_index"]),
+                            excluded=bool(int(row["excluded"])),
+                        )
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise NonNumericCell(r, "maneuvers", str(exc)) from None
+                    out.setdefault(row["flight_id"], []).append(seg)
+            except (UnicodeDecodeError, csv.Error) as exc:
+                # DictReader.line_num lags the failed line; its reader's does not
+                raise _malformed(path, reader.reader, exc) from None
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return {k: tuple(v) for k, v in out.items()}

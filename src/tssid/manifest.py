@@ -2,9 +2,11 @@
 
 Each command writes ``manifest_<command>.json`` into its output directory,
 recording the command name, the configuration fingerprint, the seed, the
-tool version, and the sorted relative paths of every file it wrote.  Wall
-clock timings are recorded too but live in their own key so that
-determinism checks can compare everything else byte for byte.
+tool version, the sorted relative paths of every file it wrote, and the
+corpus files it read (``inputs``: each path relative to data_dir with the
+sha256 of its bytes).  Wall clock timings are recorded too but live in
+their own key so that determinism checks can compare everything else byte
+for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ class RunManifest:
     config_fingerprint: str
     seed: int
     outputs: tuple[str, ...]
+    inputs: tuple[dict[str, str], ...] = ()
     timings: dict[str, float] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
     tool_version: str = __version__
@@ -34,6 +37,7 @@ class RunManifest:
             "config_fingerprint": self.config_fingerprint,
             "seed": self.seed,
             "outputs": list(self.outputs),
+            "inputs": list(self.inputs),
             "extra": self.extra,
             "tool_version": self.tool_version,
         }
@@ -68,6 +72,7 @@ def load_manifest(path: str | Path) -> RunManifest:
         config_fingerprint=str(payload["config_fingerprint"]),
         seed=int(payload["seed"]),
         outputs=tuple(str(p) for p in payload["outputs"]),
+        inputs=tuple(dict(i) for i in payload.get("inputs", ())),
         timings={str(k): float(v) for k, v in payload.get("timings", {}).items()},
         extra=dict(payload.get("extra", {})),
         tool_version=str(payload.get("tool_version", "")),

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .errors import (
@@ -184,8 +185,10 @@ def lstm_forward(config: LSTMConfig, params: np.ndarray, x: np.ndarray) -> np.nd
         raise DimensionMismatch(
             f"input has shape {x.shape}, expected (batch, T, {config.input_dim})"
         )
+    # the kernel makes each block of windows contiguous itself, so a
+    # strided view of a series is never copied whole
     out = kernels.lstm_forward(params, config.input_dim, config.hidden_size,
-                               config.num_layers, np.ascontiguousarray(x))
+                               config.num_layers, x)
     return out[0] if single else out
 
 
@@ -278,7 +281,7 @@ def make_windows(features: np.ndarray, target: np.ndarray, lookback: int,
     m = features.shape[0]
     if segments is None:
         segments = [ManeuverSegment("all", 0, m)] if m else []
-    starts = []
+    starts = [np.empty(0, dtype=np.intp)]
     for seg in segments:
         if seg.excluded:
             continue
@@ -286,15 +289,9 @@ def make_windows(features: np.ndarray, target: np.ndarray, lookback: int,
             raise LengthMismatch(
                 f"segment {seg.label!r} ends at {seg.end_index}, series has {m}"
             )
-        for s in range(seg.start_index, seg.end_index - lookback + 1, stride):
-            starts.append(s)
-    nf = features.shape[1]
-    X = np.empty((len(starts), lookback, nf))
-    y = np.empty((len(starts), lookback))
-    for i, s in enumerate(starts):
-        X[i] = features[s:s + lookback]
-        y[i] = target[s:s + lookback]
-    return WindowedData(X, y)
+        starts.append(np.arange(seg.start_index, seg.end_index - lookback + 1, stride))
+    rows = np.concatenate(starts)[:, None] + np.arange(lookback)
+    return WindowedData(features[rows], target[rows])
 
 
 # --- optimizers -----------------------------------------------------------------
@@ -490,10 +487,8 @@ def predict_series(net: TrainedNet, record: FlightRecord) -> np.ndarray:
         raise SeriesTooShort(
             f"flight {record.flight_id!r} has {m} samples, lookback is {lb}"
         )
-    n_win = m - lb + 1
-    wins = np.empty((n_win, lb, X.shape[1]))
-    for i in range(n_win):
-        wins[i] = X[i:i + lb]
+    # stride-1 windows as a view; lstm_forward copies them block by block
+    wins = sliding_window_view(X, (lb, X.shape[1]))[:, 0]
     y = lstm_forward(net.model_config, net.params, wins)
     pred = np.empty(m)
     pred[:lb - 1] = y[0, :lb - 1]

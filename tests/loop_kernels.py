@@ -1,5 +1,6 @@
-"""Loop reference for the neural and sparse-RK4 kernels in :mod:`tssid.kernels`
-and for the Savitzky-Golay smoother in :mod:`tssid.sindy`.
+"""Loop reference for the neural and sparse-RK4 kernels in :mod:`tssid.kernels`,
+for the Savitzky-Golay smoother in :mod:`tssid.sindy` and for the LSTM
+window builders in :mod:`tssid.neural`.
 
 These are the scalar-loop implementations the array-style kernels
 replaced, kept verbatim as an oracle: the loss, the bias sums and the LSTM
@@ -9,8 +10,10 @@ evaluating every term variable by variable at every stage, and
 ``savgol_smooth`` takes one dot product per interior sample.
 ``tests/test_kernels.py`` and ``tests/test_sindy.py`` require the array
 versions to agree with them to 1e-13 relative (neural) or 1e-12 relative
-(sparse RK4, smoothing).  Parameter layouts are those documented in
-:mod:`tssid.kernels`.
+(sparse RK4, smoothing).  The window builders copy one window per
+iteration; ``tests/test_neural.py`` requires bitwise-equal windows and
+predictions from the index-array and sliding-view versions.  Parameter
+layouts are those documented in :mod:`tssid.kernels`.
 """
 
 import numpy as np
@@ -417,3 +420,29 @@ def savgol_smooth(y, window=7, polyorder=3):
     out[:half] = (P @ y[:window])[:half]
     out[n - half:] = (P @ y[n - window:])[window - half:]
     return out
+
+
+def make_windows(features, target, lookback, stride, segments):
+    """Lookback windows (X, y) of a (m, n_features) series, one copy each."""
+    starts = []
+    for seg in segments:
+        if seg.excluded:
+            continue
+        for s in range(seg.start_index, seg.end_index - lookback + 1, stride):
+            starts.append(s)
+    nf = features.shape[1]
+    X = np.empty((len(starts), lookback, nf))
+    y = np.empty((len(starts), lookback))
+    for i, s in enumerate(starts):
+        X[i] = features[s:s + lookback]
+        y[i] = target[s:s + lookback]
+    return X, y
+
+
+def stride1_windows(X, lookback):
+    """Every stride-1 window of a (m, n_features) series, as predict_series built them."""
+    n_win = X.shape[0] - lookback + 1
+    wins = np.empty((n_win, lookback, X.shape[1]))
+    for i in range(n_win):
+        wins[i] = X[i:i + lookback]
+    return wins

@@ -165,7 +165,7 @@ def test_criterion_3_reduction_identity(cascade_run, capsys):
     cfg = load_config(cascade_run["cfg"])
     model = load_model(cascade_run["out"] / "sindy2_model.txt")
     split = tssid_cli._split_of(cfg)
-    records = tssid_cli._load_records(cfg, split.test_ids)
+    records, _ = tssid_cli._load_records(cfg, split.test_ids)
     method = cfg.sindy_config(2).derivative_method
     worst = 0.0
     n_maneuvers = 0

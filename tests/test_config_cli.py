@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -191,6 +193,34 @@ def test_every_manifest_lists_existing_outputs(smoke_run):
         assert "total" in man.timings
 
 
+def test_manifests_record_each_corpus_file_read_by_sha256(smoke_run):
+    data, out = smoke_run["data"], smoke_run["out"]
+    every = [f"smk{i:02d}" for i in range(1, 6)]
+    read = {"ingest": every, "correlate": every, "fit_sindy": every[:2],
+            "train": every[:3], "simulate": every[3:], "evaluate": every[3:],
+            "retrain_experiment": every, "split": None, "report": None}
+    for command, flights in read.items():
+        man = load_manifest(out / f"manifest_{command}.json")
+        want = [] if flights is None else sorted(
+            ["maneuvers.csv"] + [f"flights/{fid}.csv" for fid in flights])
+        assert [i["path"] for i in man.inputs] == want, command
+        for item in man.inputs:
+            blob = (data / item["path"]).read_bytes()
+            assert item["sha256"] == hashlib.sha256(blob).hexdigest()
+        assert man.stable_payload()["inputs"] == list(man.inputs)
+    assert load_manifest(data / "manifest_generate.json").inputs == ()
+
+
+def test_cache_holds_one_entry_per_flight_read(smoke_run):
+    data, cache = smoke_run["data"], smoke_run["out"] / "cache"
+    entries = sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*")
+                     if p.is_file())
+    assert entries == sorted(
+        f"smk{i:02d}/" + hashlib.sha256(
+            (data / "flights" / f"smk{i:02d}.csv").read_bytes()).hexdigest() + ".npy"
+        for i in range(1, 6))
+
+
 def test_split_yaml_matches_explicit_lists(smoke_run):
     split = yaml.safe_load((smoke_run["out"] / "split.yaml").read_text())
     assert split == {"train": ["smk01", "smk02"], "val": ["smk03"],
@@ -367,3 +397,34 @@ def test_exit_code_4_divergent_training_saves_no_weights(tmp_path, capsys):
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         run_cli("transmogrify", "--config", "x.yaml")
+
+
+@pytest.fixture(scope="module")
+def smoke_corpus(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("corpus")
+    assert run_cli("generate", "--config", make_run(tmp, "smoke")) == 0
+    return tmp / "data"
+
+
+def _long_cell(path: Path) -> None:
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2] + b"0" * 131073
+    path.write_bytes(b"\n".join(lines))
+
+
+def _non_utf8(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")
+
+
+@pytest.mark.parametrize("name", ["flights/smk02.csv", "maneuvers.csv"])
+@pytest.mark.parametrize("damage, detail", [(_non_utf8, "is not UTF-8"),
+                                            (_long_cell, "line 3: field larger")])
+def test_exit_code_2_malformed_csv_text(tmp_path, capsys, smoke_corpus, name,
+                                        damage, detail):
+    cfg = make_run(tmp_path, "smoke")
+    shutil.copytree(smoke_corpus, tmp_path / "data")
+    damage(tmp_path / "data" / name)
+    assert run_cli("ingest", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert Path(name).name in err and detail in err
+    assert "Traceback" not in err

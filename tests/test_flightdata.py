@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,6 +20,7 @@ from tssid.errors import (
     EmptyDataset,
     IncompleteSplit,
     LengthMismatch,
+    MalformedCsv,
     MissingChannel,
     NonNumericCell,
     OverlappingIds,
@@ -23,6 +28,7 @@ from tssid.errors import (
     UnknownChannel,
     ZeroVariance,
 )
+from tssid import flightdata
 from tssid.flightdata import (
     CHANNEL_UNITS,
     Channel,
@@ -34,7 +40,9 @@ from tssid.flightdata import (
     correlation_matrix,
     emit_csv,
     filter_maneuvers,
+    file_sha256,
     fit_minmax,
+    ingest_cached,
     ingest_csv,
     invert_minmax,
     load_maneuvers,
@@ -203,12 +211,185 @@ def _ingest_outcome(ingest, path):
 @example(text="\ufefftime_s,TRQ\n0.0,1.5\n")
 @example(text="time_s,TRQ\n\n")
 @example(text="time_s,TRQ\n0.0," + "0" * 131072 + "1\n")
+@example(text="time_s," + "T" * 131073 + "\n0.0,1.5\n")
 @pytest.mark.filterwarnings("error")
 def test_ingest_matches_cell_reference(tmp_path, text):
     path = tmp_path / "fl.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (_ingest_outcome(ingest_csv, path)
-            == _ingest_outcome(reference_ingest.ingest_csv, path))
+    got = _ingest_outcome(ingest_csv, path)
+    want = _ingest_outcome(reference_ingest.ingest_csv, path)
+    if want[0] in (csv.Error, UnicodeDecodeError):
+        # the reference lets these raw errors out; ingest names the file
+        assert got[0] is MalformedCsv and str(path) in got[1]
+    else:
+        assert got == want
+
+
+def test_ingest_non_utf8_byte_is_malformed_csv_naming_the_offset(tmp_path):
+    path = tmp_path / "fl.csv"
+    path.write_bytes(b"time_s,TRQ\n0.0,1.5\xff\n")
+    with pytest.raises(MalformedCsv, match=r"fl\.csv: byte 18 is not UTF-8") as err:
+        ingest_csv(path, 10.0)
+    assert err.value.exit_code == 2
+
+
+def test_ingest_overlong_cell_is_malformed_csv_naming_the_line(tmp_path):
+    path = tmp_path / "fl.csv"
+    path.write_text("time_s,TRQ\n0.0,1.5\n0.1," + "1" * 131073 + "\n", encoding="utf-8")
+    with pytest.raises(MalformedCsv, match=r"fl\.csv: line 3: field larger") as err:
+        ingest_csv(path, 10.0)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("body, match", [
+    (b"fl01,hover\xfe,0,5,0\n", r"byte 57 is not UTF-8"),
+    (b"fl01,hover,0,5,0\nfl01," + b"x" * 131073 + b",5,9,0\n", r"line 3: field larger"),
+])
+def test_load_maneuvers_malformed_text_is_malformed_csv(tmp_path, body, match):
+    path = tmp_path / "maneuvers.csv"
+    path.write_bytes(b"flight_id,label,start_index,end_index,excluded\n" + body)
+    with pytest.raises(MalformedCsv, match=r"maneuvers\.csv: " + match):
+        load_maneuvers(path)
+
+
+# --- the parsed-flight cache ------------------------------------------------------
+
+
+def _cached_flight(tmp_path):
+    path = tmp_path / "fl.csv"
+    emit_csv(_corpus_io_flight(n=300), path)
+    return path, tmp_path / "cache"
+
+
+def _bits(rec):
+    return [(ch.name, ch.unit, ch.samples.tobytes()) for ch in rec.channels]
+
+
+def _entries(cache):
+    return sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*") if p.is_file())
+
+
+def test_cache_hit_is_bitwise_a_fresh_parse(tmp_path, monkeypatch):
+    path, cache = _cached_flight(tmp_path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    first, d1 = ingest_cached(path, 50.0, "fl", cache)
+    assert _entries(cache) == [f"fl/{digest}.npy"]
+
+    def refuse(*args):
+        raise AssertionError("a hit parsed the CSV")
+
+    monkeypatch.setattr("tssid.flightdata.ingest_csv", refuse)
+    hit, d2 = ingest_cached(path, 50.0, "fl", cache)
+    monkeypatch.undo()
+    fresh = ingest_csv(path, 50.0, flight_id="fl")
+    assert d1 == d2 == digest == file_sha256(path)
+    assert _bits(hit) == _bits(first) == _bits(fresh)
+    assert (hit.flight_id, hit.sample_rate_hz) == ("fl", 50.0)
+
+
+def test_cache_one_byte_edit_of_the_same_size_and_mtime_is_a_miss(tmp_path):
+    path, cache = _cached_flight(tmp_path)
+    ingest_cached(path, 50.0, "fl", cache)
+    stat = path.stat()
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[7].split(",")
+    cells[1] = cells[1][:-1] + ("1" if cells[1][-1] != "1" else "2")
+    lines[7] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+    rec, digest = ingest_cached(path, 50.0, "fl", cache)
+    assert rec.values("TRQ")[6] == float(cells[1])
+    assert _bits(rec) == _bits(ingest_csv(path, 50.0, flight_id="fl"))
+    assert _entries(cache) == [f"fl/{digest}.npy"]
+
+
+def _truncated(blob):
+    return blob[:-8]
+
+
+def _garbage(blob):
+    return bytes(range(256)) * 4
+
+
+def _narrower(blob):
+    buf = io.BytesIO()
+    np.save(buf, np.ones((3, 300)))
+    return buf.getvalue()
+
+
+def _non_finite(blob):
+    return blob[:-8] + np.array([np.nan]).tobytes()
+
+
+def _trailing(blob):
+    return blob + b"\0" * 8
+
+
+@pytest.mark.parametrize("damage", [_truncated, _garbage, _narrower, _non_finite,
+                                    _trailing, lambda blob: b""])
+def test_cache_unusable_entry_is_parsed_again_and_rewritten(tmp_path, damage):
+    path, cache = _cached_flight(tmp_path)
+    ingest_cached(path, 50.0, "fl", cache)
+    (entry,) = cache.rglob("*.npy")
+    good = entry.read_bytes()
+    entry.write_bytes(damage(good))
+    rec, _ = ingest_cached(path, 50.0, "fl", cache)
+    assert _bits(rec) == _bits(ingest_csv(path, 50.0, flight_id="fl"))
+    assert entry.read_bytes() == good
+    assert _entries(cache) == [entry.relative_to(cache).as_posix()]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("time_s,TRQ\n0.0,1.5\n0.1,abc\n", NonNumericCell),
+    ("time_s,TRQ,TRQ\n0.0,1.5,2.5\n", UnknownChannel),  # parses, no record
+])
+def test_cache_failed_ingest_writes_no_entry_and_fails_alike(tmp_path, text, error):
+    path = tmp_path / "fl.csv"
+    path.write_text(text, encoding="utf-8")
+    cache = tmp_path / "cache"
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            ingest_cached(path, 10.0, "fl", cache)
+        messages.append(str(err.value))
+    with pytest.raises(error) as err:
+        ingest_csv(path, 10.0)
+    assert messages == [str(err.value)] * 2
+    assert not cache.exists() or _entries(cache) == []
+
+
+def test_cache_csv_edited_during_the_parse_is_not_stored(tmp_path, monkeypatch):
+    path, cache = _cached_flight(tmp_path)
+    old_digest = file_sha256(path)
+    parse = flightdata.ingest_csv
+
+    def parse_then_edit(p, *args):
+        rec = parse(p, *args)
+        emit_csv(_corpus_io_flight(n=300, seed=5), p)
+        return rec
+
+    monkeypatch.setattr("tssid.flightdata.ingest_csv", parse_then_edit)
+    ingest_cached(path, 50.0, "fl", cache)
+    monkeypatch.undo()
+    assert not (cache / "fl" / f"{old_digest}.npy").exists()
+    rec, _ = ingest_cached(path, 50.0, "fl", cache)
+    assert _bits(rec) == _bits(ingest_csv(path, 50.0, flight_id="fl"))
+
+
+def test_cache_holds_one_entry_per_flight(tmp_path):
+    cache = tmp_path / "cache"
+    paths = {}
+    for fid in ("fl", "fl.2"):
+        paths[fid] = tmp_path / f"{fid}.csv"
+        emit_csv(_corpus_io_flight(fid, n=300), paths[fid])
+        ingest_cached(paths[fid], 50.0, fid, cache)
+    for seed in (1, 2):
+        emit_csv(_corpus_io_flight("fl", n=300, seed=seed), paths["fl"])
+        ingest_cached(paths["fl"], 50.0, "fl", cache)
+    assert _entries(cache) == sorted(f"{fid}/{file_sha256(p)}.npy"
+                                     for fid, p in paths.items())
 
 
 def _corpus_io_flight(flight_id="fl", n=6000, seed=0):

@@ -17,7 +17,11 @@ from tssid.errors import (
     SeriesTooShort,
     ShapeMismatch,
 )
-from tssid.flightdata import ManeuverSegment
+import tracemalloc
+
+import loop_kernels
+from tssid import kernels
+from tssid.flightdata import Channel, FlightRecord, ManeuverSegment, unscale_series
 from tssid.neural import (
     LSTMConfig,
     MLPConfig,
@@ -372,6 +376,66 @@ def test_predict_series_unscales_through_target_bounds(record):
         assert pred.shape == (record.n_samples,)
         # zero net output in scaled space maps back to the TRQ lower bound
         np.testing.assert_allclose(pred, 90.0, atol=1e-12)
+
+
+# neural-miso sizes: 120 s at 20 Hz, five inputs, a 3x6 LSTM with lookback 20
+_MISO_INPUTS = ("COL", "T1", "P0", "NR", "AIRSPEED")
+_MISO_SEGMENTS = (ManeuverSegment("taxiing", 0, 100, excluded=True),
+                  ManeuverSegment("climb", 100, 1013), ManeuverSegment("hover", 1013, 1030),
+                  ManeuverSegment("cruise", 1030, 2400))
+
+
+def _miso_flight(n=2400, seed=0):
+    rng = np.random.default_rng(seed)
+    chans = tuple(Channel(nm, "", rng.normal(size=n).cumsum())
+                  for nm in _MISO_INPUTS + ("TRQ",))
+    return FlightRecord("msn", 20.0, chans, _MISO_SEGMENTS)
+
+
+def _miso_lstm():
+    mc = LSTMConfig(input_dim=5, hidden_size=6, num_layers=3, lookback=20)
+    bounds = {nm: (-40.0, 40.0) for nm in _MISO_INPUTS + ("TRQ",)}
+    return TrainedNet(kind="lstm", model_config=mc, train_config=TrainConfig(epochs=1),
+                      params=init_lstm_params(mc, 7), train_mse=np.zeros(1),
+                      val_mse=np.zeros(1), feature_names=_MISO_INPUTS,
+                      target_name="TRQ", scaler_bounds=bounds)
+
+
+@pytest.mark.parametrize("lookback, stride", [(20, 10), (20, 1), (1, 1), (20, 37),
+                                              (18, 10)])
+def test_make_windows_matches_loop_reference(lookback, stride):
+    rec = _miso_flight()
+    X = np.column_stack([rec.values(nm) for nm in _MISO_INPUTS])
+    y = rec.values("TRQ")
+    win = make_windows(X, y, lookback, stride, rec.maneuvers)
+    ref_X, ref_y = loop_kernels.make_windows(X, y, lookback, stride, rec.maneuvers)
+    assert win.inputs.shape == ref_X.shape and win.targets.shape == ref_y.shape
+    assert win.inputs.tobytes() == ref_X.tobytes()
+    assert win.targets.tobytes() == ref_y.tobytes()
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # first call imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_series_lstm_matches_loop_windows_without_copying_them():
+    rec, net = _miso_flight(), _miso_lstm()
+    X = np.column_stack([(rec.values(nm) + 40.0) / 80.0 for nm in _MISO_INPUTS])
+    wins = loop_kernels.stride1_windows(X, 20)
+    y = lstm_forward(net.model_config, net.params, wins)
+    ref = unscale_series(net.scaler, "TRQ", np.concatenate([y[0, :19], y[:, 19]]))
+    assert predict_series(net, rec).tobytes() == ref.tobytes()
+    # twice the flight, twice the windows: a whole-flight window copy would
+    # raise the peak by wins.nbytes, the per-sample arrays by a tenth of it
+    growth = (_traced_peak(predict_series, net, _miso_flight(n=4800))
+              - _traced_peak(predict_series, net, rec))
+    assert growth < wins.nbytes / 2
 
 
 def test_predict_series_requires_metadata(record):
