@@ -20,6 +20,11 @@ are stable for scripting: 2 for configuration problems, 3 for I/O
 problems, 4 for computation failures.  Identical config and seed produce
 byte-identical artifacts on re-run (manifest timing entries aside).
 
+Every artifact a later stage reads carries a fingerprint of what produced
+it (see ``Artifact fingerprints`` below): the corpus in
+``manifest_generate.json``, sparse models, weights files and eval reports
+in their headers.  A stage refuses a stale or unstamped one with exit 4.
+
 Set ``TSSID_LOG=INFO`` (or ``DEBUG``) for progress logging; the variable
 only changes verbosity, never results.
 """
@@ -28,8 +33,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 import logging
 import os
 import sys
@@ -41,15 +44,8 @@ import numpy as np
 
 from . import __version__
 from .config import MODEL_IDS, RunConfig, load_config
-from .errors import (
-    ConfigError,
-    FingerprintMismatch,
-    IoError,
-    MissingArtifact,
-    TssidError,
-)
+from .errors import ConfigError, IoError, MissingArtifact, TssidError
 from .evaluation import (
-    EvalReport,
     compare_models,
     load_report,
     save_report,
@@ -74,7 +70,14 @@ from .flightdata import (
     split_dataset,
     write_float_csv,
 )
-from .manifest import RunManifest, write_manifest
+from .manifest import (
+    RunManifest,
+    check_fingerprint,
+    fingerprint,
+    load_manifest,
+    manifest_path,
+    write_manifest,
+)
 from .neural import (
     TabularData,
     TrainedNet,
@@ -118,13 +121,15 @@ def _relpaths(base: Path, paths: Sequence[Path]) -> tuple[str, ...]:
 
 def _finish(cfg: RunConfig, command: str, base_dir: Path, outputs: Sequence[Path],
             timings: dict[str, float], extra: dict | None = None,
-            inputs: dict[str, str] | None = None) -> Path:
+            inputs: dict[str, str] | None = None,
+            fingerprints: dict[str, str] | None = None) -> Path:
+    """Write the stage's manifest; ``fingerprints`` are those it wrote or checked."""
     manifest = RunManifest(
         command=command,
-        config_fingerprint=cfg.fingerprint,
         seed=cfg.seed,
         outputs=_relpaths(base_dir, outputs),
         inputs=tuple({"path": p, "sha256": d} for p, d in sorted((inputs or {}).items())),
+        fingerprints=fingerprints or {},
         timings=timings,
         extra=extra or {},
     )
@@ -137,19 +142,66 @@ def _corpus_cfg(cfg: RunConfig):
     return cfg.corpus
 
 
+# --- artifact fingerprints -----------------------------------------------------
+#
+# What each artifact's fingerprint covers, besides the tool version:
+#   corpus (manifest_generate.json)  the resolved corpus section
+#   sindy<k>_model.txt               corpus, train ids, cfg.sindy_config(k)
+#   {ffnn,lstm}_weights.bin          corpus, train and val ids, features, that
+#                                    net's resolved settings
+#   eval_<model>.txt                 the scored model, test ids, target
+# All are pure functions of the resolved configuration; the loaders below
+# compare them with the recorded stamps through check_fingerprint.
+
+def _corpus_fingerprint(cfg: RunConfig) -> str:
+    return fingerprint("corpus", _corpus_cfg(cfg))
+
+
+def _net_settings(cfg: RunConfig, kind: str) -> tuple:
+    n = cfg.neural
+    if kind == "ffnn":
+        return n.ffnn_hidden, n.ffnn_train
+    return n.lstm_hidden_size, n.lstm_num_layers, n.lstm_lookback, n.lstm_stride, n.lstm_train
+
+
+def _model_fingerprint(cfg: RunConfig, model_id: str, train_ids: Sequence[str],
+                       val_ids: Sequence[str]) -> str:
+    """A model fitted (SINDy, which reads no val flight) or trained on these flights."""
+    corpus = _corpus_fingerprint(cfg)
+    if model_id in NET_KINDS:
+        return fingerprint(model_id, corpus, train_ids, val_ids, cfg.features,
+                           _net_settings(cfg, model_id))
+    return fingerprint(model_id, corpus, train_ids, cfg.sindy_config(_sindy_order(model_id)))
+
+
+def _eval_fingerprint(cfg: RunConfig, model_fp: str, test_ids: Sequence[str]) -> str:
+    return fingerprint("eval", model_fp, test_ids, cfg.features.target)
+
+
+def _fresh_fingerprint(cfg: RunConfig, model_id: str) -> str:
+    """The stamp of a model fitted or trained on the configured split."""
+    split = _split_of(cfg)
+    return _model_fingerprint(cfg, model_id, split.train_ids, split.val_ids)
+
+
 def _load_records(cfg: RunConfig,
                   ids: Sequence[str]) -> tuple[list[FlightRecord], dict[str, str]]:
     """Ingest the listed corpus flights from data_dir, with maneuver annotations.
 
-    Flights are parsed through the cache under ``<out_dir>/cache``.  Also
-    returns the files read, as paths relative to data_dir with the sha256
-    of their bytes, for the stage's manifest.
+    The corpus must carry the current configuration's fingerprint in
+    ``manifest_generate.json``.  Flights are parsed through the cache under
+    ``<out_dir>/cache``.  Also returns the files read, as paths relative to
+    data_dir with the sha256 of their bytes, for the stage's manifest.
     """
     corpus = _corpus_cfg(cfg)
     flights_dir = cfg.data_dir / "flights"
     man_path = cfg.data_dir / "maneuvers.csv"
     if not flights_dir.is_dir():
         raise IoError(f"no corpus at {flights_dir}; run `tssid generate` first")
+    stamp_path = manifest_path(cfg.data_dir, "generate")
+    recorded = (load_manifest(stamp_path).fingerprints.get("corpus", "")
+                if stamp_path.exists() else "")
+    check_fingerprint(stamp_path, recorded, _corpus_fingerprint(cfg), "generate")
     files = {}
     segments = {}
     if man_path.exists():
@@ -218,8 +270,8 @@ def _windows(records: Sequence[FlightRecord], inputs: Sequence[str], target: str
 
 
 def _train_one(cfg: RunConfig, kind: str, train_recs: Sequence[FlightRecord],
-               val_recs: Sequence[FlightRecord],
-               inputs: Sequence[str]) -> TrainedNet:
+               val_recs: Sequence[FlightRecord], inputs: Sequence[str],
+               fp: str) -> TrainedNet:
     target = cfg.features.target
     scaler = fit_minmax(train_recs, tuple(inputs) + (target,))
     if kind == "ffnn":
@@ -244,7 +296,7 @@ def _train_one(cfg: RunConfig, kind: str, train_recs: Sequence[FlightRecord],
         feature_names=tuple(inputs),
         target_name=target,
         scaler_bounds={nm: scaler.channel_bounds(nm) for nm in (*inputs, target)},
-        fingerprint=cfg.fingerprint,
+        fingerprint=fp,
     )
 
 
@@ -257,32 +309,25 @@ def _loss_csv(net: TrainedNet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _weights_path(cfg: RunConfig, kind: str) -> Path:
-    return cfg.out_dir / f"{kind}_weights.bin"
+def _model_path(cfg: RunConfig, model_id: str) -> Path:
+    """``{ffnn,lstm}_weights.bin`` or ``sindy<k>_model.txt``."""
+    suffix = "weights.bin" if model_id in NET_KINDS else "model.txt"
+    return cfg.out_dir / f"{model_id}_{suffix}"
 
 
-def _model_path(cfg: RunConfig, order: int) -> Path:
-    return cfg.out_dir / f"sindy{order}_model.txt"
+def _sindy_order(model_id: str) -> int:
+    return 1 if model_id == "sindy1" else 2
 
 
-def _load_sindy(cfg: RunConfig, order: int) -> SparseModel:
-    path = _model_path(cfg, order)
+def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
+    """The fitted or trained model, refused unless its stamp is fresh."""
+    path = _model_path(cfg, model_id)
+    stage = "train" if model_id in NET_KINDS else "fit-sindy"
     if not path.exists():
-        raise MissingArtifact(f"no fitted model at {path}; run `tssid fit-sindy` first")
-    return load_model(path)
-
-
-def _load_trained(cfg: RunConfig, kind: str) -> TrainedNet:
-    path = _weights_path(cfg, kind)
-    if not path.exists():
-        raise MissingArtifact(f"no weights at {path}; run `tssid train` first")
-    net = load_net(path)
-    if net.fingerprint and net.fingerprint != cfg.fingerprint:
-        raise FingerprintMismatch(
-            f"{path} was trained under fingerprint {net.fingerprint[:12]}..., "
-            f"current configuration is {cfg.fingerprint[:12]}...; re-run `tssid train`"
-        )
-    return net
+        raise MissingArtifact(f"no {model_id} model at {path}; run `tssid {stage}` first")
+    model = load_net(path) if model_id in NET_KINDS else load_model(path)
+    check_fingerprint(path, model.fingerprint, _fresh_fingerprint(cfg, model_id), stage)
+    return model
 
 
 def _simulate_record(model: SparseModel, rec: FlightRecord,
@@ -308,17 +353,16 @@ def _simulate_record(model: SparseModel, rec: FlightRecord,
     return pred
 
 
-def _predictions_for(cfg: RunConfig, model_id: str,
-                     records: Sequence[FlightRecord]) -> dict[str, np.ndarray]:
-    if model_id in ("sindy1", "sindy2"):
-        order = 1 if model_id == "sindy1" else 2
-        model = _load_sindy(cfg, order)
-        method = cfg.sindy_config(order).derivative_method
-        return {r.flight_id: _simulate_record(model, r, method) for r in records}
+def _predictions_for(cfg: RunConfig, model_id: str, records: Sequence[FlightRecord]
+                     ) -> tuple[dict[str, np.ndarray], str]:
+    """Each record's prediction by the fresh model, and the model's fingerprint."""
+    model = _load_model(cfg, model_id)
     if model_id in NET_KINDS:
-        net = _load_trained(cfg, model_id)
-        return {r.flight_id: predict_series(net, r) for r in records}
-    raise ConfigError(f"unknown model id {model_id!r}")
+        preds = {r.flight_id: predict_series(model, r) for r in records}
+    else:
+        method = cfg.sindy_config(_sindy_order(model_id)).derivative_method
+        preds = {r.flight_id: _simulate_record(model, r, method) for r in records}
+    return preds, model.fingerprint
 
 
 def _segment_csv_name(rec: FlightRecord, index: int, label: str) -> str:
@@ -347,7 +391,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     save_maneuvers(records, man_path)
     outputs.append(man_path)
     timings = {"total": time.perf_counter() - t0}
-    manifest = _finish(cfg, "generate", cfg.data_dir, outputs, timings)
+    manifest = _finish(cfg, "generate", cfg.data_dir, outputs, timings,
+                       fingerprints={"corpus": _corpus_fingerprint(cfg)})
     print(f"generated {len(records)} flights in {cfg.data_dir} ({manifest.name})")
     return 0
 
@@ -363,7 +408,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     out = cfg.out_dir / "ingest_summary.csv"
     _write_text(out, "\n".join(lines) + "\n")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "ingest", cfg.out_dir, [out], timings, inputs=corpus_files)
+    _finish(cfg, "ingest", cfg.out_dir, [out], timings, inputs=corpus_files,
+            fingerprints={"corpus": _corpus_fingerprint(cfg)})
     total = sum(r.n_samples for r in records)
     print(f"ingested {len(records)} flights, {total} samples -> {out}")
     return 0
@@ -379,7 +425,8 @@ def cmd_correlate(cfg: RunConfig) -> int:
     out = cfg.out_dir / "correlation_matrix.csv"
     _write_text(out, "\n".join(lines) + "\n")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "correlate", cfg.out_dir, [out], timings, inputs=corpus_files)
+    _finish(cfg, "correlate", cfg.out_dir, [out], timings, inputs=corpus_files,
+            fingerprints={"corpus": _corpus_fingerprint(cfg)})
     target = cfg.features.target
     if target in corr.names:
         pairs = sorted(((abs(corr.corr(nm, target)), nm) for nm in corr.names
@@ -407,9 +454,11 @@ def cmd_split(cfg: RunConfig) -> int:
 
 def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
     t0 = time.perf_counter()
-    train_recs, corpus_files = _load_records(cfg, _split_of(cfg).train_ids)
+    split = _split_of(cfg)
+    train_recs, corpus_files = _load_records(cfg, split.train_ids)
     outputs = []
     timings: dict[str, float] = {}
+    fps = {"corpus": _corpus_fingerprint(cfg)}
     for order in orders:
         t1 = time.perf_counter()
         scfg = cfg.sindy_config(order)
@@ -417,8 +466,10 @@ def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
             model = fit_first_order(train_recs, scfg)
         else:
             model = fit_second_order(train_recs, scfg)
-        mp = _model_path(cfg, order)
-        save_model(model, mp)
+        mp = _model_path(cfg, f"sindy{order}")
+        fps[mp.name] = _model_fingerprint(cfg, f"sindy{order}", split.train_ids,
+                                          split.val_ids)
+        save_model(dataclasses.replace(model, fingerprint=fps[mp.name]), mp)
         eq_text = format_equations(model)
         resid = ", ".join(f"{r:.6g}" for r in model.residual_rmse)
         ep = cfg.out_dir / f"sindy{order}_equations.txt"
@@ -428,7 +479,8 @@ def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
         print(f"sindy order {order}:")
         print("  " + eq_text.replace("\n", "\n  "))
     timings["total"] = time.perf_counter() - t0
-    _finish(cfg, "fit-sindy", cfg.out_dir, outputs, timings, inputs=corpus_files)
+    _finish(cfg, "fit-sindy", cfg.out_dir, outputs, timings, inputs=corpus_files,
+            fingerprints=fps)
     return 0
 
 
@@ -441,10 +493,12 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
     inputs = _resolve_features(cfg, train_recs)
     outputs = []
     timings: dict[str, float] = {}
+    fps = {"corpus": _corpus_fingerprint(cfg)}
     for kind in kinds:
         t1 = time.perf_counter()
-        net = _train_one(cfg, kind, train_recs, val_recs, inputs)
-        wp = _weights_path(cfg, kind)
+        wp = _model_path(cfg, kind)
+        fps[wp.name] = _model_fingerprint(cfg, kind, split.train_ids, split.val_ids)
+        net = _train_one(cfg, kind, train_recs, val_recs, inputs, fps[wp.name])
         wp.parent.mkdir(parents=True, exist_ok=True)
         save_net(net, wp)
         lp = cfg.out_dir / f"{kind}_loss.csv"
@@ -455,7 +509,8 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
         print(f"trained {kind}: {len(net.train_mse)} epochs, "
               f"final train mse {net.train_mse[-1]:.3e}, val mse {final_val:.3e}")
     timings["total"] = time.perf_counter() - t0
-    _finish(cfg, "train", cfg.out_dir, outputs, timings, inputs=corpus_files)
+    _finish(cfg, "train", cfg.out_dir, outputs, timings, inputs=corpus_files,
+            fingerprints=fps)
     return 0
 
 
@@ -463,8 +518,10 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
     t0 = time.perf_counter()
     test_recs, corpus_files = _load_records(cfg, _split_of(cfg).test_ids)
     outputs = []
+    fps = {"corpus": _corpus_fingerprint(cfg)}
     for order in orders:
-        model = _load_sindy(cfg, order)
+        model = _load_model(cfg, f"sindy{order}")
+        fps[_model_path(cfg, f"sindy{order}").name] = model.fingerprint
         method = cfg.sindy_config(order).derivative_method
         sim_dir = cfg.out_dir / f"sim_sindy{order}"
         for rec in test_recs:
@@ -480,55 +537,48 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
                 outputs.append(path)
         print(f"simulated sindy{order} over {len(test_recs)} test flights -> {sim_dir}")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "simulate", cfg.out_dir, outputs, timings, inputs=corpus_files)
+    _finish(cfg, "simulate", cfg.out_dir, outputs, timings, inputs=corpus_files,
+            fingerprints=fps)
     return 0
-
-
-def _evaluate_models(cfg: RunConfig, model_ids: Sequence[str],
-                     test_recs: Sequence[FlightRecord],
-                     out_dir: Path, write_overlays: bool) -> tuple[list[EvalReport], list[Path]]:
-    reports = []
-    outputs = []
-    for model_id in model_ids:
-        preds = _predictions_for(cfg, model_id, test_recs)
-        report = score_model(model_id, preds, test_recs, cfg.features.target)
-        rp = out_dir / f"eval_{model_id}.txt"
-        save_report(report, rp)
-        outputs.append(rp)
-        reports.append(report)
-        if write_overlays:
-            for rec in test_recs:
-                pred = preds[rec.flight_id]
-                t = np.arange(rec.n_samples) * rec.dt
-                actual = rec.values(cfg.features.target)
-                for i, seg in enumerate(rec.scoring_segments()):
-                    s, e = seg.start_index, seg.end_index
-                    path = out_dir / "overlays" / model_id / _segment_csv_name(rec, i, seg.label)
-                    write_overlay_csv(path, t[s:e], actual[s:e], pred[s:e])
-                    outputs.append(path)
-        print(f"{model_id}: overall rMAE {report.overall_rmae * 100:.2f}%")
-    return reports, outputs
 
 
 def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     t0 = time.perf_counter()
-    test_recs, corpus_files = _load_records(cfg, _split_of(cfg).test_ids)
-    reports, outputs = _evaluate_models(cfg, model_ids, test_recs,
-                                        cfg.out_dir, write_overlays=True)
+    test_ids = _split_of(cfg).test_ids
+    test_recs, corpus_files = _load_records(cfg, test_ids)
+    target = cfg.features.target
+    reports = []
+    outputs = []
+    fps = {"corpus": _corpus_fingerprint(cfg)}
+    for model_id in model_ids:
+        preds, model_fp = _predictions_for(cfg, model_id, test_recs)
+        report = dataclasses.replace(score_model(model_id, preds, test_recs, target),
+                                     fingerprint=_eval_fingerprint(cfg, model_fp, test_ids))
+        rp = cfg.out_dir / f"eval_{model_id}.txt"
+        save_report(report, rp)
+        outputs.append(rp)
+        reports.append(report)
+        fps[_model_path(cfg, model_id).name] = model_fp
+        fps[rp.name] = report.fingerprint
+        for rec in test_recs:
+            pred = preds[rec.flight_id]
+            t = np.arange(rec.n_samples) * rec.dt
+            actual = rec.values(target)
+            for i, seg in enumerate(rec.scoring_segments()):
+                s, e = seg.start_index, seg.end_index
+                path = cfg.out_dir / "overlays" / model_id / _segment_csv_name(rec, i, seg.label)
+                write_overlay_csv(path, t[s:e], actual[s:e], pred[s:e])
+                outputs.append(path)
+        print(f"{model_id}: overall rMAE {report.overall_rmae * 100:.2f}%")
     table = compare_models(reports)
     cp = cfg.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
     outputs.append(cp)
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "evaluate", cfg.out_dir, outputs, timings, inputs=corpus_files)
+    _finish(cfg, "evaluate", cfg.out_dir, outputs, timings, inputs=corpus_files,
+            fingerprints=fps)
     print(f"wrote {cp}")
     return 0
-
-
-def _phase_fingerprint(cfg: RunConfig, train_ids: Sequence[str]) -> str:
-    blob = json.dumps({"config": cfg.fingerprint, "train_flights": list(train_ids)},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def cmd_retrain_experiment(cfg: RunConfig) -> int:
@@ -561,30 +611,30 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
         "retrained": list(split.train_ids) + list(cfg.retrain_augment_ids),
     }
     scores: dict[str, dict[str, float]] = {k: {} for k in NET_KINDS}
+    fps = {"corpus": _corpus_fingerprint(cfg)}
     runs = []
     for phase, train_ids in phases.items():
         t1 = time.perf_counter()
         train_recs = [by_id[i] for i in train_ids]
-        reports = []
         for kind in NET_KINDS:
-            net = _train_one(cfg, kind, train_recs, val_recs, inputs)
+            net = _train_one(cfg, kind, train_recs, val_recs, inputs,
+                             _model_fingerprint(cfg, kind, train_ids, split.val_ids))
             wp = rt_dir / f"{kind}_{phase}_weights.bin"
             wp.parent.mkdir(parents=True, exist_ok=True)
             save_net(net, wp)
             outputs.append(wp)
             preds = {r.flight_id: predict_series(net, r) for r in eval_recs}
-            report = score_model(kind, preds, eval_recs, cfg.features.target)
+            report = dataclasses.replace(
+                score_model(kind, preds, eval_recs, cfg.features.target),
+                fingerprint=_eval_fingerprint(cfg, net.fingerprint, eval_ids))
             rp = rt_dir / f"eval_{phase}_{kind}.txt"
             save_report(report, rp)
             outputs.append(rp)
+            fps[wp.relative_to(cfg.out_dir).as_posix()] = net.fingerprint
+            fps[rp.relative_to(cfg.out_dir).as_posix()] = report.fingerprint
             scores[kind][phase] = report.overall_rmae
-            reports.append(report)
             print(f"{phase} {kind}: overall rMAE {report.overall_rmae * 100:.2f}%")
-        runs.append({
-            "phase": phase,
-            "fingerprint": _phase_fingerprint(cfg, train_ids),
-            "train_flights": train_ids,
-        })
+        runs.append({"phase": phase, "train_flights": train_ids})
         timings[phase] = time.perf_counter() - t1
 
     lines = ["tssid retrain report v1",
@@ -603,19 +653,25 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
     outputs.append(report_path)
     timings["total"] = time.perf_counter() - t0
     _finish(cfg, "retrain-experiment", cfg.out_dir, outputs, timings,
-            extra={"runs": runs}, inputs=corpus_files)
+            extra={"runs": runs}, inputs=corpus_files, fingerprints=fps)
     print(f"wrote {report_path}")
     return 0
 
 
 def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     t0 = time.perf_counter()
+    test_ids = _split_of(cfg).test_ids
     reports = []
+    fps = {}
     for model_id in model_ids:
         path = cfg.out_dir / f"eval_{model_id}.txt"
         if not path.exists():
             raise MissingArtifact(f"no evaluation at {path}; run `tssid evaluate` first")
-        reports.append(load_report(path))
+        report = load_report(path)
+        expected = _eval_fingerprint(cfg, _fresh_fingerprint(cfg, model_id), test_ids)
+        check_fingerprint(path, report.fingerprint, expected, "evaluate")
+        fps[path.name] = report.fingerprint
+        reports.append(report)
     table = compare_models(reports)
     cp = cfg.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
@@ -633,7 +689,7 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     _write_text(rp, text)
     print(text, end="")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "report", cfg.out_dir, [cp, rp], timings)
+    _finish(cfg, "report", cfg.out_dir, [cp, rp], timings, fingerprints=fps)
     return 0
 
 

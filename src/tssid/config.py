@@ -2,12 +2,15 @@
 
 Top-level keys: ``seed`` (required), ``paths``, ``corpus``, ``maneuvers``,
 ``split``, ``features``, ``sindy``, ``ffnn``, ``lstm``, ``retrain``,
-``evaluate``.  Unknown top-level keys are rejected so typos fail loudly.
+``evaluate``.  Unknown top-level keys are rejected so typos fail loudly,
+and a value of the wrong type is a :class:`ConfigError` naming its dotted
+key.
 
-The configuration fingerprint is the SHA-256 of the canonical JSON of the
-resolved configuration minus the ``paths`` section; it ties artifacts
-(weights files, manifests) to the exact settings and seed that produced
-them, while letting the same experiment live in different directories.
+The result is a :class:`RunConfig` of resolved dataclasses: every default
+is filled in and every derived seed drawn.  Artifact fingerprints
+(:func:`tssid.manifest.fingerprint`) hash these resolved sections, never
+the YAML text, so key order, a spelled-out default or the ``paths``
+section do not change them.
 
 Stage seeds (corpus generation, splitting, each training run) are derived
 from the global seed with :func:`tssid.seeding.derive_seed`, so stages are
@@ -17,11 +20,10 @@ stage's random stream.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -54,6 +56,15 @@ def _require(mapping: Mapping, key: str, context: str):
     return mapping[key]
 
 
+def _num(cast, value, key: str):
+    """``int(value)`` or ``float(value)``; a wrong type is a ConfigError naming ``key``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
+
+
 def _as_mapping(value, context: str) -> dict:
     if value is None:
         return {}
@@ -83,7 +94,7 @@ class CorpusConfig:
             raise ConfigError(f"corpus produces duplicate flight ids: {ids}")
         return specs
 
-    @property
+    @cached_property
     def flight_ids(self) -> tuple[str, ...]:
         return tuple(s.flight_id for s in self.build_specs())
 
@@ -123,7 +134,6 @@ class RunConfig:
     neural: NeuralSection
     retrain_augment_ids: tuple[str, ...]
     evaluate_models: tuple[str, ...]
-    fingerprint: str
 
     def sindy_config(self, order: int) -> SINDyConfig:
         if order == 1:
@@ -149,26 +159,27 @@ def _parse_ground_truth(raw: Mapping, seed_default: int, context: str) -> Ground
     noise = _as_mapping(raw.get("noise_sigma"), f"{context}.noise_sigma")
     kwargs: dict[str, Any] = {
         "order": raw.get("order", "first"),
-        "noise_sigma": {str(k): float(v) for k, v in noise.items()},
-        "seed": int(raw.get("seed", seed_default)),
+        "noise_sigma": {str(k): _num(float, v, f"{context}.noise_sigma.{k}")
+                        for k, v in noise.items()},
+        "seed": _num(int, raw.get("seed", seed_default), f"{context}.seed"),
     }
     for k in ("a", "b", "c", "mu", "tau1", "tau2"):
         if k in raw:
-            kwargs[k] = float(raw[k])
+            kwargs[k] = _num(float, raw[k], f"{context}.{k}")
     return GroundTruthParams(**kwargs)
 
 
 def _parse_profile(raw: Mapping, context: str) -> ManeuverProfile:
     raw = dict(raw)
     kind = str(_require(raw, "kind", context))
-    duration = float(_require(raw, "duration_s", context))
+    duration = _num(float, _require(raw, "duration_s", context), f"{context}.duration_s")
     kwargs = {"kind": kind, "duration_s": duration}
     for k in ("label",):
         if k in raw:
             kwargs[k] = str(raw[k])
     for k in ("level", "start", "end", "center", "amplitude", "f0_hz", "f1_hz"):
         if k in raw:
-            kwargs[k] = float(raw[k])
+            kwargs[k] = _num(float, raw[k], f"{context}.{k}")
     extra = set(raw) - set(kwargs) - {"kind", "duration_s"}
     if extra:
         raise ConfigError(f"{context}: unknown maneuver keys {sorted(extra)}")
@@ -180,7 +191,7 @@ def _parse_template(raw: Mapping, gt: GroundTruthParams,
     raw = dict(raw)
     gt_over = raw.pop("ground_truth", None)
     params = gt if gt_over is None else replace(
-        gt, **{k: (float(v) if k != "order" else str(v))
+        gt, **{k: (_num(float, v, f"{context}.ground_truth.{k}") if k != "order" else str(v))
                for k, v in _as_mapping(gt_over, f"{context}.ground_truth").items()
                if k in ("order", "a", "b", "c", "mu", "tau1", "tau2")}
     )
@@ -190,24 +201,24 @@ def _parse_template(raw: Mapping, gt: GroundTruthParams,
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{context}: unknown template keys {sorted(unknown)}")
-    try:
-        tpl = FlightTemplate(
-            count=int(_require(raw, "count", context)),
-            id_prefix=str(_require(raw, "id_prefix", context)),
-            duration_s=float(_require(raw, "duration_s", context)),
-            wf_low=float(_require(raw, "wf_low", context)),
-            wf_high=float(_require(raw, "wf_high", context)),
-            taxi_s=float(raw.get("taxi_s", 0.0)),
-            taxi_level=(float(raw["taxi_level"]) if "taxi_level" in raw else None),
-            chirp_s=float(raw.get("chirp_s", 0.0)),
-            chirp_f0_hz=float(raw.get("chirp_f0_hz", 0.08)),
-            chirp_f1_hz=float(raw.get("chirp_f1_hz", 0.4)),
-            chirp_amplitude=(float(raw["chirp_amplitude"])
-                             if "chirp_amplitude" in raw else None),
-            seed_salt=str(raw.get("seed_salt", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    def number(key: str, cast=float, default=None):
+        value = _require(raw, key, context) if default is None else raw.get(key, default)
+        return _num(cast, value, f"{context}.{key}")
+
+    tpl = FlightTemplate(
+        count=number("count", int),
+        id_prefix=str(_require(raw, "id_prefix", context)),
+        duration_s=number("duration_s"),
+        wf_low=number("wf_low"),
+        wf_high=number("wf_high"),
+        taxi_s=number("taxi_s", default=0.0),
+        taxi_level=number("taxi_level") if "taxi_level" in raw else None,
+        chirp_s=number("chirp_s", default=0.0),
+        chirp_f0_hz=number("chirp_f0_hz", default=0.08),
+        chirp_f1_hz=number("chirp_f1_hz", default=0.4),
+        chirp_amplitude=number("chirp_amplitude") if "chirp_amplitude" in raw else None,
+        seed_salt=str(raw.get("seed_salt", "")),
+    )
     return tpl, params
 
 
@@ -217,7 +228,7 @@ def _parse_corpus(raw: Mapping, seed: int, exclude_labels: tuple[str, ...]) -> C
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"corpus: unknown keys {sorted(unknown)}")
-    fs = float(_require(raw, "sample_rate_hz", "corpus"))
+    fs = _num(float, _require(raw, "sample_rate_hz", "corpus"), "corpus.sample_rate_hz")
     if fs <= 0:
         raise ConfigError(f"corpus.sample_rate_hz must be positive, got {fs}")
     gt = _parse_ground_truth(
@@ -252,8 +263,8 @@ def _parse_corpus(raw: Mapping, seed: int, exclude_labels: tuple[str, ...]) -> C
             sample_rate_hz=fs,
             profiles=profiles,
             params=params,
-            initial_trq=(float(fl["initial_trq"]) if fl.get("initial_trq") is not None
-                         else None),
+            initial_trq=(_num(float, fl["initial_trq"], f"{ctx}.initial_trq")
+                         if fl.get("initial_trq") is not None else None),
             excluded_labels=exclude_labels,
         ))
     if not templates and not explicit:
@@ -278,15 +289,17 @@ def _parse_sindy(raw: Mapping, context: str,
         if lunknown:
             raise ConfigError(f"{context}.library: unknown keys {sorted(lunknown)}")
         lib = LibrarySpec(
-            degree=int(lraw.get("degree", lib.degree)),
+            degree=_num(int, lraw.get("degree", lib.degree), f"{context}.library.degree"),
             cross_terms=bool(lraw.get("cross_terms", lib.cross_terms)),
             trig=bool(lraw.get("trig", lib.trig)),
             bias=bool(lraw.get("bias", lib.bias)),
         )
     return SINDyConfig(
-        threshold=float(raw.get("threshold", base.threshold)),
-        max_iterations=int(raw.get("max_iterations", base.max_iterations)),
-        ridge_lambda=float(raw.get("ridge_lambda", base.ridge_lambda)),
+        threshold=_num(float, raw.get("threshold", base.threshold), f"{context}.threshold"),
+        max_iterations=_num(int, raw.get("max_iterations", base.max_iterations),
+                            f"{context}.max_iterations"),
+        ridge_lambda=_num(float, raw.get("ridge_lambda", base.ridge_lambda),
+                          f"{context}.ridge_lambda"),
         derivative_method=str(raw.get("derivative_method", base.derivative_method)),
         library=lib,
     )
@@ -301,21 +314,14 @@ def _parse_train(raw: Mapping, default_seed: int, context: str,
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     return TrainConfig(
         optimizer=str(raw.get("optimizer", defaults.optimizer)),
-        learning_rate=float(raw.get("learning_rate", defaults.learning_rate)),
-        batch_size=int(raw.get("batch_size", defaults.batch_size)),
-        epochs=int(raw.get("epochs", defaults.epochs)),
-        seed=int(raw.get("seed", default_seed)),
+        learning_rate=_num(float, raw.get("learning_rate", defaults.learning_rate),
+                           f"{context}.learning_rate"),
+        batch_size=_num(int, raw.get("batch_size", defaults.batch_size),
+                        f"{context}.batch_size"),
+        epochs=_num(int, raw.get("epochs", defaults.epochs), f"{context}.epochs"),
+        seed=_num(int, raw.get("seed", default_seed), f"{context}.seed"),
         shuffle=bool(raw.get("shuffle", True)),
     )
-
-
-def _canonical(value):
-    """YAML-loaded value -> canonical JSON-compatible structure."""
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
 
 
 def _reject_non_finite(value, key: str) -> None:
@@ -328,12 +334,6 @@ def _reject_non_finite(value, key: str) -> None:
             _reject_non_finite(v, f"{key}[{i}]")
     elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key}: expected a finite number, got {value}")
-
-
-def compute_fingerprint(resolved: Mapping) -> str:
-    semantic = {k: v for k, v in resolved.items() if k != "paths"}
-    blob = json.dumps(_canonical(semantic), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def load_config(path: str | Path, seed_override: int | None = None,
@@ -355,7 +355,7 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
     if "seed" not in raw:
         raise ConfigError(f"{path}: missing required key 'seed'")
-    seed = int(raw["seed"]) if seed_override is None else int(seed_override)
+    seed = _num(int, raw["seed"] if seed_override is None else seed_override, "seed")
 
     paths = _as_mapping(raw.get("paths"), "paths")
     punknown = set(paths) - {"data_dir", "out_dir"}
@@ -400,7 +400,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
         fr = sp["fractions"]
         if not isinstance(fr, Sequence) or len(fr) != 3:
             raise ConfigError("split.fractions must be a list of three numbers")
-        split_fractions = (float(fr[0]), float(fr[1]), float(fr[2]))
+        split_fractions = tuple(_num(float, f, f"split.fractions[{i}]")
+                                for i, f in enumerate(fr))
 
     fe = _as_mapping(raw.get("features"), "features")
     funknown = set(fe) - {"target", "inputs", "exclude", "min_abs_corr", "max_abs_corr"}
@@ -411,8 +412,10 @@ def load_config(path: str | Path, seed_override: int | None = None,
         inputs=tuple(str(x) for x in (fe.get("inputs") or ())),
         rules=FeatureRules(
             exclude=tuple(str(x) for x in (fe.get("exclude") or ())),
-            min_abs_corr=(float(fe["min_abs_corr"]) if "min_abs_corr" in fe else None),
-            max_abs_corr=(float(fe["max_abs_corr"]) if "max_abs_corr" in fe else None),
+            min_abs_corr=(_num(float, fe["min_abs_corr"], "features.min_abs_corr")
+                          if "min_abs_corr" in fe else None),
+            max_abs_corr=(_num(float, fe["max_abs_corr"], "features.max_abs_corr")
+                          if "max_abs_corr" in fe else None),
         ),
     )
 
@@ -427,7 +430,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
     ffunknown = set(ff) - {"hidden_layers", "train"}
     if ffunknown:
         raise ConfigError(f"ffnn: unknown keys {sorted(ffunknown)}")
-    ffnn_hidden = tuple(int(h) for h in (ff.get("hidden_layers") or (24, 24, 24, 24)))
+    ffnn_hidden = tuple(_num(int, h, f"ffnn.hidden_layers[{i}]")
+                        for i, h in enumerate(ff.get("hidden_layers") or (24, 24, 24, 24)))
     ffnn_train = _parse_train(
         _as_mapping(ff.get("train"), "ffnn.train"),
         derive_seed(seed, "train", "ffnn"), "ffnn.train",
@@ -438,8 +442,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
     lsunknown = set(ls) - {"hidden_size", "num_layers", "lookback", "stride", "train"}
     if lsunknown:
         raise ConfigError(f"lstm: unknown keys {sorted(lsunknown)}")
-    lookback = int(ls.get("lookback", 20))
-    stride = int(ls.get("stride", max(1, lookback // 2)))
+    lookback = _num(int, ls.get("lookback", 20), "lstm.lookback")
+    stride = _num(int, ls.get("stride", max(1, lookback // 2)), "lstm.stride")
     if stride < 1:
         raise ConfigError("lstm.stride must be >= 1")
     lstm_train = _parse_train(
@@ -450,8 +454,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
     neural = NeuralSection(
         ffnn_hidden=ffnn_hidden,
         ffnn_train=ffnn_train,
-        lstm_hidden_size=int(ls.get("hidden_size", 6)),
-        lstm_num_layers=int(ls.get("num_layers", 3)),
+        lstm_hidden_size=_num(int, ls.get("hidden_size", 6), "lstm.hidden_size"),
+        lstm_num_layers=_num(int, ls.get("num_layers", 3), "lstm.num_layers"),
         lstm_lookback=lookback,
         lstm_stride=stride,
         lstm_train=lstm_train,
@@ -472,10 +476,6 @@ def load_config(path: str | Path, seed_override: int | None = None,
         if m not in MODEL_IDS:
             raise ConfigError(f"evaluate.models: unknown model id {m!r}")
 
-    resolved = dict(raw)
-    resolved["seed"] = seed
-    fingerprint = compute_fingerprint(resolved)
-
     return RunConfig(
         seed=seed,
         data_dir=data_dir,
@@ -490,5 +490,4 @@ def load_config(path: str | Path, seed_override: int | None = None,
         neural=neural,
         retrain_augment_ids=augment_ids,
         evaluate_models=models,
-        fingerprint=fingerprint,
     )

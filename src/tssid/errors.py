@@ -143,7 +143,7 @@ class MissingArtifact(ComputationError):
 
 
 class FingerprintMismatch(ComputationError):
-    """A loaded artifact was produced under a different configuration."""
+    """A loaded artifact was produced under other settings, or carries no stamp."""
 
 
 # --- evaluation ------------------------------------------------------------

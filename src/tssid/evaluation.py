@@ -77,6 +77,7 @@ class FlightScore:
 class EvalReport:
     model_id: str
     flights: tuple[FlightScore, ...]
+    fingerprint: str = ""
 
     @property
     def overall_rmae(self) -> float:
@@ -175,6 +176,7 @@ def save_report(report: EvalReport, path: str | Path) -> None:
     lines = [
         _REPORT_MAGIC,
         f"model: {report.model_id}",
+        f"fingerprint: {report.fingerprint}",
         f"overall_rmae: {repr(report.overall_rmae)}",
     ]
     for fl in report.flights:
@@ -201,7 +203,7 @@ def load_report(path: str | Path) -> EvalReport:
     lines = text.splitlines()
     if not lines or lines[0] != _REPORT_MAGIC:
         raise IoError(f"{path} is not a tssid eval report")
-    model_id = ""
+    model_id = fingerprint = ""
     flights: list[FlightScore] = []
     cur_id = None
     cur_mean = 0.0
@@ -217,6 +219,8 @@ def load_report(path: str | Path) -> EvalReport:
         for ln in lines[1:]:
             if ln.startswith("model: "):
                 model_id = ln[len("model: "):]
+            elif ln.startswith("fingerprint: "):
+                fingerprint = ln[len("fingerprint: "):]
             elif ln.startswith("flight: "):
                 close_flight()
                 fid, mean_part, _ = ln[len("flight: "):].split("\t")
@@ -234,7 +238,7 @@ def load_report(path: str | Path) -> EvalReport:
         close_flight()
     except (ValueError, IndexError) as exc:
         raise IoError(f"{path}: malformed report line: {exc}") from exc
-    return EvalReport(model_id, tuple(flights))
+    return EvalReport(model_id, tuple(flights), fingerprint)
 
 
 def write_comparison_csv(table: ComparisonTable, path: str | Path) -> None:

@@ -733,7 +733,6 @@ def split_dataset(flight_ids: Sequence[str],
 class FeatureRules:
     """Rules applied to a correlation matrix to pick model inputs."""
 
-    include: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
     min_abs_corr: float | None = None
     max_abs_corr: float | None = None
@@ -743,20 +742,17 @@ def select_features(corr: CorrelationMatrix, target: str,
                     rules: FeatureRules = FeatureRules()) -> tuple[str, ...]:
     """Choose input channels for predicting ``target``.
 
-    Order follows the correlation matrix.  ``include`` restricts the
-    candidate set; ``exclude`` then removes names; correlation bounds are
-    applied against |corr(channel, target)|.  Dropping the target itself
+    Order follows the correlation matrix.  ``exclude`` removes names;
+    correlation bounds are applied against |corr(channel, target)|.  Dropping the target itself
     raises :class:`TargetExcluded`.
     """
     if target not in corr.names:
         raise MissingChannel(f"target {target!r} not in correlation matrix")
-    if target in rules.exclude or (rules.include and target not in rules.include):
+    if target in rules.exclude:
         raise TargetExcluded(f"rules would drop the prediction target {target!r}")
     chosen = []
     for nm in corr.names:
         if nm == target:
-            continue
-        if rules.include and nm not in rules.include:
             continue
         if nm in rules.exclude:
             continue

@@ -579,12 +579,12 @@ def load_net(path: str | Path) -> TrainedNet:
     except (KeyError, TypeError) as exc:
         raise IoError(f"{path}: malformed header: {exc}") from exc
     if n_params != mc.n_params:
-        raise ShapeMismatch(
+        raise IoError(
             f"{path}: header claims {n_params} params, architecture needs {mc.n_params}"
         )
     payload = raw[off:]
     if len(payload) != 8 * n_params:
-        raise ShapeMismatch(
+        raise IoError(
             f"{path}: payload holds {len(payload)} bytes, expected {8 * n_params}"
         )
     params = np.frombuffer(payload, dtype="<f8").astype(np.float64)

@@ -321,6 +321,7 @@ class SparseModel:
     trig: np.ndarray
     config: SINDyConfig
     residual_rmse: tuple[float, ...]
+    fingerprint: str = ""
 
     def __post_init__(self):
         xi = np.array(self.xi, dtype=np.float64, copy=True)
@@ -621,6 +622,7 @@ def save_model(model: SparseModel, path: str | Path) -> None:
         f"library_trig: {int(lib.trig)}",
         f"library_bias: {int(lib.bias)}",
         "residual_rmse: " + ",".join(repr(float(r)) for r in model.residual_rmse),
+        f"fingerprint: {model.fingerprint}",
     ]
     for s, sname in enumerate(model.state_names):
         lines.append(f"equation: {sname}")
@@ -699,4 +701,5 @@ def load_model(path: str | Path) -> SparseModel:
         trig=trg,
         config=config,
         residual_rmse=rmse,
+        fingerprint=header.get("fingerprint", ""),
     )

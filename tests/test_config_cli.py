@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
-import json
 import shutil
 import warnings
 from pathlib import Path
@@ -13,9 +13,12 @@ import pytest
 import yaml
 
 from conftest import CONFIGS, REPO, make_run, run_cli
-from tssid.config import MODEL_IDS, compute_fingerprint, load_config
+from tssid import cli, manifest
+from tssid.config import MODEL_IDS, load_config
 from tssid.errors import ConfigError, IoError
-from tssid.manifest import load_manifest
+from tssid.manifest import fingerprint, load_manifest
+from tssid.neural import load_net, save_net
+from tssid.sindy import SINDyConfig
 
 # --- parsing the shipped presets ---------------------------------------------------
 
@@ -23,8 +26,11 @@ from tssid.manifest import load_manifest
 def test_every_shipped_preset_parses():
     for path in sorted(CONFIGS.glob("*.yaml")):
         cfg = load_config(path)
-        assert len(cfg.fingerprint) == 64
-        int(cfg.fingerprint, 16)  # hex digest
+        fps = _artifact_fingerprints(cfg)
+        assert len(set(fps.values())) == len(fps)
+        for fp in fps.values():
+            assert len(fp) == 64
+            int(fp, 16)  # hex digest
 
 
 def test_smoke_preset_resolved_values():
@@ -110,26 +116,55 @@ def test_config_error_cases(tmp_path):
         load_config(tmp_path / "absent.yaml")
 
 
+def _artifact_fingerprints(cfg) -> dict[str, str]:
+    """The corpus and model fingerprints the CLI expects under ``cfg``."""
+    split = cli._split_of(cfg)
+    fps = {"corpus": cli._corpus_fingerprint(cfg)}
+    for model_id in MODEL_IDS:
+        fps[model_id] = cli._model_fingerprint(cfg, model_id, split.train_ids,
+                                               split.val_ids)
+    return fps
+
+
 def test_fingerprint_semantics(tmp_path):
-    base = load_config(CONFIGS / "smoke.yaml")
+    base = _artifact_fingerprints(load_config(CONFIGS / "smoke.yaml"))
+    # the corpus seed derives from the root seed, so every artifact changes
     reseeded = load_config(CONFIGS / "smoke.yaml", seed_override=1)
     assert reseeded.seed == 1
-    assert reseeded.fingerprint != base.fingerprint
+    changed = _artifact_fingerprints(reseeded)
+    assert all(changed[k] != base[k] for k in base)
     moved = load_config(CONFIGS / "smoke.yaml", out_override=tmp_path / "elsewhere")
     assert moved.out_dir == tmp_path / "elsewhere"
-    assert moved.fingerprint == base.fingerprint
-    # a copy that differs only in its paths section keeps the fingerprint
+    assert _artifact_fingerprints(moved) == base
+    # a copy that differs only in its paths section keeps every fingerprint
     copy = make_run(tmp_path, "smoke")
-    assert load_config(copy).fingerprint == base.fingerprint
+    assert _artifact_fingerprints(load_config(copy)) == base
+    # so do spelled-out defaults and a different key order
+    raw = yaml.safe_load(copy.read_text(encoding="utf-8"))
+    raw["sindy"]["max_iterations"] = 20
+    raw["ffnn"]["train"]["shuffle"] = True
+    raw["lstm"] = dict(reversed(list(raw["lstm"].items())))
+    copy.write_text(yaml.safe_dump(dict(reversed(list(raw.items()))), sort_keys=False),
+                    encoding="utf-8")
+    assert _artifact_fingerprints(load_config(copy)) == base
+    # an edit to one section changes only the artifacts that read it
+    edited = _artifact_fingerprints(load_config(
+        make_run(tmp_path, "smoke", sindy={"second": {"threshold": 1.5}})))
+    assert {k for k in base if edited[k] != base[k]} == {"sindy2"}
+    edited = _artifact_fingerprints(load_config(
+        make_run(tmp_path, "smoke", lstm={"stride": 3})))
+    assert {k for k in base if edited[k] != base[k]} == {"lstm"}
 
 
-def test_fingerprint_excludes_only_paths():
-    raw = yaml.safe_load((CONFIGS / "smoke.yaml").read_text(encoding="utf-8"))
-    fp1 = compute_fingerprint(raw)
-    raw2 = dict(raw, paths={"data_dir": "x", "out_dir": "y"})
-    assert compute_fingerprint(raw2) == fp1
-    raw3 = dict(raw, seed=raw["seed"] + 1)
-    assert compute_fingerprint(raw3) != fp1
+def test_fingerprint_hashes_resolved_values_and_the_tool_version(monkeypatch):
+    fp = fingerprint("sindy1", ["a", "b"], SINDyConfig())
+    assert fp == fingerprint("sindy1", ("a", "b"), SINDyConfig(threshold=0.05))
+    assert fp != fingerprint("sindy1", ["a"], SINDyConfig())
+    assert fp != fingerprint("sindy1", ["a", "b"], SINDyConfig(threshold=2.0))
+    monkeypatch.setattr(manifest, "__version__", "0.0.0-other")
+    assert fp != fingerprint("sindy1", ["a", "b"], SINDyConfig())
+    with pytest.raises(TypeError):
+        fingerprint(Path("data"))
 
 
 def test_sindy_config_accessor():
@@ -189,7 +224,10 @@ def test_every_manifest_lists_existing_outputs(smoke_run):
         for rel in man.outputs:
             assert (base / rel).exists(), f"{mpath.name} lists missing {rel}"
         assert man.seed == 4404
-        assert len(man.config_fingerprint) == 64
+        # every command but split writes or checks a fingerprinted artifact
+        assert bool(man.fingerprints) == (man.command != "split"), mpath.name
+        for fp in man.fingerprints.values():
+            assert len(fp) == 64
         assert "total" in man.timings
 
 
@@ -241,9 +279,12 @@ def test_loss_csv_rows_equal_epochs(smoke_run):
 
 def test_sindy_artifacts(smoke_run):
     out = smoke_run["out"]
+    fps = load_manifest(out / "manifest_fit_sindy.json").fingerprints
     for order in (1, 2):
         model = (out / f"sindy{order}_model.txt").read_text(encoding="utf-8")
         assert model.startswith("tssid sparse model v1")
+        stamp = model.index(f"\nfingerprint: {fps[f'sindy{order}_model.txt']}\n")
+        assert stamp < model.index("\nequation: ")
         eq = (out / f"sindy{order}_equations.txt").read_text(encoding="utf-8")
         assert "d(TRQ)/dt" in eq
         assert "residual_rmse:" in eq
@@ -286,7 +327,12 @@ def test_retrain_artifacts(smoke_run):
     man = load_manifest(out / "manifest_retrain_experiment.json")
     runs = man.extra["runs"]
     assert [r["phase"] for r in runs] == ["baseline", "retrained"]
-    assert runs[0]["fingerprint"] != runs[1]["fingerprint"]
+    for kind in ("ffnn", "lstm"):
+        phase_fps = [man.fingerprints[f"retrain/{kind}_{phase}_weights.bin"]
+                     for phase in ("baseline", "retrained")]
+        assert phase_fps[0] != phase_fps[1]
+        assert phase_fps[0] == load_net(out / "retrain" / f"{kind}_baseline_weights.bin"
+                                        ).fingerprint
     assert set(runs[0]["train_flights"]) < set(runs[1]["train_flights"])
     assert "smk04" in runs[1]["train_flights"]
 
@@ -378,6 +424,126 @@ def test_exit_code_4_fingerprint_mismatch(tmp_path, capsys):
                    "--seed", 999) == 4
     err = capsys.readouterr().err
     assert "fingerprint" in err.lower()
+
+
+_SMOKE = yaml.safe_load((CONFIGS / "smoke.yaml").read_text(encoding="utf-8"))
+
+
+def _drop_stamp(name: str):
+    def damage(tmp: Path) -> None:
+        path = tmp / name
+        path.write_text("".join(ln for ln in path.read_text(encoding="utf-8")
+                                .splitlines(keepends=True)
+                                if not ln.startswith("fingerprint:")), encoding="utf-8")
+    return damage
+
+
+def _unstamp_weights(tmp: Path) -> None:
+    path = tmp / "out" / "ffnn_weights.bin"
+    save_net(dataclasses.replace(load_net(path), fingerprint=""), path)
+
+
+def _unstamp_corpus(tmp: Path) -> None:
+    (tmp / "data" / "manifest_generate.json").unlink()
+
+
+def _move_out(tmp: Path) -> None:
+    (tmp / "out").rename(tmp / "elsewhere")
+
+
+_NEW_PLANT = {"ground_truth": {**_SMOKE["corpus"]["ground_truth"], "mu": 0.5}}
+_SPELLED_OUT = {"train": {**_SMOKE["ffnn"]["train"], "shuffle": True}}
+
+
+@pytest.mark.parametrize("overrides, damage, argv, code, needles", [
+    # stale: made under other settings than the current configuration's
+    ({"sindy": {"threshold": 0.1}}, None, ("evaluate", "--model", "sindy1"), 4,
+     ("sindy1_model.txt", "fit-sindy")),
+    ({"corpus": _NEW_PLANT}, None, ("fit-sindy",), 4,
+     ("manifest_generate.json", "tssid generate")),
+    ({"sindy": {"threshold": 0.1}}, None, ("report", "--model", "sindy1"), 4,
+     ("eval_sindy1.txt", "tssid evaluate")),
+    ({"split": {"train": ["smk01", "smk03"], "val": ["smk02"]}}, None,
+     ("simulate", "--order", "1"), 4, ("sindy1_model.txt", "fit-sindy")),
+    # unstamped
+    ({}, _unstamp_weights, ("evaluate", "--model", "ffnn"), 4,
+     ("ffnn_weights.bin", "no fingerprint", "tssid train")),
+    ({}, _drop_stamp("out/sindy2_model.txt"), ("simulate", "--order", "2"), 4,
+     ("sindy2_model.txt", "no fingerprint")),
+    ({}, _drop_stamp("out/eval_lstm.txt"), ("report", "--model", "lstm"), 4,
+     ("eval_lstm.txt", "no fingerprint")),
+    ({}, _unstamp_corpus, ("ingest",), 4, ("manifest_generate.json", "no fingerprint")),
+    # fresh: nothing the artifact depends on changed
+    ({"sindy": {"threshold": 0.1}}, None, ("evaluate", "--model", "ffnn"), 0, ()),
+    ({"ffnn": _SPELLED_OUT}, None, ("evaluate", "--model", "ffnn"), 0, ()),
+    ({}, None, ("evaluate",), 0, ()),
+    ({}, None, ("report",), 0, ()),
+    ({}, _move_out, ("evaluate", "--out", "{tmp}/elsewhere"), 0, ()),
+], ids=["a-sindy-threshold", "b-plant-params", "stale-eval-report", "split-edit",
+        "unstamped-weights", "unstamped-model", "unstamped-eval-report",
+        "unstamped-corpus", "c-sindy-edit-keeps-ffnn", "d-spelled-out-default",
+        "paths-only", "paths-only-report", "out-flag"])
+def test_stale_artifacts_exit_4_and_fresh_ones_0(tmp_path, capsys, smoke_run, overrides,
+                                                damage, argv, code, needles):
+    """Each case runs on a copy of the smoke run's data and out directories."""
+    shutil.copytree(smoke_run["data"], tmp_path / "data")
+    shutil.copytree(smoke_run["out"], tmp_path / "out")
+    if damage is not None:
+        damage(tmp_path)
+    cfg = make_run(tmp_path, "smoke", **overrides)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    capsys.readouterr()
+    assert run_cli(*argv, "--config", cfg) == code
+    err = capsys.readouterr().err
+    for needle in needles:
+        assert needle in err
+    assert "Traceback" not in err
+
+
+def _truncate_weights(tmp: Path) -> None:
+    weights = tmp / "out" / "ffnn_weights.bin"
+    weights.write_bytes(weights.read_bytes()[:-8])
+
+
+def _garble_corpus_manifest(tmp: Path) -> None:
+    (tmp / "data" / "manifest_generate.json").write_text("[1, 2]\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage, argv, name", [
+    (_truncate_weights, ("evaluate", "--model", "ffnn"), "ffnn_weights.bin"),
+    (_garble_corpus_manifest, ("ingest",), "manifest_generate.json"),
+])
+def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, argv, name):
+    shutil.copytree(smoke_run["data"], tmp_path / "data")
+    shutil.copytree(smoke_run["out"], tmp_path / "out")
+    damage(tmp_path)
+    cfg = make_run(tmp_path, "smoke")
+    assert run_cli(*argv, "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("sindy", "threshold"), "abc", "sindy.threshold"),
+    (("ffnn", "hidden_layers"), ["x"], "ffnn.hidden_layers[0]"),
+    (("lstm", "lookback"), [3], "lstm.lookback"),
+    (("split",), {"fractions": [0.5, "a", 0.5]}, "split.fractions[1]"),
+    (("corpus", "sample_rate_hz"), "fast", "corpus.sample_rate_hz"),
+    (("seed",), "abc", "seed"),
+])
+def test_exit_code_2_wrong_scalar_type_names_the_key(tmp_path, capsys, path, value, key):
+    cfg = make_run(tmp_path, "smoke")
+    raw = yaml.safe_load(cfg.read_text(encoding="utf-8"))
+    section = raw
+    for part in path[:-1]:
+        section = section[part]
+    section[path[-1]] = value
+    cfg.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    assert run_cli("split", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_4_divergent_training_saves_no_weights(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_compare_models_flight_set_mismatch():
 
 def test_report_save_load_round_trip(tmp_path):
     records, preds = _constant_offset_case()
-    report = score_model("sindy1", preds, records)
+    report = replace(score_model("sindy1", preds, records), fingerprint="ab12")
     p = tmp_path / "report.txt"
     save_report(report, p)
     back = load_report(p)

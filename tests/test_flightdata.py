@@ -691,8 +691,6 @@ def test_select_features_threshold_and_exclude():
     assert select_features(corr, "TRQ", rules) == ("COL", "WF")
     rules = FeatureRules(min_abs_corr=0.5, exclude=("WF",))
     assert select_features(corr, "TRQ", rules) == ("COL",)
-    rules = FeatureRules(include=("TRQ", "WF", "NR"))  # include must keep target
-    assert select_features(corr, "TRQ", rules) == ("NR", "WF")  # matrix order
     rules = FeatureRules(max_abs_corr=0.5)
     assert select_features(corr, "TRQ", rules) == ("NR",)
 
@@ -701,7 +699,5 @@ def test_select_features_target_guarded():
     corr = _toy_corr()
     with pytest.raises(TargetExcluded):
         select_features(corr, "TRQ", FeatureRules(exclude=("TRQ",)))
-    with pytest.raises(TargetExcluded):
-        select_features(corr, "TRQ", FeatureRules(include=("COL",)))
     with pytest.raises(MissingChannel):
         select_features(corr, "NG")

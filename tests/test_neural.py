@@ -508,5 +508,5 @@ def test_load_net_rejects_truncated_payload(tmp_path):
     save_net(net, p)
     raw = p.read_bytes()
     p.write_bytes(raw[:-8])  # drop one float64 from the weights
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(IoError, match="payload"):
         load_net(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import loop_kernels
 import numpy as np
@@ -434,10 +435,11 @@ def test_format_equations_readable():
 def test_save_load_round_trip_bitwise(tmp_path):
     cfg = SINDyConfig(derivative_method="central", threshold=0.07,
                       ridge_lambda=3e-11)
-    model = fit_first_order(_first_order_flights(), cfg)
+    model = replace(fit_first_order(_first_order_flights(), cfg), fingerprint="ab12")
     p = tmp_path / "model.txt"
     save_model(model, p)
     back = load_model(p)
+    assert back.fingerprint == "ab12"
     assert back.order == model.order
     assert back.state_names == model.state_names
     assert back.input_names == model.input_names
