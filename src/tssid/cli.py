@@ -24,6 +24,9 @@ Every artifact a later stage reads carries a fingerprint of what produced
 it (see ``Artifact fingerprints`` below): the corpus in
 ``manifest_generate.json``, sparse models, weights files and eval reports
 in their headers.  A stage refuses a stale or unstamped one with exit 4.
+``simulate`` records the fingerprint of each model's simulation and the
+sha256 of every sim CSV in ``manifest_simulate.json``; ``evaluate`` scores
+those CSVs when both still hold, and integrates the model itself when not.
 
 Set ``TSSID_LOG=INFO`` (or ``DEBUG``) for progress logging; the variable
 only changes verbosity, never results.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import logging
 import os
 import sys
@@ -150,8 +154,13 @@ def _corpus_cfg(cfg: RunConfig):
 #   {ffnn,lstm}_weights.bin          corpus, train and val ids, features, that
 #                                    net's resolved settings
 #   eval_<model>.txt                 the scored model, test ids, target
-# All are pure functions of the resolved configuration; the loaders below
-# compare them with the recorded stamps through check_fingerprint.
+#   sim_sindy<k>/ (in                the model's stamp and file sha256, test
+#     manifest_simulate.json)        ids, sha256 of each test flight and
+#                                    maneuvers.csv read
+# All but the last are pure functions of the resolved configuration; the
+# loaders below compare them with the recorded stamps through
+# check_fingerprint.  A simulation that is not fresh is integrated again,
+# never refused.
 
 def _corpus_fingerprint(cfg: RunConfig) -> str:
     return fingerprint("corpus", _corpus_cfg(cfg))
@@ -176,6 +185,13 @@ def _model_fingerprint(cfg: RunConfig, model_id: str, train_ids: Sequence[str],
 
 def _eval_fingerprint(cfg: RunConfig, model_fp: str, test_ids: Sequence[str]) -> str:
     return fingerprint("eval", model_fp, test_ids, cfg.features.target)
+
+
+def _sim_fingerprint(cfg: RunConfig, model_id: str, model: SparseModel,
+                     test_ids: Sequence[str], corpus_files: dict[str, str]) -> str:
+    """The simulation of this model file over these test flights' bytes."""
+    model_sha = file_sha256(_model_path(cfg, model_id))
+    return fingerprint("sim", model.fingerprint, model_sha, test_ids, corpus_files)
 
 
 def _fresh_fingerprint(cfg: RunConfig, model_id: str) -> str:
@@ -330,16 +346,19 @@ def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
     return model
 
 
-def _simulate_record(model: SparseModel, rec: FlightRecord,
-                     derivative_method: str) -> np.ndarray:
-    """Full-length prediction; NaN outside scoring segments.
+def _simulate_flights(model: SparseModel, records: Sequence[FlightRecord],
+                      derivative_method: str) -> dict[str, np.ndarray]:
+    """Each flight's full-length prediction; NaN outside its scoring segments.
 
-    All scoring segments of the flight are integrated in one batched pass.
+    The scoring segments of all flights are integrated in one batched pass.
+    The flights share the corpus sample rate, so one step serves them all.
     """
-    dt = rec.dt
-    segs = rec.scoring_segments()
-    trqs = [rec.values(model.state_names[0])[s.start_index:s.end_index] for s in segs]
-    us = [rec.values(model.input_names[0])[s.start_index:s.end_index] for s in segs]
+    if not records:
+        return {}
+    dt = records[0].dt
+    segs = [(rec, seg) for rec in records for seg in rec.scoring_segments()]
+    trqs = [rec.values(model.state_names[0])[s.start_index:s.end_index] for rec, s in segs]
+    us = [rec.values(model.input_names[0])[s.start_index:s.end_index] for rec, s in segs]
     x0s = [trq[0] for trq in trqs]
     if model.order == 1:
         trajs = simulate_segments(model, us, dt, x0s)
@@ -347,22 +366,62 @@ def _simulate_record(model: SparseModel, rec: FlightRecord,
         xdot0s = [differentiate(trq, dt, derivative_method)[0] for trq in trqs]
         u_dots = [differentiate(u, dt, derivative_method) for u in us]
         trajs = simulate_segments(model, us, dt, x0s, xdot0s, u_dots)
-    pred = np.full(rec.n_samples, np.nan)
-    for seg, traj in zip(segs, trajs):
-        pred[seg.start_index:seg.end_index] = traj.states[:, 0]
-    return pred
+    preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
+    for (rec, seg), traj in zip(segs, trajs):
+        preds[rec.flight_id][seg.start_index:seg.end_index] = traj.states[:, 0]
+    return preds
 
 
-def _predictions_for(cfg: RunConfig, model_id: str, records: Sequence[FlightRecord]
-                     ) -> tuple[dict[str, np.ndarray], str]:
-    """Each record's prediction by the fresh model, and the model's fingerprint."""
+def _read_simulation(cfg: RunConfig, model_id: str, records: Sequence[FlightRecord],
+                     sim_fp: str) -> dict[str, np.ndarray] | None:
+    """The predictions ``simulate`` wrote for this model, or None unless fresh.
+
+    Fresh means ``manifest_simulate.json`` records ``sim_fp`` for the
+    model's sim directory and every segment CSV still has the sha256 it
+    recorded.  ``TRQ_pred``, the last column, was written with ``repr``, so
+    the values read back are bitwise the ones integrated.
+    """
+    try:
+        man = load_manifest(manifest_path(cfg.out_dir, "simulate"))
+    except IoError:
+        return None
+    sim_dir = f"sim_{model_id}"
+    digests = man.extra.get("output_sha256")
+    if man.fingerprints.get(sim_dir) != sim_fp or not isinstance(digests, dict):
+        return None
+    preds = {}
+    for rec in records:
+        pred = np.full(rec.n_samples, np.nan)
+        for i, seg in enumerate(rec.scoring_segments()):
+            rel = f"{sim_dir}/{_segment_csv_name(rec, i, seg.label)}"
+            try:
+                blob = (cfg.out_dir / rel).read_bytes()
+                if hashlib.sha256(blob).hexdigest() != digests.get(rel):
+                    return None
+                values = [float(row.rpartition(",")[2])
+                          for row in blob.decode("utf-8").splitlines()[1:]]
+            except (OSError, ValueError):
+                return None
+            pred[seg.start_index:seg.end_index] = values
+        preds[rec.flight_id] = pred
+    return preds
+
+
+def _predictions_for(cfg: RunConfig, model_id: str, records: Sequence[FlightRecord],
+                     test_ids: Sequence[str], corpus_files: dict[str, str]
+                     ) -> tuple[dict[str, np.ndarray], str, str | None]:
+    """Each record's prediction by the fresh model, the model's fingerprint,
+    and the fingerprint of the simulation read in place of integrating, if any.
+    """
     model = _load_model(cfg, model_id)
     if model_id in NET_KINDS:
-        preds = {r.flight_id: predict_series(model, r) for r in records}
-    else:
-        method = cfg.sindy_config(_sindy_order(model_id)).derivative_method
-        preds = {r.flight_id: _simulate_record(model, r, method) for r in records}
-    return preds, model.fingerprint
+        return {r.flight_id: predict_series(model, r) for r in records}, model.fingerprint, None
+    sim_fp = _sim_fingerprint(cfg, model_id, model, test_ids, corpus_files)
+    preds = _read_simulation(cfg, model_id, records, sim_fp)
+    if preds is not None:
+        return preds, model.fingerprint, sim_fp
+    method = cfg.sindy_config(_sindy_order(model_id)).derivative_method
+    return _simulate_flights(model, records, method), model.fingerprint, None
 
 
 def _segment_csv_name(rec: FlightRecord, index: int, label: str) -> str:
@@ -516,16 +575,21 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
 
 def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
     t0 = time.perf_counter()
-    test_recs, corpus_files = _load_records(cfg, _split_of(cfg).test_ids)
+    test_ids = _split_of(cfg).test_ids
+    test_recs, corpus_files = _load_records(cfg, test_ids)
     outputs = []
+    digests = {}
     fps = {"corpus": _corpus_fingerprint(cfg)}
     for order in orders:
-        model = _load_model(cfg, f"sindy{order}")
-        fps[_model_path(cfg, f"sindy{order}").name] = model.fingerprint
-        method = cfg.sindy_config(order).derivative_method
-        sim_dir = cfg.out_dir / f"sim_sindy{order}"
+        model_id = f"sindy{order}"
+        model = _load_model(cfg, model_id)
+        fps[_model_path(cfg, model_id).name] = model.fingerprint
+        fps[f"sim_{model_id}"] = _sim_fingerprint(cfg, model_id, model, test_ids,
+                                                  corpus_files)
+        preds = _simulate_flights(model, test_recs, cfg.sindy_config(order).derivative_method)
+        sim_dir = cfg.out_dir / f"sim_{model_id}"
         for rec in test_recs:
-            pred = _simulate_record(model, rec, method)
+            pred = preds[rec.flight_id]
             t = np.arange(rec.n_samples) * rec.dt
             wf = rec.values(model.input_names[0])
             trq = rec.values(model.state_names[0])
@@ -535,10 +599,11 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
                 write_float_csv(path, ("time_s", "WF", "TRQ_actual", "TRQ_pred"),
                                 (t[s:e], wf[s:e], trq[s:e], pred[s:e]))
                 outputs.append(path)
-        print(f"simulated sindy{order} over {len(test_recs)} test flights -> {sim_dir}")
+                digests[path.relative_to(cfg.out_dir).as_posix()] = file_sha256(path)
+        print(f"simulated {model_id} over {len(test_recs)} test flights -> {sim_dir}")
     timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "simulate", cfg.out_dir, outputs, timings, inputs=corpus_files,
-            fingerprints=fps)
+    _finish(cfg, "simulate", cfg.out_dir, outputs, timings,
+            extra={"output_sha256": digests}, inputs=corpus_files, fingerprints=fps)
     return 0
 
 
@@ -551,7 +616,10 @@ def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     outputs = []
     fps = {"corpus": _corpus_fingerprint(cfg)}
     for model_id in model_ids:
-        preds, model_fp = _predictions_for(cfg, model_id, test_recs)
+        preds, model_fp, sim_fp = _predictions_for(cfg, model_id, test_recs, test_ids,
+                                                   corpus_files)
+        if sim_fp is not None:
+            fps[f"sim_{model_id}"] = sim_fp
         report = dataclasses.replace(score_model(model_id, preds, test_recs, target),
                                      fingerprint=_eval_fingerprint(cfg, model_fp, test_ids))
         rp = cfg.out_dir / f"eval_{model_id}.txt"

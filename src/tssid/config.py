@@ -57,12 +57,30 @@ def _require(mapping: Mapping, key: str, context: str):
 
 
 def _num(cast, value, key: str):
-    """``int(value)`` or ``float(value)``; a wrong type is a ConfigError naming ``key``."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
+    """``value`` as an ``int`` or a ``float``; else a ConfigError naming ``key``.
+
+    A bool is neither.  An integer key takes only a whole number (``3`` or
+    ``3.0``), never a string or a fraction it would truncate; a number key
+    also takes a numeric string, since YAML reads ``1e-4`` as one.
+    """
+    if cast is int:
+        if (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer()):
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    kind = "an integer" if cast is int else "a number"
+    raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+
+
+def _bool(value, key: str) -> bool:
+    """A YAML boolean; anything else (``"false"``, ``0``) is a ConfigError naming ``key``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a boolean (true or false), got {value!r}")
+    return value
 
 
 def _as_mapping(value, context: str) -> dict:
@@ -84,19 +102,22 @@ class CorpusConfig:
     exclude_labels: tuple[str, ...]
 
     def build_specs(self) -> list[SyntheticFlightSpec]:
+        self.flight_ids  # refuses duplicate ids before any flight is drawn
         specs: list[SyntheticFlightSpec] = []
         for tpl, params in self.templates:
             specs.extend(expand_template(tpl, params, self.sample_rate_hz,
                                          self.exclude_labels))
         specs.extend(self.explicit)
-        ids = [s.flight_id for s in specs]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"corpus produces duplicate flight ids: {ids}")
         return specs
 
     @cached_property
     def flight_ids(self) -> tuple[str, ...]:
-        return tuple(s.flight_id for s in self.build_specs())
+        """Every flight's id in corpus order, from the templates' counts; draws nothing."""
+        ids = tuple(fid for tpl, _ in self.templates for fid in tpl.flight_ids)
+        ids += tuple(spec.flight_id for spec in self.explicit)
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"corpus produces duplicate flight ids: {list(ids)}")
+        return ids
 
 
 @dataclass(frozen=True)
@@ -290,9 +311,10 @@ def _parse_sindy(raw: Mapping, context: str,
             raise ConfigError(f"{context}.library: unknown keys {sorted(lunknown)}")
         lib = LibrarySpec(
             degree=_num(int, lraw.get("degree", lib.degree), f"{context}.library.degree"),
-            cross_terms=bool(lraw.get("cross_terms", lib.cross_terms)),
-            trig=bool(lraw.get("trig", lib.trig)),
-            bias=bool(lraw.get("bias", lib.bias)),
+            cross_terms=_bool(lraw.get("cross_terms", lib.cross_terms),
+                              f"{context}.library.cross_terms"),
+            trig=_bool(lraw.get("trig", lib.trig), f"{context}.library.trig"),
+            bias=_bool(lraw.get("bias", lib.bias), f"{context}.library.bias"),
         )
     return SINDyConfig(
         threshold=_num(float, raw.get("threshold", base.threshold), f"{context}.threshold"),
@@ -320,7 +342,7 @@ def _parse_train(raw: Mapping, default_seed: int, context: str,
                         f"{context}.batch_size"),
         epochs=_num(int, raw.get("epochs", defaults.epochs), f"{context}.epochs"),
         seed=_num(int, raw.get("seed", default_seed), f"{context}.seed"),
-        shuffle=bool(raw.get("shuffle", True)),
+        shuffle=_bool(raw.get("shuffle", True), f"{context}.shuffle"),
     )
 
 
@@ -390,7 +412,11 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError(f"split: unknown keys {sorted(sunknown)}")
     split_explicit = None
     split_fractions = None
-    if any(k in sp for k in ("train", "val", "test")):
+    listed = [k for k in ("train", "val", "test") if k in sp]
+    if listed and "fractions" in sp:
+        raise ConfigError(f"split: give either fractions or the {'/'.join(listed)} "
+                          "lists, not both")
+    if listed:
         split_explicit = {
             "train": tuple(str(x) for x in (sp.get("train") or ())),
             "val": tuple(str(x) for x in (sp.get("val") or ())),

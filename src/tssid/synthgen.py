@@ -304,6 +304,14 @@ class FlightTemplate:
             raise LengthMismatch("template count must be >= 1")
         if not (self.wf_low < self.wf_high):
             raise LengthMismatch("template needs wf_low < wf_high")
+        if self.duration_s - self.taxi_s - self.chirp_s <= 4.0:
+            raise LengthMismatch(
+                f"template {self.id_prefix!r}: duration too short for taxi/chirp budget"
+            )
+
+    @property
+    def flight_ids(self) -> tuple[str, ...]:
+        return tuple(f"{self.id_prefix}{i + 1:02d}" for i in range(self.count))
 
 
 _BLOCK_LABELS = ("climb", "cruise", "descent", "turn", "level_accel")
@@ -316,17 +324,12 @@ def expand_template(tpl: FlightTemplate, params: GroundTruthParams,
     specs = []
     lo, hi = tpl.wf_low, tpl.wf_high
     span = hi - lo
-    for i in range(tpl.count):
-        fid = f"{tpl.id_prefix}{i + 1:02d}"
+    for fid in tpl.flight_ids:
         rng = np.random.default_rng(
             derive_seed(params.seed, "template", tpl.seed_salt, fid)
         )
         profiles: list[ManeuverProfile] = []
         body_s = tpl.duration_s - tpl.taxi_s - tpl.chirp_s
-        if body_s <= 4.0:
-            raise LengthMismatch(
-                f"template {tpl.id_prefix!r}: duration too short for taxi/chirp budget"
-            )
         if tpl.taxi_s > 0:
             level = tpl.taxi_level if tpl.taxi_level is not None else lo * 0.6
             profiles.append(ManeuverProfile("hold", tpl.taxi_s, "taxiing", level=level))

@@ -13,9 +13,10 @@ import pytest
 import yaml
 
 from conftest import CONFIGS, REPO, make_run, run_cli
-from tssid import cli, manifest
+from tssid import cli, kernels, manifest
+from tssid import config as config_module
 from tssid.config import MODEL_IDS, load_config
-from tssid.errors import ConfigError, IoError
+from tssid.errors import ConfigError, IoError, LengthMismatch
 from tssid.manifest import fingerprint, load_manifest
 from tssid.neural import load_net, save_net
 from tssid.sindy import SINDyConfig
@@ -345,6 +346,125 @@ def test_report_artifacts(smoke_run, capsys):
         assert model_id in text
 
 
+# --- evaluate scores the simulation that simulate wrote -------------------------------
+
+
+def _count_rk4_calls(monkeypatch) -> list:
+    calls = []
+    real = kernels.rk4_sparse
+    monkeypatch.setattr(kernels, "rk4_sparse", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _copy_smoke_run(smoke_run, base: Path, **overrides) -> Path:
+    shutil.copytree(smoke_run["data"], base / "data")
+    shutil.copytree(smoke_run["out"], base / "out")
+    return make_run(base, "smoke", **overrides)
+
+
+_EVAL_SINDY = ("evaluate", "--model", "sindy1", "--model", "sindy2")
+
+
+def _scored(out: Path) -> dict[str, bytes]:
+    """What evaluate writes for the two sparse models."""
+    files = [out / "comparison.csv", *sorted(out.glob("eval_sindy*.txt")),
+             *sorted((out / "overlays").glob("sindy*/*.csv"))]
+    return {f.relative_to(out).as_posix(): f.read_bytes() for f in files}
+
+
+def test_simulate_integrates_each_model_once_and_evaluate_reads_it(tmp_path, monkeypatch,
+                                                                   smoke_run):
+    cfg = _copy_smoke_run(smoke_run, tmp_path)
+    out = tmp_path / "out"
+    calls = _count_rk4_calls(monkeypatch)
+    assert run_cli("simulate", "--config", cfg) == 0
+    assert len(calls) == 2  # one pass per model over every segment of both test flights
+    sim = load_manifest(out / "manifest_simulate.json")
+    digests = sim.extra["output_sha256"]
+    assert sorted(digests) == sorted(sim.outputs)
+    for rel, digest in digests.items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+    calls.clear()
+    assert run_cli(*_EVAL_SINDY, "--config", cfg) == 0
+    assert calls == []
+    evaluated = load_manifest(out / "manifest_evaluate.json").fingerprints
+    for order in (1, 2):
+        assert evaluated[f"sim_sindy{order}"] == sim.fingerprints[f"sim_sindy{order}"]
+
+
+def _edit_sim_csv(base: Path, cfg: Path) -> None:
+    path = sorted((base / "out" / "sim_sindy1").glob("*.csv"))[0]
+    blob = bytearray(path.read_bytes())
+    blob[-2] = ord("1") if blob[-2] != ord("1") else ord("2")  # last digit of TRQ_pred
+    path.write_bytes(bytes(blob))
+
+
+def _delete_sim_csv(base: Path, cfg: Path) -> None:
+    sorted((base / "out" / "sim_sindy1").glob("*.csv"))[-1].unlink()
+
+
+def _simulate_order_1_only(base: Path, cfg: Path) -> None:
+    assert run_cli("simulate", "--config", cfg, "--order", 1) == 0
+
+
+def _edit_model_keeping_its_stamp(base: Path, cfg: Path) -> None:
+    # a model refitted by other code under the same settings: same stamp, other bytes
+    path = base / "out" / "sindy1_model.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("1\t"))
+    lines[i] = f"1\t{float(lines[i].split()[1]) + 0.5!r}\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _edit_test_flight(base: Path, cfg: Path) -> None:
+    path = base / "data" / "flights" / "smk04.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    col = lines[0].split(",").index("WF")
+    for i in range(100, 120):  # inside a scoring segment: the simulation changes
+        cells = lines[i].split(",")
+        cells[col] = repr(float(cells[col]) + 5.0)
+        lines[i] = ",".join(cells)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _garble_simulate_manifest(base: Path, cfg: Path) -> None:
+    (base / "out" / "manifest_simulate.json").write_text("[1, 2]\n", encoding="utf-8")
+
+
+def _refit_order_1(base: Path, cfg: Path) -> None:
+    assert run_cli("fit-sindy", "--config", cfg, "--order", 1) == 0
+
+
+@pytest.mark.parametrize("prepare, overrides, integrated", [
+    (None, {}, 0),
+    (_edit_sim_csv, {}, 1),
+    (_delete_sim_csv, {}, 1),
+    (_simulate_order_1_only, {}, 1),
+    (_edit_model_keeping_its_stamp, {}, 1),
+    (_refit_order_1, {"sindy": {"threshold": 0.1}}, 1),
+    (_edit_test_flight, {}, 2),
+    (_garble_simulate_manifest, {}, 2),
+], ids=["fresh", "edited-sim-csv", "deleted-sim-csv", "simulate-order-1-only",
+        "edited-model", "refit-model", "edited-test-flight", "garbled-manifest"])
+def test_evaluate_reads_fresh_simulations_and_integrates_the_rest(
+        tmp_path, monkeypatch, smoke_run, prepare, overrides, integrated):
+    """evaluate after simulate writes the bytes it writes when it integrates."""
+    scored = {}
+    for route in ("after-simulate", "integrating"):
+        base = tmp_path / route
+        cfg = _copy_smoke_run(smoke_run, base, **overrides)
+        if prepare is not None:
+            prepare(base, cfg)
+        if route == "integrating":
+            (base / "out" / "manifest_simulate.json").unlink()
+        calls = _count_rk4_calls(monkeypatch)
+        assert run_cli(*_EVAL_SINDY, "--config", cfg) == 0
+        assert len(calls) == (integrated if route == "after-simulate" else 2), route
+        scored[route] = _scored(base / "out")
+    assert len(scored["after-simulate"]) > 4
+    assert scored["after-simulate"] == scored["integrating"]
+
+
 def test_rerun_is_byte_identical(smoke_run):
     out = smoke_run["out"]
     before = {p: p.read_bytes() for p in (out / "split.yaml",
@@ -531,6 +651,13 @@ def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, arg
     (("split",), {"fractions": [0.5, "a", 0.5]}, "split.fractions[1]"),
     (("corpus", "sample_rate_hz"), "fast", "corpus.sample_rate_hz"),
     (("seed",), "abc", "seed"),
+    # coercions that used to pass: a truncated fraction, a string or bool read as a flag
+    (("lstm", "lookback"), 2.7, "lstm.lookback"),
+    (("ffnn", "train", "shuffle"), "false", "ffnn.train.shuffle"),
+    (("ffnn", "train", "epochs"), True, "ffnn.train.epochs"),
+    (("lstm", "train", "batch_size"), "64", "lstm.train.batch_size"),
+    (("sindy", "library"), {"trig": 1}, "sindy.library.trig"),
+    (("sindy", "threshold"), False, "sindy.threshold"),
 ])
 def test_exit_code_2_wrong_scalar_type_names_the_key(tmp_path, capsys, path, value, key):
     cfg = make_run(tmp_path, "smoke")
@@ -544,6 +671,51 @@ def test_exit_code_2_wrong_scalar_type_names_the_key(tmp_path, capsys, path, val
     err = capsys.readouterr().err
     assert f"{key}: expected" in err
     assert "Traceback" not in err
+
+
+def test_whole_numbers_and_yaml_booleans_are_accepted(tmp_path):
+    cfg = load_config(make_run(tmp_path, "smoke", lstm={"lookback": 6.0},
+                               ffnn={"train": {**_SMOKE["ffnn"]["train"], "shuffle": False}}))
+    assert cfg.neural.lstm_lookback == 6 and type(cfg.neural.lstm_lookback) is int
+    assert cfg.neural.ffnn_train.shuffle is False
+
+
+def test_exit_code_2_split_fractions_beside_explicit_lists(tmp_path, capsys):
+    cfg = make_run(tmp_path, "smoke", split={"fractions": [0.4, 0.2, 0.4]})
+    assert run_cli("split", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "fractions" in err and "train/val/test" in err
+    assert "Traceback" not in err
+
+
+def test_flight_ids_are_the_specs_ids_without_drawing_a_flight(monkeypatch):
+    presets = sorted(CONFIGS.glob("*.yaml"))
+    expected = {p: [s.flight_id for s in load_config(p).corpus.build_specs()]
+                for p in presets}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flight_ids expanded a template")
+
+    monkeypatch.setattr(config_module, "expand_template", refuse)
+    for p in presets:
+        assert list(load_config(p).corpus.flight_ids) == expected[p], p.name
+
+
+def test_duplicate_flight_ids_are_refused(tmp_path):
+    extra = {"id": "smk02", "maneuvers": [{"kind": "hold", "duration_s": 5.0,
+                                           "level": 300.0}]}
+    corpus = load_config(make_run(tmp_path, "smoke", corpus={**_SMOKE["corpus"],
+                                                             "flights": [extra]})).corpus
+    for build in (lambda: corpus.flight_ids, corpus.build_specs):
+        with pytest.raises(ConfigError, match="corpus produces duplicate flight ids"):
+            build()
+
+
+def test_template_duration_budget_is_refused_at_load(tmp_path):
+    tpl = {**_SMOKE["corpus"]["templates"][0], "duration_s": 6.0}
+    cfg = make_run(tmp_path, "smoke", corpus={**_SMOKE["corpus"], "templates": [tpl]})
+    with pytest.raises(LengthMismatch, match="taxi/chirp budget"):
+        load_config(cfg)
 
 
 def test_exit_code_4_divergent_training_saves_no_weights(tmp_path, capsys):

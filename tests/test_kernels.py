@@ -207,11 +207,14 @@ def test_library_terms_is_the_design_matrix_decoder():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_simulate_record_is_one_call_equal_to_per_segment_simulate(order, monkeypatch):
-    # the CLI integrates all scoring segments of a flight in one kernel call,
-    # and each segment comes out as sindy.simulate gives it alone
+    # the CLI integrates all scoring segments of all test flights in one
+    # kernel call, and each segment comes out as sindy.simulate gives it alone
     segments = (ManeuverSegment("a", 0, 5), ManeuverSegment("taxi", 5, 40, excluded=True),
                 ManeuverSegment("b", 40, 46), ManeuverSegment("c", 46, 400))
-    rec = toy_record(n=400, fs=50.0, seed=order, segments=segments)
+    recs = [toy_record("fl01", n=400, fs=50.0, seed=order, segments=segments),
+            toy_record("fl02", n=90, fs=50.0, seed=order + 10, segments=()),
+            toy_record("fl03", n=250, fs=50.0, seed=order + 20,
+                       segments=(ManeuverSegment("d", 0, 250),))]
     rng = np.random.default_rng(order)
     xi, expo, trg = _sparse_case(order, False, rng)
     if order == 1:
@@ -224,20 +227,25 @@ def test_simulate_record_is_one_call_equal_to_per_segment_simulate(order, monkey
     calls = []
     real = kernels.rk4_sparse
     monkeypatch.setattr(kernels, "rk4_sparse", lambda *a: calls.append(a) or real(*a))
-    pred = cli._simulate_record(model, rec, "central")
+    preds = cli._simulate_flights(model, recs, "central")
     assert len(calls) == 1
-    dt, trq, wf = rec.dt, rec.values("TRQ"), rec.values("WF")
-    expected = np.full(rec.n_samples, np.nan)
-    for seg in rec.scoring_segments():
-        s, e = seg.start_index, seg.end_index
-        if order == 1:
-            expected[s:e] = simulate(model, wf[s:e], dt, trq[s])
-        else:
-            expected[s:e] = simulate(model, wf[s:e], dt, trq[s],
-                                     differentiate(trq[s:e], dt, "central")[0],
-                                     differentiate(wf[s:e], dt, "central"))
-    assert np.array_equal(pred, expected, equal_nan=True)
+    assert calls[0][3].shape[1] == 5  # every scoring segment of the three flights
+    assert list(preds) == ["fl01", "fl02", "fl03"]
+    for rec in recs:
+        dt, trq, wf = rec.dt, rec.values("TRQ"), rec.values("WF")
+        expected = np.full(rec.n_samples, np.nan)
+        for seg in rec.scoring_segments():
+            s, e = seg.start_index, seg.end_index
+            if order == 1:
+                expected[s:e] = simulate(model, wf[s:e], dt, trq[s])
+            else:
+                expected[s:e] = simulate(model, wf[s:e], dt, trq[s],
+                                         differentiate(trq[s:e], dt, "central")[0],
+                                         differentiate(wf[s:e], dt, "central"))
+        assert np.array_equal(preds[rec.flight_id], expected, equal_nan=True), rec.flight_id
+    pred = preds["fl01"]
     assert np.all(np.isnan(pred[5:40])) and not np.any(np.isnan(pred[40:]))
+    assert not np.any(np.isnan(preds["fl02"])) and not np.any(np.isnan(preds["fl03"]))
 
 
 # --- neural kernels -----------------------------------------------------------

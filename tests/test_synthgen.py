@@ -280,7 +280,7 @@ def test_template_validation():
     with pytest.raises(LengthMismatch):
         FlightTemplate(count=1, id_prefix="x", duration_s=10.0,
                        wf_low=2.0, wf_high=1.0)
-    tiny = FlightTemplate(count=1, id_prefix="x", duration_s=5.0,
-                          wf_low=1.0, wf_high=2.0, taxi_s=3.0, chirp_s=2.0)
-    with pytest.raises(LengthMismatch):
-        expand_template(tiny, GroundTruthParams(), 10.0)
+    # the duration budget is checked when the template is made, before any draw
+    with pytest.raises(LengthMismatch, match="taxi/chirp budget"):
+        FlightTemplate(count=1, id_prefix="x", duration_s=5.0,
+                       wf_low=1.0, wf_high=2.0, taxi_s=3.0, chirp_s=2.0)
