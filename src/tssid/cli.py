@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import yaml
 
 from . import __version__
 from .config import MODEL_IDS, RunConfig, load_config
@@ -502,8 +503,7 @@ def cmd_split(cfg: RunConfig) -> int:
     payload = {"train": list(split.train_ids), "val": list(split.val_ids),
                "test": list(split.test_ids)}
     out = cfg.out_dir / "split.yaml"
-    import yaml as _yaml
-    _write_text(out, _yaml.safe_dump(payload, sort_keys=True))
+    _write_text(out, yaml.safe_dump(payload, sort_keys=True))
     timings = {"total": time.perf_counter() - t0}
     _finish(cfg, "split", cfg.out_dir, [out], timings)
     print(f"split {len(_corpus_cfg(cfg).flight_ids)} flights: {len(split.train_ids)} train / "
@@ -772,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tssid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, order_flag=False, model_flag=False):
+    def add(name: str, help_text: str, order_flag=False, models: Sequence[str] = ()):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--seed", type=int, default=None,
@@ -781,9 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
         if order_flag:
             p.add_argument("--order", type=int, choices=(1, 2), default=None,
                            help="model order (default: both)")
-        if model_flag:
+        if models:
             p.add_argument("--model", action="append", dest="models", default=None,
-                           metavar="MODEL", help="model id (repeatable)")
+                           choices=models, metavar="MODEL",
+                           help=f"one of {', '.join(models)} (repeatable)")
         return p
 
     add("generate", "synthesize the flight corpus")
@@ -791,11 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("correlate", "channel correlation matrix")
     add("split", "assign flights to train/val/test")
     add("fit-sindy", "fit sparse ODE models", order_flag=True)
-    add("train", "train neural predictors", model_flag=True)
+    add("train", "train neural predictors", models=NET_KINDS)
     add("simulate", "integrate fitted ODE models over test flights", order_flag=True)
-    add("evaluate", "score models on the test flights", model_flag=True)
+    add("evaluate", "score models on the test flights", models=MODEL_IDS)
     add("retrain-experiment", "distribution-shift retraining study")
-    add("report", "comparison table from saved evaluations", model_flag=True)
+    add("report", "comparison table from saved evaluations", models=MODEL_IDS)
     return parser
 
 
@@ -814,25 +815,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         orders = (args.order,) if args.order else (1, 2)
         return cmd_fit_sindy(cfg, orders)
     if command == "train":
-        kinds = tuple(args.models) if args.models else NET_KINDS
-        for kind in kinds:
-            if kind not in NET_KINDS:
-                raise ConfigError(f"train --model must be one of {NET_KINDS}, got {kind!r}")
-        return cmd_train(cfg, kinds)
+        return cmd_train(cfg, tuple(args.models) if args.models else NET_KINDS)
     if command == "simulate":
         orders = (args.order,) if args.order else (1, 2)
         return cmd_simulate(cfg, orders)
     if command == "evaluate":
-        model_ids = tuple(args.models) if args.models else cfg.evaluate_models
-        for m in model_ids:
-            if m not in MODEL_IDS:
-                raise ConfigError(f"evaluate --model must be one of {MODEL_IDS}, got {m!r}")
-        return cmd_evaluate(cfg, model_ids)
+        return cmd_evaluate(cfg, tuple(args.models) if args.models else cfg.evaluate_models)
     if command == "retrain-experiment":
         return cmd_retrain_experiment(cfg)
     if command == "report":
-        model_ids = tuple(args.models) if args.models else cfg.evaluate_models
-        return cmd_report(cfg, model_ids)
+        return cmd_report(cfg, tuple(args.models) if args.models else cfg.evaluate_models)
     raise ConfigError(f"unknown command {command!r}")
 
 

@@ -2,9 +2,10 @@
 
 Top-level keys: ``seed`` (required), ``paths``, ``corpus``, ``maneuvers``,
 ``split``, ``features``, ``sindy``, ``ffnn``, ``lstm``, ``retrain``,
-``evaluate``.  Unknown top-level keys are rejected so typos fail loudly,
-and a value of the wrong type is a :class:`ConfigError` naming its dotted
-key.
+``evaluate``.  Every section names the keys it allows in its one
+:func:`_as_mapping` call, so a typo anywhere fails loudly; a list-valued
+key takes only a YAML list (:func:`_list`); and a value of the wrong type
+is a :class:`ConfigError` naming its dotted key.
 
 The result is a :class:`RunConfig` of resolved dataclasses: every default
 is filled in and every derived seed drawn.  Artifact fingerprints
@@ -25,12 +26,12 @@ import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Mapping
 
 import yaml
 
 from .errors import ConfigError, IoError
-from .flightdata import DEFAULT_FEATURES, FeatureRules
+from .flightdata import FeatureRules
 from .neural import LSTMConfig, MLPConfig, TrainConfig
 from .seeding import derive_seed
 from .sindy import LibrarySpec, SINDyConfig
@@ -42,10 +43,12 @@ from .synthgen import (
     expand_template,
 )
 
-_TOP_KEYS = {
+_TOP_KEYS = (
     "seed", "paths", "corpus", "maneuvers", "split", "features",
     "sindy", "ffnn", "lstm", "retrain", "evaluate",
-}
+)
+_PROFILE_NUMBERS = ("level", "start", "end", "center", "amplitude", "f0_hz", "f1_hz")
+_SINDY_KEYS = ("threshold", "max_iterations", "ridge_lambda", "derivative_method", "library")
 
 MODEL_IDS = ("sindy1", "sindy2", "ffnn", "lstm")
 
@@ -83,12 +86,39 @@ def _bool(value, key: str) -> bool:
     return value
 
 
-def _as_mapping(value, context: str) -> dict:
+def _as_mapping(value, context: str, keys: Collection[str] | None) -> dict:
+    """``value`` as a dict whose keys all lie in ``keys``; ``None`` reads as ``{}``.
+
+    This is the only unknown-key check: each section lists its keys here
+    once.  ``keys=None`` admits any key, for a mapping keyed by data (the
+    channel names of ``noise_sigma``).
+    """
     if value is None:
         return {}
     if not isinstance(value, Mapping):
         raise ConfigError(f"{context}: expected a mapping, got {type(value).__name__}")
+    if keys is not None:
+        unknown = set(value) - set(keys)
+        if unknown:
+            raise ConfigError(f"{context}: unknown keys {sorted(unknown, key=str)}")
     return dict(value)
+
+
+def _list(value, key: str) -> list:
+    """A YAML list; ``None`` reads as ``[]``, and a scalar or mapping is a ConfigError.
+
+    A scalar is refused rather than iterated, so ``exclude_labels: taxiing``
+    does not become the labels ``t``, ``a``, ``x``, ...
+    """
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    return value
+
+
+def _strings(value, key: str) -> tuple[str, ...]:
+    return tuple(str(x) for x in _list(value, key))
 
 
 @dataclass(frozen=True)
@@ -171,57 +201,47 @@ class RunConfig:
                           self.neural.lstm_num_layers, self.neural.lstm_lookback)
 
 
-def _parse_ground_truth(raw: Mapping, seed_default: int, context: str) -> GroundTruthParams:
-    raw = dict(raw)
-    known = {"order", "a", "b", "c", "mu", "tau1", "tau2", "noise_sigma", "seed"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{context}: unknown ground_truth keys {sorted(unknown)}")
-    noise = _as_mapping(raw.get("noise_sigma"), f"{context}.noise_sigma")
-    kwargs: dict[str, Any] = {
-        "order": raw.get("order", "first"),
-        "noise_sigma": {str(k): _num(float, v, f"{context}.noise_sigma.{k}")
-                        for k, v in noise.items()},
-        "seed": _num(int, raw.get("seed", seed_default), f"{context}.seed"),
-    }
-    for k in ("a", "b", "c", "mu", "tau1", "tau2"):
-        if k in raw:
-            kwargs[k] = _num(float, raw[k], f"{context}.{k}")
-    return GroundTruthParams(**kwargs)
+def _parse_ground_truth(raw, context: str, base: GroundTruthParams) -> GroundTruthParams:
+    """``base`` with each key that ``raw`` names replaced.
+
+    The only ``ground_truth`` parser: the corpus reads its own over the
+    defaults and the derived corpus seed, and each template or explicit
+    flight reads its own over the corpus's.  ``noise_sigma`` is replaced
+    whole.
+    """
+    over: dict[str, Any] = {}
+    for k, v in _as_mapping(raw, context, ("order", "a", "b", "c", "mu", "tau1", "tau2",
+                                           "noise_sigma", "seed")).items():
+        key = f"{context}.{k}"
+        if k == "order":
+            over[k] = str(v)
+        elif k == "seed":
+            over[k] = _num(int, v, key)
+        elif k == "noise_sigma":
+            over[k] = {str(ch): _num(float, s, f"{key}.{ch}")
+                       for ch, s in _as_mapping(v, key, None).items()}
+        else:
+            over[k] = _num(float, v, key)
+    return replace(base, **over)
 
 
-def _parse_profile(raw: Mapping, context: str) -> ManeuverProfile:
-    raw = dict(raw)
+def _parse_profile(value, context: str) -> ManeuverProfile:
+    raw = _as_mapping(value, context, ("kind", "duration_s", "label") + _PROFILE_NUMBERS)
     kind = str(_require(raw, "kind", context))
     duration = _num(float, _require(raw, "duration_s", context), f"{context}.duration_s")
-    kwargs = {"kind": kind, "duration_s": duration}
-    for k in ("label",):
-        if k in raw:
-            kwargs[k] = str(raw[k])
-    for k in ("level", "start", "end", "center", "amplitude", "f0_hz", "f1_hz"):
-        if k in raw:
-            kwargs[k] = _num(float, raw[k], f"{context}.{k}")
-    extra = set(raw) - set(kwargs) - {"kind", "duration_s"}
-    if extra:
-        raise ConfigError(f"{context}: unknown maneuver keys {sorted(extra)}")
-    return ManeuverProfile(**kwargs)
+    kwargs = {k: _num(float, raw[k], f"{context}.{k}") for k in _PROFILE_NUMBERS if k in raw}
+    if "label" in raw:
+        kwargs["label"] = str(raw["label"])
+    return ManeuverProfile(kind=kind, duration_s=duration, **kwargs)
 
 
-def _parse_template(raw: Mapping, gt: GroundTruthParams,
+def _parse_template(value, gt: GroundTruthParams,
                     context: str) -> tuple[FlightTemplate, GroundTruthParams]:
-    raw = dict(raw)
-    gt_over = raw.pop("ground_truth", None)
-    params = gt if gt_over is None else replace(
-        gt, **{k: (_num(float, v, f"{context}.ground_truth.{k}") if k != "order" else str(v))
-               for k, v in _as_mapping(gt_over, f"{context}.ground_truth").items()
-               if k in ("order", "a", "b", "c", "mu", "tau1", "tau2")}
-    )
-    known = {"count", "id_prefix", "duration_s", "wf_low", "wf_high", "taxi_s",
-             "taxi_level", "chirp_s", "chirp_f0_hz", "chirp_f1_hz",
-             "chirp_amplitude", "seed_salt"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{context}: unknown template keys {sorted(unknown)}")
+    raw = _as_mapping(value, context, (
+        "count", "id_prefix", "duration_s", "wf_low", "wf_high", "taxi_s", "taxi_level",
+        "chirp_s", "chirp_f0_hz", "chirp_f1_hz", "chirp_amplitude", "seed_salt",
+        "ground_truth"))
+
     def number(key: str, cast=float, default=None):
         value = _require(raw, key, context) if default is None else raw.get(key, default)
         return _num(cast, value, f"{context}.{key}")
@@ -240,50 +260,34 @@ def _parse_template(raw: Mapping, gt: GroundTruthParams,
         chirp_amplitude=number("chirp_amplitude") if "chirp_amplitude" in raw else None,
         seed_salt=str(raw.get("seed_salt", "")),
     )
-    return tpl, params
+    return tpl, _parse_ground_truth(raw.get("ground_truth"), f"{context}.ground_truth", gt)
 
 
-def _parse_corpus(raw: Mapping, seed: int, exclude_labels: tuple[str, ...]) -> CorpusConfig:
-    raw = dict(raw)
-    known = {"sample_rate_hz", "ground_truth", "templates", "flights"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"corpus: unknown keys {sorted(unknown)}")
+def _parse_corpus(value, seed: int, exclude_labels: tuple[str, ...]) -> CorpusConfig:
+    raw = _as_mapping(value, "corpus", ("sample_rate_hz", "ground_truth", "templates", "flights"))
     fs = _num(float, _require(raw, "sample_rate_hz", "corpus"), "corpus.sample_rate_hz")
     if fs <= 0:
         raise ConfigError(f"corpus.sample_rate_hz must be positive, got {fs}")
-    gt = _parse_ground_truth(
-        _as_mapping(_require(raw, "ground_truth", "corpus"), "corpus.ground_truth"),
-        derive_seed(seed, "corpus"), "corpus.ground_truth",
-    )
+    gt = _parse_ground_truth(_require(raw, "ground_truth", "corpus"), "corpus.ground_truth",
+                             GroundTruthParams(seed=derive_seed(seed, "corpus")))
     templates = tuple(
-        _parse_template(_as_mapping(t, f"corpus.templates[{i}]"), gt,
-                        f"corpus.templates[{i}]")
-        for i, t in enumerate(raw.get("templates") or ())
+        _parse_template(t, gt, f"corpus.templates[{i}]")
+        for i, t in enumerate(_list(raw.get("templates"), "corpus.templates"))
     )
     explicit = []
-    for i, fl in enumerate(raw.get("flights") or ()):
-        fl = _as_mapping(fl, f"corpus.flights[{i}]")
+    for i, fl in enumerate(_list(raw.get("flights"), "corpus.flights")):
         ctx = f"corpus.flights[{i}]"
+        fl = _as_mapping(fl, ctx, ("id", "maneuvers", "ground_truth", "initial_trq"))
         fid = str(_require(fl, "id", ctx))
         profiles = tuple(
-            _parse_profile(_as_mapping(p, f"{ctx}.maneuvers[{j}]"),
-                           f"{ctx}.maneuvers[{j}]")
-            for j, p in enumerate(_require(fl, "maneuvers", ctx))
-        )
-        gt_over = fl.get("ground_truth")
-        params = gt if gt_over is None else _parse_ground_truth(
-            {**{"order": gt.order, "a": gt.a, "b": gt.b, "c": gt.c, "mu": gt.mu,
-                "tau1": gt.tau1, "tau2": gt.tau2, "noise_sigma": gt.noise_sigma,
-                "seed": gt.seed},
-             **_as_mapping(gt_over, f"{ctx}.ground_truth")},
-            gt.seed, f"{ctx}.ground_truth",
+            _parse_profile(p, f"{ctx}.maneuvers[{j}]")
+            for j, p in enumerate(_list(_require(fl, "maneuvers", ctx), f"{ctx}.maneuvers"))
         )
         explicit.append(SyntheticFlightSpec(
             flight_id=fid,
             sample_rate_hz=fs,
             profiles=profiles,
-            params=params,
+            params=_parse_ground_truth(fl.get("ground_truth"), f"{ctx}.ground_truth", gt),
             initial_trq=(_num(float, fl["initial_trq"], f"{ctx}.initial_trq")
                          if fl.get("initial_trq") is not None else None),
             excluded_labels=exclude_labels,
@@ -293,22 +297,12 @@ def _parse_corpus(raw: Mapping, seed: int, exclude_labels: tuple[str, ...]) -> C
     return CorpusConfig(fs, gt, templates, tuple(explicit), exclude_labels)
 
 
-def _parse_sindy(raw: Mapping, context: str,
-                 base: SINDyConfig | None = None) -> SINDyConfig:
-    raw = dict(raw)
-    known = {"threshold", "max_iterations", "ridge_lambda", "derivative_method",
-             "library", "first", "second"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    if base is None:
-        base = SINDyConfig()
+def _parse_sindy(raw: Mapping, context: str, base: SINDyConfig) -> SINDyConfig:
+    """``base`` with the settings of one ``sindy`` section (keys checked by the caller)."""
     lib = base.library
     if "library" in raw:
-        lraw = _as_mapping(raw["library"], f"{context}.library")
-        lunknown = set(lraw) - {"degree", "cross_terms", "trig", "bias"}
-        if lunknown:
-            raise ConfigError(f"{context}.library: unknown keys {sorted(lunknown)}")
+        lraw = _as_mapping(raw["library"], f"{context}.library",
+                           ("degree", "cross_terms", "trig", "bias"))
         lib = LibrarySpec(
             degree=_num(int, lraw.get("degree", lib.degree), f"{context}.library.degree"),
             cross_terms=_bool(lraw.get("cross_terms", lib.cross_terms),
@@ -327,13 +321,9 @@ def _parse_sindy(raw: Mapping, context: str,
     )
 
 
-def _parse_train(raw: Mapping, default_seed: int, context: str,
-                 defaults: TrainConfig) -> TrainConfig:
-    raw = dict(raw)
-    known = {"optimizer", "learning_rate", "batch_size", "epochs", "seed", "shuffle"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+def _parse_train(value, context: str, defaults: TrainConfig) -> TrainConfig:
+    raw = _as_mapping(value, context, ("optimizer", "learning_rate", "batch_size", "epochs",
+                                       "seed", "shuffle"))
     return TrainConfig(
         optimizer=str(raw.get("optimizer", defaults.optimizer)),
         learning_rate=_num(float, raw.get("learning_rate", defaults.learning_rate),
@@ -341,8 +331,8 @@ def _parse_train(raw: Mapping, default_seed: int, context: str,
         batch_size=_num(int, raw.get("batch_size", defaults.batch_size),
                         f"{context}.batch_size"),
         epochs=_num(int, raw.get("epochs", defaults.epochs), f"{context}.epochs"),
-        seed=_num(int, raw.get("seed", default_seed), f"{context}.seed"),
-        shuffle=_bool(raw.get("shuffle", True), f"{context}.shuffle"),
+        seed=_num(int, raw.get("seed", defaults.seed), f"{context}.seed"),
+        shuffle=_bool(raw.get("shuffle", defaults.shuffle), f"{context}.shuffle"),
     )
 
 
@@ -370,19 +360,13 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    raw = _as_mapping(raw, str(path))
+    raw = _as_mapping(raw, str(path), _TOP_KEYS)
     _reject_non_finite(raw, "")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
     if "seed" not in raw:
         raise ConfigError(f"{path}: missing required key 'seed'")
     seed = _num(int, raw["seed"] if seed_override is None else seed_override, "seed")
 
-    paths = _as_mapping(raw.get("paths"), "paths")
-    punknown = set(paths) - {"data_dir", "out_dir"}
-    if punknown:
-        raise ConfigError(f"paths: unknown keys {sorted(punknown)}")
+    paths = _as_mapping(raw.get("paths"), "paths", ("data_dir", "out_dir"))
     base = path.parent
     data_dir = Path(paths.get("data_dir", "data"))
     out_dir = Path(paths.get("out_dir", "out"))
@@ -396,20 +380,14 @@ def load_config(path: str | Path, seed_override: int | None = None,
     data_dir = Path(os.path.normpath(data_dir))
     out_dir = Path(os.path.normpath(out_dir))
 
-    man = _as_mapping(raw.get("maneuvers"), "maneuvers")
-    munknown = set(man) - {"exclude_labels"}
-    if munknown:
-        raise ConfigError(f"maneuvers: unknown keys {sorted(munknown)}")
-    exclude_labels = tuple(str(x) for x in (man.get("exclude_labels") or ()))
+    man = _as_mapping(raw.get("maneuvers"), "maneuvers", ("exclude_labels",))
+    exclude_labels = _strings(man.get("exclude_labels"), "maneuvers.exclude_labels")
 
     corpus = None
     if raw.get("corpus") is not None:
-        corpus = _parse_corpus(_as_mapping(raw["corpus"], "corpus"), seed, exclude_labels)
+        corpus = _parse_corpus(raw["corpus"], seed, exclude_labels)
 
-    sp = _as_mapping(raw.get("split"), "split")
-    sunknown = set(sp) - {"train", "val", "test", "fractions"}
-    if sunknown:
-        raise ConfigError(f"split: unknown keys {sorted(sunknown)}")
+    sp = _as_mapping(raw.get("split"), "split", ("train", "val", "test", "fractions"))
     split_explicit = None
     split_fractions = None
     listed = [k for k in ("train", "val", "test") if k in sp]
@@ -417,27 +395,21 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError(f"split: give either fractions or the {'/'.join(listed)} "
                           "lists, not both")
     if listed:
-        split_explicit = {
-            "train": tuple(str(x) for x in (sp.get("train") or ())),
-            "val": tuple(str(x) for x in (sp.get("val") or ())),
-            "test": tuple(str(x) for x in (sp.get("test") or ())),
-        }
+        split_explicit = {k: _strings(sp.get(k), f"split.{k}") for k in ("train", "val", "test")}
     elif "fractions" in sp:
-        fr = sp["fractions"]
-        if not isinstance(fr, Sequence) or len(fr) != 3:
+        fr = _list(sp["fractions"], "split.fractions")
+        if len(fr) != 3:
             raise ConfigError("split.fractions must be a list of three numbers")
         split_fractions = tuple(_num(float, f, f"split.fractions[{i}]")
                                 for i, f in enumerate(fr))
 
-    fe = _as_mapping(raw.get("features"), "features")
-    funknown = set(fe) - {"target", "inputs", "exclude", "min_abs_corr", "max_abs_corr"}
-    if funknown:
-        raise ConfigError(f"features: unknown keys {sorted(funknown)}")
+    fe = _as_mapping(raw.get("features"), "features",
+                     ("target", "inputs", "exclude", "min_abs_corr", "max_abs_corr"))
     features = FeaturesConfig(
         target=str(fe.get("target", "TRQ")),
-        inputs=tuple(str(x) for x in (fe.get("inputs") or ())),
+        inputs=_strings(fe.get("inputs"), "features.inputs"),
         rules=FeatureRules(
-            exclude=tuple(str(x) for x in (fe.get("exclude") or ())),
+            exclude=_strings(fe.get("exclude"), "features.exclude"),
             min_abs_corr=(_num(float, fe["min_abs_corr"], "features.min_abs_corr")
                           if "min_abs_corr" in fe else None),
             max_abs_corr=(_num(float, fe["max_abs_corr"], "features.max_abs_corr")
@@ -445,38 +417,30 @@ def load_config(path: str | Path, seed_override: int | None = None,
         ),
     )
 
-    sindy_raw = _as_mapping(raw.get("sindy"), "sindy")
-    first_over = _as_mapping(sindy_raw.pop("first", None), "sindy.first")
-    second_over = _as_mapping(sindy_raw.pop("second", None), "sindy.second")
-    sindy_base = _parse_sindy(sindy_raw, "sindy")
-    sindy_first = _parse_sindy(first_over, "sindy.first", sindy_base)
-    sindy_second = _parse_sindy(second_over, "sindy.second", sindy_base)
-
-    ff = _as_mapping(raw.get("ffnn"), "ffnn")
-    ffunknown = set(ff) - {"hidden_layers", "train"}
-    if ffunknown:
-        raise ConfigError(f"ffnn: unknown keys {sorted(ffunknown)}")
-    ffnn_hidden = tuple(_num(int, h, f"ffnn.hidden_layers[{i}]")
-                        for i, h in enumerate(ff.get("hidden_layers") or (24, 24, 24, 24)))
-    ffnn_train = _parse_train(
-        _as_mapping(ff.get("train"), "ffnn.train"),
-        derive_seed(seed, "train", "ffnn"), "ffnn.train",
-        TrainConfig(optimizer="rmsprop", learning_rate=1e-4, batch_size=64, epochs=500),
+    # per-order overrides exist only at the top of the section: sindy.second.first is a typo
+    sindy = _as_mapping(raw.get("sindy"), "sindy", _SINDY_KEYS + ("first", "second"))
+    shared = _parse_sindy(sindy, "sindy", SINDyConfig())
+    sindy_first, sindy_second = (
+        _parse_sindy(_as_mapping(sindy.get(k), f"sindy.{k}", _SINDY_KEYS), f"sindy.{k}", shared)
+        for k in ("first", "second")
     )
 
-    ls = _as_mapping(raw.get("lstm"), "lstm")
-    lsunknown = set(ls) - {"hidden_size", "num_layers", "lookback", "stride", "train"}
-    if lsunknown:
-        raise ConfigError(f"lstm: unknown keys {sorted(lsunknown)}")
+    ff = _as_mapping(raw.get("ffnn"), "ffnn", ("hidden_layers", "train"))
+    hidden = _list(ff.get("hidden_layers"), "ffnn.hidden_layers") or [24, 24, 24, 24]
+    ffnn_hidden = tuple(_num(int, h, f"ffnn.hidden_layers[{i}]") for i, h in enumerate(hidden))
+    ffnn_train = _parse_train(ff.get("train"), "ffnn.train", TrainConfig(
+        optimizer="rmsprop", learning_rate=1e-4, batch_size=64, epochs=500,
+        seed=derive_seed(seed, "train", "ffnn")))
+
+    ls = _as_mapping(raw.get("lstm"), "lstm",
+                     ("hidden_size", "num_layers", "lookback", "stride", "train"))
     lookback = _num(int, ls.get("lookback", 20), "lstm.lookback")
     stride = _num(int, ls.get("stride", max(1, lookback // 2)), "lstm.stride")
     if stride < 1:
         raise ConfigError("lstm.stride must be >= 1")
-    lstm_train = _parse_train(
-        _as_mapping(ls.get("train"), "lstm.train"),
-        derive_seed(seed, "train", "lstm"), "lstm.train",
-        TrainConfig(optimizer="adam", learning_rate=5e-4, batch_size=64, epochs=100),
-    )
+    lstm_train = _parse_train(ls.get("train"), "lstm.train", TrainConfig(
+        optimizer="adam", learning_rate=5e-4, batch_size=64, epochs=100,
+        seed=derive_seed(seed, "train", "lstm")))
     neural = NeuralSection(
         ffnn_hidden=ffnn_hidden,
         ffnn_train=ffnn_train,
@@ -487,17 +451,11 @@ def load_config(path: str | Path, seed_override: int | None = None,
         lstm_train=lstm_train,
     )
 
-    rt = _as_mapping(raw.get("retrain"), "retrain")
-    rtunknown = set(rt) - {"augment_ids"}
-    if rtunknown:
-        raise ConfigError(f"retrain: unknown keys {sorted(rtunknown)}")
-    augment_ids = tuple(str(x) for x in (rt.get("augment_ids") or ()))
+    rt = _as_mapping(raw.get("retrain"), "retrain", ("augment_ids",))
+    augment_ids = _strings(rt.get("augment_ids"), "retrain.augment_ids")
 
-    ev = _as_mapping(raw.get("evaluate"), "evaluate")
-    evunknown = set(ev) - {"models"}
-    if evunknown:
-        raise ConfigError(f"evaluate: unknown keys {sorted(evunknown)}")
-    models = tuple(str(m) for m in (ev.get("models") or ("sindy1", "sindy2", "ffnn", "lstm")))
+    ev = _as_mapping(raw.get("evaluate"), "evaluate", ("models",))
+    models = _strings(ev.get("models"), "evaluate.models") or MODEL_IDS
     for m in models:
         if m not in MODEL_IDS:
             raise ConfigError(f"evaluate.models: unknown model id {m!r}")

@@ -82,21 +82,48 @@ def test_defaults_for_minimal_config(tmp_path):
 
 
 def test_unknown_keys_rejected(tmp_path):
+    corpus = "seed: 1\ncorpus: {sample_rate_hz: 10, ground_truth: {order: first}, "
+    template = "{count: 1, id_prefix: t, duration_s: 20, wf_low: 1, wf_high: 2"
     cases = [
-        "seed: 1\nwidget: 2\n",
-        "seed: 1\ncorpus: {sample_rate_hz: 10, ground_truth: {order: first},"
-        " templates: [], frobs: 1}\n",
-        "seed: 1\nffnn: {depth: 3}\n",
-        "seed: 1\nsindy: {thresh: 0.1}\n",
-        "seed: 1\nsplit: {training: [a]}\n",
-        "seed: 1\nevaluate: {model: [ffnn]}\n",
-        "seed: 1\nffnn: {train: {momentum: 0.9}}\n",
+        ("seed: 1\nwidget: 2\n", "bad0.yaml"),
+        (corpus + "templates: [], frobs: 1}\n", "corpus"),
+        ("seed: 1\nffnn: {depth: 3}\n", "ffnn"),
+        ("seed: 1\nsindy: {thresh: 0.1}\n", "sindy"),
+        ("seed: 1\nsplit: {training: [a]}\n", "split"),
+        ("seed: 1\nevaluate: {model: [ffnn]}\n", "evaluate"),
+        ("seed: 1\nffnn: {train: {momentum: 0.9}}\n", "ffnn.train"),
+        (corpus + f"templates: [{template}, ground_truth: {{tau: 9}}}}]}}\n",
+         "corpus.templates[0].ground_truth"),
+        (corpus + "flights: [{id: f, maneuvers: [{kind: hold, duration_s: 5}],"
+                  " initial_torque: 5.0}]}\n", "corpus.flights[0]"),
+        ("seed: 1\nsindy: {second: {first: {threshold: 9}}}\n", "sindy.second"),
+        ("seed: 1\n7: 2\nwidget: 2\n", "bad10.yaml"),  # keys that do not sort together
     ]
-    for i, text in enumerate(cases):
+    for i, (text, context) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
         p.write_text(text, encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ConfigError, match="unknown") as excinfo:
             load_config(p)
+        assert f"{context}: unknown keys" in str(excinfo.value)
+
+
+def test_ground_truth_overrides_reach_their_flights(tmp_path):
+    # a template's or flight's ground_truth replaces only the keys it names
+    pool = _SMOKE["corpus"]["templates"][0]
+    shifted = {**pool, "id_prefix": "shf", "seed_salt": "shifted",
+               "ground_truth": {"mu": 0.48, "seed": 77, "noise_sigma": {"TRQ": 0.9}}}
+    hot = {"id": "hot01", "maneuvers": [{"kind": "hold", "duration_s": 5.0, "level": 300.0}],
+           "ground_truth": {"tau1": 0.8}}
+    corpus = load_config(make_run(tmp_path, "smoke", corpus={
+        **_SMOKE["corpus"], "templates": [pool, shifted], "flights": [hot]})).corpus
+    (_, pool_params), (_, shifted_params) = corpus.templates
+    assert pool_params == corpus.ground_truth
+    assert shifted_params == dataclasses.replace(corpus.ground_truth, mu=0.48, seed=77,
+                                                 noise_sigma={"TRQ": 0.9})
+    assert corpus.explicit[0].params == dataclasses.replace(corpus.ground_truth, tau1=0.8)
+    for spec in corpus.build_specs()[:-1]:
+        assert spec.params == (shifted_params if spec.flight_id.startswith("shf")
+                               else pool_params)
 
 
 def test_config_error_cases(tmp_path):
@@ -658,6 +685,12 @@ def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, arg
     (("lstm", "train", "batch_size"), "64", "lstm.train.batch_size"),
     (("sindy", "library"), {"trig": 1}, "sindy.library.trig"),
     (("sindy", "threshold"), False, "sindy.threshold"),
+    # a scalar where a list belongs, which used to be split into characters or crash
+    (("maneuvers", "exclude_labels"), "taxiing", "maneuvers.exclude_labels"),
+    (("ffnn", "hidden_layers"), 8, "ffnn.hidden_layers"),
+    (("split", "test"), "smk04", "split.test"),
+    (("features", "inputs"), "COL", "features.inputs"),
+    (("retrain", "augment_ids"), "smk04", "retrain.augment_ids"),
 ])
 def test_exit_code_2_wrong_scalar_type_names_the_key(tmp_path, capsys, path, value, key):
     cfg = make_run(tmp_path, "smoke")
@@ -730,6 +763,19 @@ def test_exit_code_4_divergent_training_saves_no_weights(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ffnn" in err and "epoch 1" in err
     assert not (tmp_path / "out" / "ffnn_weights.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "report"])
+def test_exit_code_2_unknown_model_flag(tmp_path, capsys, command):
+    cfg = make_run(tmp_path, "smoke")
+    try:
+        code = run_cli(command, "--config", cfg, "--model", "forest")
+    except SystemExit as exc:  # argparse refuses it before the config is read
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "forest" in err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_unknown_subcommand():
