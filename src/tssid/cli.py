@@ -35,6 +35,7 @@ only changes verbosity, never results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import logging
@@ -42,7 +43,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 import yaml
@@ -104,7 +105,7 @@ from .sindy import (
     save_model,
     simulate_segments,
 )
-from .synthgen import generate_flight
+from .synthgen import SyntheticFlightSpec, flight_segments, generate_flight
 
 log = logging.getLogger("tssid")
 
@@ -432,28 +433,141 @@ def _segment_csv_name(rec: FlightRecord, index: int, label: str) -> str:
 
 # --- commands ---------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where fork or the mask is unavailable."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _start_on_cpu(k: int) -> None:
+    """Move this process to the k-th CPU of its affinity mask, then allow the whole mask again.
+
+    Linux may leave a forked child on its parent's CPU for all of a short
+    life, with the other CPU idle: measured on a 2-CPU VM, two forked
+    shares took as long as one process writing both.  Starting each
+    process on a CPU of its own avoids that; the scheduler stays free to
+    move it later.
+    """
+    mask = os.sched_getaffinity(0)
+    with contextlib.suppress(OSError):  # a placement hint, never a failure
+        os.sched_setaffinity(0, {sorted(mask)[k % len(mask)]})
+        os.sched_setaffinity(0, mask)
+
+
+def _balanced_shares(sizes: Sequence[int], n_shares: int) -> list[list[int]]:
+    """Split the indices of ``sizes`` into ``n_shares`` shares of near-equal total size.
+
+    Largest first, each to the lightest share so far; ties go to the lower
+    index and the lower share, so the split depends on the sizes alone.
+    Each share lists its indices in ascending order.
+    """
+    shares: list[list[int]] = [[] for _ in range(n_shares)]
+    loads = [0] * n_shares
+    for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _write_flights(specs: Sequence[SyntheticFlightSpec], share: Sequence[int],
+                   flights_dir: Path) -> tuple[int, Exception] | None:
+    """Generate and write the flights of the spec indices in ``share``; the first failure, or None.
+
+    A failure is the failing spec's index with the :class:`TssidError` or
+    ``OSError`` it raised, and ends the share as it ends a serial run.
+    """
+    for i in share:
+        try:
+            rec = generate_flight(specs[i])
+            emit_csv(rec, flights_dir / f"{rec.flight_id}.csv")
+        except (TssidError, OSError) as exc:
+            return i, exc
+        log.info("generated %s: %.1f s, %d samples", rec.flight_id,
+                 rec.duration_s, rec.n_samples)
+    return None
+
+
+def _run_child(k: int, specs: Sequence[SyntheticFlightSpec], share: Sequence[int],
+               flights_dir: Path) -> NoReturn:
+    """The whole life of forked child ``k``: write its share, exit 0 only if all of it was written.
+
+    It leaves by ``os._exit``, so it prints nothing and runs no exit
+    handler or buffer flush of the parent's.
+    """
+    code = 1
+    try:
+        _start_on_cpu(k)
+        if _write_flights(specs, share, flights_dir) is None:
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _generate_flights(specs: Sequence[SyntheticFlightSpec], sizes: Sequence[int],
+                      flights_dir: Path) -> None:
+    """Write every spec's flight CSV, one share of flights per usable CPU.
+
+    The shares balance ``sizes`` (sample counts).  The parent writes the
+    first share and forks a child per other share, each process starting
+    on a CPU of its own (:func:`_start_on_cpu`); each file is a pure
+    function of its spec, so the files equal a serial run's.  Every child
+    is reaped, on success and on error.  A child that exits non-zero, or
+    cannot be forked, has its share written again here, so a failure
+    raises what a serial run raises: the error of the first failing flight
+    in spec order.  ``os.fork`` rather than a process pool: nothing is sent
+    to a child, and the only other thread at this point is OpenBLAS's pool,
+    which shuts itself down across a fork.
+    """
+    shares = _balanced_shares(sizes, max(1, min(_usable_cpus(), len(specs))))
+    children: dict[int, list[int]] = {}
+    redo: list[list[int]] = []
+    try:
+        if len(shares) > 1:
+            _start_on_cpu(0)
+        for k, share in enumerate(shares[1:], start=1):
+            try:
+                pid = os.fork()
+            except OSError:
+                redo.append(share)
+                continue
+            if pid == 0:
+                _run_child(k, specs, share, flights_dir)
+            children[pid] = share
+        failures = [_write_flights(specs, shares[0], flights_dir)]
+    finally:
+        for pid, share in children.items():
+            _, status = os.waitpid(pid, 0)
+            if os.waitstatus_to_exitcode(status) != 0:
+                redo.append(share)
+    failures += [_write_flights(specs, share, flights_dir) for share in redo]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
 def cmd_generate(cfg: RunConfig) -> int:
+    """Synthesize the corpus: one CSV per flight, ``maneuvers.csv`` and the manifest.
+
+    Flights are generated on every CPU in the process's affinity mask (see
+    :func:`_generate_flights`).  The files are byte-identical to a serial
+    run; only the order of ``TSSID_LOG=INFO`` lines may interleave.
+    """
     corpus = _corpus_cfg(cfg)
     t0 = time.perf_counter()
     specs = corpus.build_specs()
+    segments = {spec.flight_id: flight_segments(spec) for spec in specs}
     flights_dir = cfg.data_dir / "flights"
-    outputs = []
-    records = []
-    for spec in specs:
-        rec = generate_flight(spec)
-        path = flights_dir / f"{rec.flight_id}.csv"
-        emit_csv(rec, path)
-        outputs.append(path)
-        records.append(rec)
-        log.info("generated %s: %.1f s, %d samples", rec.flight_id,
-                 rec.duration_s, rec.n_samples)
+    _generate_flights(specs, [segs[-1].end_index for segs in segments.values()],
+                      flights_dir)
     man_path = cfg.data_dir / "maneuvers.csv"
-    save_maneuvers(records, man_path)
-    outputs.append(man_path)
+    save_maneuvers(segments, man_path)
+    outputs = [flights_dir / f"{spec.flight_id}.csv" for spec in specs] + [man_path]
     timings = {"total": time.perf_counter() - t0}
     manifest = _finish(cfg, "generate", cfg.data_dir, outputs, timings,
                        fingerprints={"corpus": _corpus_fingerprint(cfg)})
-    print(f"generated {len(records)} flights in {cfg.data_dir} ({manifest.name})")
+    print(f"generated {len(specs)} flights in {cfg.data_dir} ({manifest.name})")
     return 0
 
 

@@ -4,8 +4,10 @@ Top-level keys: ``seed`` (required), ``paths``, ``corpus``, ``maneuvers``,
 ``split``, ``features``, ``sindy``, ``ffnn``, ``lstm``, ``retrain``,
 ``evaluate``.  Every section names the keys it allows in its one
 :func:`_as_mapping` call, so a typo anywhere fails loudly; a list-valued
-key takes only a YAML list (:func:`_list`); and a value of the wrong type
-is a :class:`ConfigError` naming its dotted key.
+key takes only a YAML list (:func:`_list`), a string-valued one no list or
+mapping (:func:`_str`), and a key with fixed choices one of them
+(:func:`_choice`); and a value of the wrong type is a
+:class:`ConfigError` naming its dotted key.
 
 The result is a :class:`RunConfig` of resolved dataclasses: every default
 is filled in and every derived seed drawn.  Artifact fingerprints
@@ -32,10 +34,12 @@ import yaml
 
 from .errors import ConfigError, IoError
 from .flightdata import FeatureRules
-from .neural import LSTMConfig, MLPConfig, TrainConfig
+from .neural import OPTIMIZERS, LSTMConfig, MLPConfig, TrainConfig
 from .seeding import derive_seed
-from .sindy import LibrarySpec, SINDyConfig
+from .sindy import DERIVATIVE_METHODS, LibrarySpec, SINDyConfig
 from .synthgen import (
+    ODE_ORDERS,
+    PROFILE_KINDS,
     FlightTemplate,
     GroundTruthParams,
     ManeuverProfile,
@@ -117,8 +121,27 @@ def _list(value, key: str) -> list:
     return value
 
 
+def _str(value, key: str) -> str:
+    """A scalar as a string; a list or mapping is a ConfigError naming ``key``.
+
+    A number is taken as its text (YAML reads ``id: 7`` as an integer), but
+    a collection is refused rather than taken as its repr, so
+    ``target: [TRQ]`` does not become the channel ``"['TRQ']"``.
+    """
+    if isinstance(value, (list, Mapping)):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return str(value)
+
+
+def _choice(value, choices: tuple[str, ...], key: str) -> str:
+    """``value`` if it is one of ``choices``; else a ConfigError naming ``key`` and the value."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{key}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _strings(value, key: str) -> tuple[str, ...]:
-    return tuple(str(x) for x in _list(value, key))
+    return tuple(_str(x, f"{key}[{i}]") for i, x in enumerate(_list(value, key)))
 
 
 @dataclass(frozen=True)
@@ -214,7 +237,7 @@ def _parse_ground_truth(raw, context: str, base: GroundTruthParams) -> GroundTru
                                            "noise_sigma", "seed")).items():
         key = f"{context}.{k}"
         if k == "order":
-            over[k] = str(v)
+            over[k] = _choice(v, ODE_ORDERS, key)
         elif k == "seed":
             over[k] = _num(int, v, key)
         elif k == "noise_sigma":
@@ -227,11 +250,11 @@ def _parse_ground_truth(raw, context: str, base: GroundTruthParams) -> GroundTru
 
 def _parse_profile(value, context: str) -> ManeuverProfile:
     raw = _as_mapping(value, context, ("kind", "duration_s", "label") + _PROFILE_NUMBERS)
-    kind = str(_require(raw, "kind", context))
+    kind = _choice(_require(raw, "kind", context), PROFILE_KINDS, f"{context}.kind")
     duration = _num(float, _require(raw, "duration_s", context), f"{context}.duration_s")
     kwargs = {k: _num(float, raw[k], f"{context}.{k}") for k in _PROFILE_NUMBERS if k in raw}
     if "label" in raw:
-        kwargs["label"] = str(raw["label"])
+        kwargs["label"] = _str(raw["label"], f"{context}.label")
     return ManeuverProfile(kind=kind, duration_s=duration, **kwargs)
 
 
@@ -248,7 +271,7 @@ def _parse_template(value, gt: GroundTruthParams,
 
     tpl = FlightTemplate(
         count=number("count", int),
-        id_prefix=str(_require(raw, "id_prefix", context)),
+        id_prefix=_str(_require(raw, "id_prefix", context), f"{context}.id_prefix"),
         duration_s=number("duration_s"),
         wf_low=number("wf_low"),
         wf_high=number("wf_high"),
@@ -258,7 +281,7 @@ def _parse_template(value, gt: GroundTruthParams,
         chirp_f0_hz=number("chirp_f0_hz", default=0.08),
         chirp_f1_hz=number("chirp_f1_hz", default=0.4),
         chirp_amplitude=number("chirp_amplitude") if "chirp_amplitude" in raw else None,
-        seed_salt=str(raw.get("seed_salt", "")),
+        seed_salt=_str(raw.get("seed_salt", ""), f"{context}.seed_salt"),
     )
     return tpl, _parse_ground_truth(raw.get("ground_truth"), f"{context}.ground_truth", gt)
 
@@ -278,7 +301,7 @@ def _parse_corpus(value, seed: int, exclude_labels: tuple[str, ...]) -> CorpusCo
     for i, fl in enumerate(_list(raw.get("flights"), "corpus.flights")):
         ctx = f"corpus.flights[{i}]"
         fl = _as_mapping(fl, ctx, ("id", "maneuvers", "ground_truth", "initial_trq"))
-        fid = str(_require(fl, "id", ctx))
+        fid = _str(_require(fl, "id", ctx), f"{ctx}.id")
         profiles = tuple(
             _parse_profile(p, f"{ctx}.maneuvers[{j}]")
             for j, p in enumerate(_list(_require(fl, "maneuvers", ctx), f"{ctx}.maneuvers"))
@@ -316,7 +339,8 @@ def _parse_sindy(raw: Mapping, context: str, base: SINDyConfig) -> SINDyConfig:
                             f"{context}.max_iterations"),
         ridge_lambda=_num(float, raw.get("ridge_lambda", base.ridge_lambda),
                           f"{context}.ridge_lambda"),
-        derivative_method=str(raw.get("derivative_method", base.derivative_method)),
+        derivative_method=_choice(raw.get("derivative_method", base.derivative_method),
+                                  DERIVATIVE_METHODS, f"{context}.derivative_method"),
         library=lib,
     )
 
@@ -325,7 +349,8 @@ def _parse_train(value, context: str, defaults: TrainConfig) -> TrainConfig:
     raw = _as_mapping(value, context, ("optimizer", "learning_rate", "batch_size", "epochs",
                                        "seed", "shuffle"))
     return TrainConfig(
-        optimizer=str(raw.get("optimizer", defaults.optimizer)),
+        optimizer=_choice(raw.get("optimizer", defaults.optimizer), OPTIMIZERS,
+                          f"{context}.optimizer"),
         learning_rate=_num(float, raw.get("learning_rate", defaults.learning_rate),
                            f"{context}.learning_rate"),
         batch_size=_num(int, raw.get("batch_size", defaults.batch_size),
@@ -368,8 +393,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
 
     paths = _as_mapping(raw.get("paths"), "paths", ("data_dir", "out_dir"))
     base = path.parent
-    data_dir = Path(paths.get("data_dir", "data"))
-    out_dir = Path(paths.get("out_dir", "out"))
+    data_dir = Path(_str(paths.get("data_dir", "data"), "paths.data_dir"))
+    out_dir = Path(_str(paths.get("out_dir", "out"), "paths.out_dir"))
     if not data_dir.is_absolute():
         data_dir = base / data_dir
     if out_override is not None:
@@ -406,7 +431,7 @@ def load_config(path: str | Path, seed_override: int | None = None,
     fe = _as_mapping(raw.get("features"), "features",
                      ("target", "inputs", "exclude", "min_abs_corr", "max_abs_corr"))
     features = FeaturesConfig(
-        target=str(fe.get("target", "TRQ")),
+        target=_str(fe.get("target", "TRQ"), "features.target"),
         inputs=_strings(fe.get("inputs"), "features.inputs"),
         rules=FeatureRules(
             exclude=_strings(fe.get("exclude"), "features.exclude"),

@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ComputationError,
     EmptyDataset,
     EmptySeries,
     FlightSetMismatch,
@@ -96,7 +97,9 @@ def score_model(model_id: str, predictions: Mapping[str, np.ndarray],
 
     ``predictions`` maps flight id to a series as long as the flight;
     every record must have one (:class:`MissingPrediction`).  Only
-    non-excluded maneuvers are scored.  A flight whose mean target is not
+    non-excluded maneuvers are scored, and a prediction inside one that is
+    not finite (a diverged simulation) is a :class:`ComputationError`;
+    outside them NaN is allowed.  A flight whose mean target is not
     positive cannot normalize its errors (:class:`NonPositiveFlightMean`).
     """
     if not records:
@@ -120,8 +123,14 @@ def score_model(model_id: str, predictions: Mapping[str, np.ndarray],
             )
         scores = []
         for seg in rec.scoring_segments():
-            seg_mae = mae(pred[seg.start_index:seg.end_index],
-                          actual[seg.start_index:seg.end_index])
+            seg_pred = pred[seg.start_index:seg.end_index]
+            if not np.isfinite(seg_pred).all():
+                raise ComputationError(
+                    f"model {model_id!r}: prediction for flight {rec.flight_id!r}, "
+                    f"maneuver {seg.label!r} (samples {seg.start_index}-{seg.end_index}) "
+                    "is not finite"
+                )
+            seg_mae = mae(seg_pred, actual[seg.start_index:seg.end_index])
             scores.append(ManeuverScore(seg.label, seg.start_index, seg.end_index,
                                         seg_mae, seg_mae / mean_trq))
         flights.append(FlightScore(rec.flight_id, mean_trq, tuple(scores)))

@@ -452,15 +452,16 @@ def write_float_csv(path: str | Path, header: Sequence[str],
     tmp.replace(path)
 
 
-def save_maneuvers(records: Sequence[FlightRecord], path: str | Path) -> None:
-    """Write the maneuver annotations of several flights to one CSV."""
+def save_maneuvers(maneuvers: Mapping[str, Sequence[ManeuverSegment]],
+                   path: str | Path) -> None:
+    """Write flight_id -> segments (as :func:`load_maneuvers` returns) to one CSV."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["flight_id,label,start_index,end_index,excluded"]
-    for rec in records:
-        for seg in rec.maneuvers:
+    for flight_id, segments in maneuvers.items():
+        for seg in segments:
             lines.append(
-                f"{rec.flight_id},{seg.label},{seg.start_index},"
+                f"{flight_id},{seg.label},{seg.start_index},"
                 f"{seg.end_index},{int(seg.excluded)}"
             )
     tmp = path.with_suffix(path.suffix + ".tmp")

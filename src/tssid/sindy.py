@@ -28,6 +28,7 @@ machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -636,7 +637,13 @@ def save_model(model: SparseModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> SparseModel:
-    """Read a model written by :func:`save_model` (exact round-trip)."""
+    """Read a model written by :func:`save_model` (exact round-trip).
+
+    A file that no fit could have written is an :class:`IoError`: a
+    malformed header or fit settings no config accepts, an ``order`` other
+    than the number of ``states``, an unknown equation or term, or a
+    coefficient that is not finite.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -668,8 +675,11 @@ def load_model(path: str | Path) -> SparseModel:
             ),
         )
         rmse = tuple(float(x) for x in header["residual_rmse"].split(","))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, LengthMismatch, DegreeTooHigh) as exc:
         raise IoError(f"{path}: malformed model header: {exc}") from exc
+    if order not in (1, 2) or len(state_names) != order:
+        raise IoError(f"{path}: order {order} does not match the states "
+                      f"{','.join(state_names)}")
     expo, trg, labels = build_term_encoding(state_names, input_names, config.library)
     index = {lb: j for j, lb in enumerate(labels)}
     xi = np.zeros((len(state_names), len(labels)))
@@ -688,9 +698,12 @@ def load_model(path: str | Path) -> SparseModel:
         if eq < 0:
             raise IoError(f"{path}: coefficient before any equation header")
         try:
-            xi[eq, index[label]] = float(val)
+            coef = float(val)
         except ValueError as exc:
             raise IoError(f"{path}: bad coefficient for {label!r}: {exc}") from None
+        if not math.isfinite(coef):
+            raise IoError(f"{path}: coefficient for {label!r} is not finite: {coef!r}")
+        xi[eq, index[label]] = coef
     return SparseModel(
         order=order,
         state_names=state_names,

@@ -36,6 +36,7 @@ from .flightdata import CHANNEL_UNITS, Channel, FlightRecord, ManeuverSegment
 from .seeding import derive_seed
 
 PROFILE_KINDS = ("hold", "ramp", "step", "chirp")
+ODE_ORDERS = ("first", "second")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class GroundTruthParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.order not in ("first", "second"):
+        if self.order not in ODE_ORDERS:
             raise UnstableParameters(f"unknown ODE order {self.order!r}")
         if self.order == "first" and self.b <= 0:
             raise UnstableParameters(f"first-order plant needs b > 0, got b={self.b}")
@@ -243,6 +244,20 @@ class SyntheticFlightSpec:
     excluded_labels: tuple[str, ...] = ()
 
 
+def flight_segments(spec: SyntheticFlightSpec) -> tuple[ManeuverSegment, ...]:
+    """The maneuver annotations of ``spec``'s flight, excluded labels marked.
+
+    Draws nothing, so the annotations (and the flight's sample count, the
+    last segment's end) are known without generating the flight.
+    """
+    segs = profile_segments(spec.profiles, spec.sample_rate_hz)
+    if not spec.excluded_labels:
+        return segs
+    ex = set(spec.excluded_labels)
+    return tuple(ManeuverSegment(s.label, s.start_index, s.end_index, s.label in ex)
+                 for s in segs)
+
+
 def generate_flight(spec: SyntheticFlightSpec) -> FlightRecord:
     """Generate the full channel set for one flight."""
     fs = spec.sample_rate_hz
@@ -265,14 +280,7 @@ def generate_flight(spec: SyntheticFlightSpec) -> FlightRecord:
             base = AUX_CHANNEL_MAPS[name].apply(wf_clean)
         channels.append(Channel(name, CHANNEL_UNITS[name], noisy(name, base)))
 
-    segs = profile_segments(spec.profiles, fs)
-    if spec.excluded_labels:
-        ex = set(spec.excluded_labels)
-        segs = tuple(
-            ManeuverSegment(s.label, s.start_index, s.end_index, s.label in ex)
-            for s in segs
-        )
-    return FlightRecord(spec.flight_id, fs, tuple(channels), segs)
+    return FlightRecord(spec.flight_id, fs, tuple(channels), flight_segments(spec))
 
 
 # --- corpus templates ---------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -656,9 +657,33 @@ def _garble_corpus_manifest(tmp: Path) -> None:
     (tmp / "data" / "manifest_generate.json").write_text("[1, 2]\n", encoding="utf-8")
 
 
+def _edit_sindy1_model(name: str, pattern: str, repl: str):
+    """Damage ``name`` that replaces the first match of ``pattern`` in the stamped sindy1 model."""
+    def damage(tmp: Path) -> None:
+        model = tmp / "out" / "sindy1_model.txt"
+        text, n = re.subn(pattern, repl, model.read_text(encoding="utf-8"), count=1)
+        assert n == 1
+        model.write_text(text, encoding="utf-8")
+    damage.__name__ = name
+    return damage
+
+
+_SIMULATE_1 = ("simulate", "--order", "1")
+
+
 @pytest.mark.parametrize("damage, argv, name", [
     (_truncate_weights, ("evaluate", "--model", "ffnn"), "ffnn_weights.bin"),
     (_garble_corpus_manifest, ("ingest",), "manifest_generate.json"),
+    # model files no fit writes, which used to integrate to NaN or crash
+    (_edit_sindy1_model("_nan_coefficient", r"\t.*", "\tnan"), _SIMULATE_1,
+     "sindy1_model.txt"),
+    (_edit_sindy1_model("_inf_coefficient", r"\t.*", "\t-inf"), _SIMULATE_1,
+     "sindy1_model.txt"),
+    (_edit_sindy1_model("_order_9", r"order: 1", "order: 9"), _SIMULATE_1, "sindy1_model.txt"),
+    (_edit_sindy1_model("_unknown_derivative_method", r"derivative_method: .*",
+                        "derivative_method: spline"), _SIMULATE_1, "sindy1_model.txt"),
+    (_edit_sindy1_model("_library_degree_9", r"library_degree: .*", "library_degree: 9"),
+     _SIMULATE_1, "sindy1_model.txt"),
 ])
 def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, argv, name):
     shutil.copytree(smoke_run["data"], tmp_path / "data")
@@ -669,6 +694,23 @@ def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, arg
     err = capsys.readouterr().err
     assert name in err
     assert "Traceback" not in err
+
+
+def test_exit_code_4_diverged_simulation_writes_no_score(tmp_path, capsys, smoke_run):
+    # a finite coefficient so large that the simulation overflows to inf and NaN
+    shutil.copytree(smoke_run["data"], tmp_path / "data")
+    shutil.copytree(smoke_run["out"], tmp_path / "out")
+    _edit_sindy1_model("_huge_coefficient", r"\t.*", "\t1e308")(tmp_path)
+    good = {name: (tmp_path / "out" / name).read_bytes()
+            for name in ("eval_sindy1.txt", "comparison.csv")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        assert run_cli("evaluate", "--model", "sindy1", "--config",
+                       make_run(tmp_path, "smoke")) == 4
+    err = capsys.readouterr().err
+    assert "'sindy1'" in err and "'smk04'" in err and "not finite" in err
+    assert "Traceback" not in err
+    assert good == {name: (tmp_path / "out" / name).read_bytes() for name in good}
 
 
 @pytest.mark.parametrize("path, value, key", [
@@ -691,8 +733,20 @@ def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, arg
     (("split", "test"), "smk04", "split.test"),
     (("features", "inputs"), "COL", "features.inputs"),
     (("retrain", "augment_ids"), "smk04", "retrain.augment_ids"),
+    # a list where a string belongs, which used to be read as its repr or crash
+    (("maneuvers", "exclude_labels"), [["taxiing"]], "maneuvers.exclude_labels[0]"),
+    (("features", "target"), ["TRQ"], "features.target"),
+    (("paths", "out_dir"), [1], "paths.out_dir"),
 ])
 def test_exit_code_2_wrong_scalar_type_names_the_key(tmp_path, capsys, path, value, key):
+    assert run_cli("split", "--config", _smoke_with(tmp_path, path, value)) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected" in err
+    assert "Traceback" not in err
+
+
+def _smoke_with(tmp_path: Path, path: tuple[str, ...], value) -> Path:
+    """The smoke preset with the key at ``path`` set to ``value``."""
     cfg = make_run(tmp_path, "smoke")
     raw = yaml.safe_load(cfg.read_text(encoding="utf-8"))
     section = raw
@@ -700,9 +754,25 @@ def test_exit_code_2_wrong_scalar_type_names_the_key(tmp_path, capsys, path, val
         section = section[part]
     section[path[-1]] = value
     cfg.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
-    assert run_cli("split", "--config", cfg) == 2
+    return cfg
+
+
+@pytest.mark.parametrize("path, value, key, given", [
+    (("sindy", "second", "derivative_method"), ["central"], "sindy.second.derivative_method",
+     ["central"]),
+    (("sindy", "derivative_method"), "spline", "sindy.derivative_method", "spline"),
+    (("ffnn", "train", "optimizer"), {"rmsprop": 1}, "ffnn.train.optimizer", {"rmsprop": 1}),
+    (("lstm", "train", "optimizer"), "sgd", "lstm.train.optimizer", "sgd"),
+    (("corpus", "ground_truth", "order"), "third", "corpus.ground_truth.order", "third"),
+    (("corpus", "flights"), [{"id": "x", "maneuvers": [{"kind": "glide", "duration_s": 5}]}],
+     "corpus.flights[0].maneuvers[0].kind", "glide"),
+])
+def test_exit_code_2_bad_choice_names_the_key_and_the_value(tmp_path, capsys, path, value,
+                                                            key, given):
+    assert run_cli("split", "--config", _smoke_with(tmp_path, path, value)) == 2
     err = capsys.readouterr().err
-    assert f"{key}: expected" in err
+    assert f"{key}: expected one of" in err
+    assert repr(given) in err
     assert "Traceback" not in err
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import toy_record
 from tssid.errors import (
+    ComputationError,
     EmptyDataset,
     EmptySeries,
     FlightSetMismatch,
@@ -127,6 +128,21 @@ def test_score_model_rejects_non_positive_flight_mean():
     zero = FlightRecord("zero", 10.0, (Channel("TRQ", "Nm", np.zeros(4)),))
     with pytest.raises(NonPositiveFlightMean):
         score_model("m", {"zero": np.ones(4)}, [zero])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_score_model_refuses_a_non_finite_prediction_inside_a_scored_maneuver(bad):
+    segs = (ManeuverSegment("taxiing", 0, 20, excluded=True), ManeuverSegment("hover", 20, 60))
+    rec = toy_record("fl07", segments=segs)
+    pred = rec.values("TRQ") + 1.0
+    pred[:20] = np.nan  # padding outside the scored maneuvers is allowed
+    assert score_model("sindy2", {"fl07": pred}, [rec]).overall_rmae > 0
+    pred[45] = bad
+    with pytest.raises(ComputationError) as info:
+        score_model("sindy2", {"fl07": pred}, [rec])
+    assert info.value.exit_code == 4
+    for name in ("'sindy2'", "'fl07'", "'hover'", "not finite"):
+        assert name in str(info.value)
 
 
 def test_score_model_homogeneity():

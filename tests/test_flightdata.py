@@ -458,7 +458,7 @@ def test_maneuvers_save_load_round_trip(tmp_path):
         toy_record("b", segments=(ManeuverSegment("cruise", 0, 60),)),
     ]
     p = tmp_path / "maneuvers.csv"
-    save_maneuvers(recs, p)
+    save_maneuvers({rec.flight_id: rec.maneuvers for rec in recs}, p)
     loaded = load_maneuvers(p)
     assert set(loaded) == {"a", "b"}
     assert loaded["a"] == recs[0].maneuvers
