@@ -63,6 +63,7 @@ from .flightdata import (
     DEFAULT_FEATURES,
     DatasetSplit,
     FlightRecord,
+    atomic_open,
     correlation_matrix,
     filter_maneuvers,
     file_sha256,
@@ -97,13 +98,11 @@ from .neural import (
 from .seeding import derive_seed
 from .sindy import (
     SparseModel,
-    differentiate,
-    fit_first_order,
-    fit_second_order,
+    fit_sparse,
     format_equations,
     load_model,
     save_model,
-    simulate_segments,
+    simulate_observed,
 )
 from .synthgen import SyntheticFlightSpec, flight_segments, generate_flight
 
@@ -115,10 +114,8 @@ NET_KINDS = ("ffnn", "lstm")
 # --- small helpers -----------------------------------------------------------
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _relpaths(base: Path, paths: Sequence[Path]) -> tuple[str, ...]:
@@ -182,7 +179,8 @@ def _model_fingerprint(cfg: RunConfig, model_id: str, train_ids: Sequence[str],
     if model_id in NET_KINDS:
         return fingerprint(model_id, corpus, train_ids, val_ids, cfg.features,
                            _net_settings(cfg, model_id))
-    return fingerprint(model_id, corpus, train_ids, cfg.sindy_config(_sindy_order(model_id)))
+    order = int(model_id.removeprefix("sindy"))
+    return fingerprint(model_id, corpus, train_ids, cfg.sindy_config(order))
 
 
 def _eval_fingerprint(cfg: RunConfig, model_fp: str, test_ids: Sequence[str]) -> str:
@@ -223,7 +221,7 @@ def _load_records(cfg: RunConfig,
     files = {}
     segments = {}
     if man_path.exists():
-        segments = load_maneuvers(man_path)
+        segments = load_maneuvers(man_path, corpus.flight_ids)
         files[man_path.name] = file_sha256(man_path)
     records = []
     for fid in ids:
@@ -333,10 +331,6 @@ def _model_path(cfg: RunConfig, model_id: str) -> Path:
     return cfg.out_dir / f"{model_id}_{suffix}"
 
 
-def _sindy_order(model_id: str) -> int:
-    return 1 if model_id == "sindy1" else 2
-
-
 def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
     """The fitted or trained model, refused unless its stamp is fresh."""
     path = _model_path(cfg, model_id)
@@ -348,8 +342,8 @@ def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
     return model
 
 
-def _simulate_flights(model: SparseModel, records: Sequence[FlightRecord],
-                      derivative_method: str) -> dict[str, np.ndarray]:
+def _simulate_flights(model: SparseModel,
+                      records: Sequence[FlightRecord]) -> dict[str, np.ndarray]:
     """Each flight's full-length prediction; NaN outside its scoring segments.
 
     The scoring segments of all flights are integrated in one batched pass.
@@ -359,15 +353,9 @@ def _simulate_flights(model: SparseModel, records: Sequence[FlightRecord],
         return {}
     dt = records[0].dt
     segs = [(rec, seg) for rec in records for seg in rec.scoring_segments()]
-    trqs = [rec.values(model.state_names[0])[s.start_index:s.end_index] for rec, s in segs]
-    us = [rec.values(model.input_names[0])[s.start_index:s.end_index] for rec, s in segs]
-    x0s = [trq[0] for trq in trqs]
-    if model.order == 1:
-        trajs = simulate_segments(model, us, dt, x0s)
-    else:
-        xdot0s = [differentiate(trq, dt, derivative_method)[0] for trq in trqs]
-        u_dots = [differentiate(u, dt, derivative_method) for u in us]
-        trajs = simulate_segments(model, us, dt, x0s, xdot0s, u_dots)
+    xs, us = ([rec.values(nm)[s.start_index:s.end_index] for rec, s in segs]
+              for nm in (model.state_names[0], model.input_names[0]))
+    trajs = simulate_observed(model, xs, us, dt)
     preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
     for (rec, seg), traj in zip(segs, trajs):
         preds[rec.flight_id][seg.start_index:seg.end_index] = traj.states[:, 0]
@@ -420,10 +408,9 @@ def _predictions_for(cfg: RunConfig, model_id: str, records: Sequence[FlightReco
         return {r.flight_id: predict_series(model, r) for r in records}, model.fingerprint, None
     sim_fp = _sim_fingerprint(cfg, model_id, model, test_ids, corpus_files)
     preds = _read_simulation(cfg, model_id, records, sim_fp)
-    if preds is not None:
-        return preds, model.fingerprint, sim_fp
-    method = cfg.sindy_config(_sindy_order(model_id)).derivative_method
-    return _simulate_flights(model, records, method), model.fingerprint, None
+    if preds is None:
+        preds, sim_fp = _simulate_flights(model, records), None
+    return preds, model.fingerprint, sim_fp
 
 
 def _segment_csv_name(rec: FlightRecord, index: int, label: str) -> str:
@@ -634,11 +621,7 @@ def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
     fps = {"corpus": _corpus_fingerprint(cfg)}
     for order in orders:
         t1 = time.perf_counter()
-        scfg = cfg.sindy_config(order)
-        if order == 1:
-            model = fit_first_order(train_recs, scfg)
-        else:
-            model = fit_second_order(train_recs, scfg)
+        model = fit_sparse(train_recs, order, cfg.sindy_config(order))
         mp = _model_path(cfg, f"sindy{order}")
         fps[mp.name] = _model_fingerprint(cfg, f"sindy{order}", split.train_ids,
                                           split.val_ids)
@@ -672,7 +655,6 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
         wp = _model_path(cfg, kind)
         fps[wp.name] = _model_fingerprint(cfg, kind, split.train_ids, split.val_ids)
         net = _train_one(cfg, kind, train_recs, val_recs, inputs, fps[wp.name])
-        wp.parent.mkdir(parents=True, exist_ok=True)
         save_net(net, wp)
         lp = cfg.out_dir / f"{kind}_loss.csv"
         _write_text(lp, _loss_csv(net))
@@ -700,7 +682,7 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
         fps[_model_path(cfg, model_id).name] = model.fingerprint
         fps[f"sim_{model_id}"] = _sim_fingerprint(cfg, model_id, model, test_ids,
                                                   corpus_files)
-        preds = _simulate_flights(model, test_recs, cfg.sindy_config(order).derivative_method)
+        preds = _simulate_flights(model, test_recs)
         sim_dir = cfg.out_dir / f"sim_{model_id}"
         for rec in test_recs:
             pred = preds[rec.flight_id]
@@ -802,7 +784,6 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
             net = _train_one(cfg, kind, train_recs, val_recs, inputs,
                              _model_fingerprint(cfg, kind, train_ids, split.val_ids))
             wp = rt_dir / f"{kind}_{phase}_weights.bin"
-            wp.parent.mkdir(parents=True, exist_ok=True)
             save_net(net, wp)
             outputs.append(wp)
             preds = {r.flight_id: predict_series(net, r) for r in eval_recs}

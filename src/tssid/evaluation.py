@@ -30,7 +30,7 @@ from .errors import (
     MissingPrediction,
     NonPositiveFlightMean,
 )
-from .flightdata import FlightRecord, write_float_csv
+from .flightdata import FlightRecord, atomic_open, write_float_csv
 
 
 def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -180,8 +180,6 @@ _REPORT_MAGIC = "tssid eval report v1"
 
 def save_report(report: EvalReport, path: str | Path) -> None:
     """Plain-text report; floats use exact repr round-trip."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         _REPORT_MAGIC,
         f"model: {report.model_id}",
@@ -198,9 +196,8 @@ def save_report(report: EvalReport, path: str | Path) -> None:
                 f"  maneuver: {m.label}\t[{m.start_index},{m.end_index})"
                 f"\tmae={repr(m.mae)}\trmae={repr(m.rmae)}"
             )
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_report(path: str | Path) -> EvalReport:
@@ -252,16 +249,12 @@ def load_report(path: str | Path) -> EvalReport:
 
 def write_comparison_csv(table: ComparisonTable, path: str | Path) -> None:
     """CSV with one row per flight plus an overall row."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = [["flight_id"] + list(table.model_ids)]
     for r, fid in enumerate(table.flight_ids):
         rows.append([fid] + [repr(float(v)) for v in table.per_flight[r]])
     rows.append(["overall"] + [repr(float(v)) for v in table.overall])
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-    tmp.replace(path)
 
 
 def write_overlay_csv(path: str | Path, time_s: np.ndarray, actual: np.ndarray,

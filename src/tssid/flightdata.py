@@ -15,6 +15,7 @@ exclusive and ``excluded`` is 0 or 1.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -22,7 +23,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -43,6 +44,7 @@ from .errors import (
 )
 
 TIME_COLUMN = "time_s"
+MANEUVER_COLUMNS = ("flight_id", "label", "start_index", "end_index", "excluded")
 
 # Channel catalogue: name -> physical unit.
 CHANNEL_UNITS: dict[str, str] = {
@@ -428,6 +430,23 @@ def emit_csv(record: FlightRecord, path: str | Path) -> None:
                     [time_s] + [record.values(n) for n in names])
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator:
+    """Open ``<path>.tmp`` for writing; it replaces ``path`` when the block ends.
+
+    ``mode`` is ``"w"`` (UTF-8 text, ``\\n`` written as given) or ``"wb"``.
+    The parent directory is created.  A reader of ``path`` sees the old
+    file or the whole new one, never a partial write.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    with open(tmp, mode, **text) as fh:
+        yield fh
+    tmp.replace(path)
+
+
 def write_float_csv(path: str | Path, header: Sequence[str],
                     columns: Sequence[np.ndarray]) -> None:
     """Write equal-length float columns as a CSV, atomically.
@@ -442,58 +461,81 @@ def write_float_csv(path: str | Path, header: Sequence[str],
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise LengthMismatch(f"{path.name}: CSV columns must share one length")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _CSV_BLOCK_ROWS):
             rows = zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in cols))
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
-    tmp.replace(path)
 
 
 def save_maneuvers(maneuvers: Mapping[str, Sequence[ManeuverSegment]],
                    path: str | Path) -> None:
     """Write flight_id -> segments (as :func:`load_maneuvers` returns) to one CSV."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["flight_id,label,start_index,end_index,excluded"]
+    lines = [",".join(MANEUVER_COLUMNS)]
     for flight_id, segments in maneuvers.items():
         for seg in segments:
             lines.append(
                 f"{flight_id},{seg.label},{seg.start_index},"
                 f"{seg.end_index},{int(seg.excluded)}"
             )
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def load_maneuvers(path: str | Path) -> dict[str, tuple[ManeuverSegment, ...]]:
-    """Read a maneuver annotation CSV; returns flight_id -> segments."""
+def _maneuver_row(path: Path, r: int, row: Sequence[str],
+                  flight_ids: Collection[str] | None) -> tuple[str, ManeuverSegment]:
+    def bad(why: str) -> MalformedCsv:
+        return MalformedCsv(f"{path}: data row {r}: {why}")
+
+    if len(row) != len(MANEUVER_COLUMNS):
+        raise bad(f"{len(row)} cells, expected {len(MANEUVER_COLUMNS)}")
+    flight_id, label, start, end, excluded = row
+    if flight_ids is not None and flight_id not in flight_ids:
+        raise bad(f"flight {flight_id!r} is not in the corpus")
+    if excluded not in ("0", "1"):
+        raise bad(f"excluded must be 0 or 1, got {excluded!r}")
+    try:
+        return flight_id, ManeuverSegment(label, int(start), int(end), excluded == "1")
+    except (ValueError, LengthMismatch) as exc:
+        raise bad(str(exc)) from None
+
+
+def load_maneuvers(path: str | Path, flight_ids: Collection[str] | None = None
+                   ) -> dict[str, tuple[ManeuverSegment, ...]]:
+    """Read a maneuver annotation CSV; returns flight_id -> segments.
+
+    The header must be exactly ``MANEUVER_COLUMNS``.  A row needs five
+    cells, integer indices with ``0 <= start_index < end_index``,
+    ``excluded`` 0 or 1, a flight among ``flight_ids`` when given, and no
+    overlap with another segment of its flight.  Anything else is a
+    :class:`MalformedCsv` naming the file and the 1-based data row.
+    """
     path = Path(path)
+    out: dict[str, list[tuple[int, ManeuverSegment]]] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            out: dict[str, list[ManeuverSegment]] = {}
+            reader = csv.reader(fh)
             try:
+                header = next(reader, None)
+                if header != list(MANEUVER_COLUMNS):
+                    raise MalformedCsv(f"{path}: header must be {','.join(MANEUVER_COLUMNS)}, "
+                                       f"got {'nothing' if header is None else ','.join(header)}")
                 for r, row in enumerate(reader, start=1):
-                    try:
-                        seg = ManeuverSegment(
-                            label=row["label"],
-                            start_index=int(row["start_index"]),
-                            end_index=int(row["end_index"]),
-                            excluded=bool(int(row["excluded"])),
-                        )
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise NonNumericCell(r, "maneuvers", str(exc)) from None
-                    out.setdefault(row["flight_id"], []).append(seg)
+                    flight_id, seg = _maneuver_row(path, r, row, flight_ids)
+                    out.setdefault(flight_id, []).append((r, seg))
             except (UnicodeDecodeError, csv.Error) as exc:
-                # DictReader.line_num lags the failed line; its reader's does not
-                raise _malformed(path, reader.reader, exc) from None
+                raise _malformed(path, reader, exc) from None
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return {k: tuple(v) for k, v in out.items()}
+    for flight_id, rows in out.items():
+        ordered = sorted(rows, key=lambda rs: rs[1].start_index)
+        for (r0, a), (r1, b) in zip(ordered, ordered[1:]):
+            if b.start_index < a.end_index:
+                raise MalformedCsv(
+                    f"{path}: data row {r1}: flight {flight_id!r} segment "
+                    f"{b.label!r} [{b.start_index},{b.end_index}) overlaps "
+                    f"{a.label!r} [{a.start_index},{a.end_index}) of data row {r0}")
+    return {k: tuple(seg for _, seg in v) for k, v in out.items()}
 
 
 def filter_maneuvers(record: FlightRecord, exclude_labels: Iterable[str]) -> FlightRecord:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import FingerprintMismatch, IoError
+from .flightdata import atomic_open
 
 
 def fingerprint(*parts) -> str:
@@ -81,14 +82,11 @@ def manifest_path(out_dir: str | Path, command: str) -> Path:
 
 
 def write_manifest(out_dir: str | Path, manifest: RunManifest) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = dict(manifest.stable_payload())
     payload["timings"] = {k: round(float(v), 6) for k, v in sorted(manifest.timings.items())}
     target = manifest_path(out_dir, manifest.command)
-    tmp = target.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(target)
+    with atomic_open(target) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target
 
 

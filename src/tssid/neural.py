@@ -39,7 +39,8 @@ from .errors import (
     SeriesTooShort,
     ShapeMismatch,
 )
-from .flightdata import FlightRecord, ManeuverSegment, ScalerParams, scale_series, unscale_series
+from .flightdata import (FlightRecord, ManeuverSegment, ScalerParams, atomic_open, scale_series,
+                         unscale_series)
 from .seeding import derive_seed
 
 OPTIMIZERS = ("rmsprop", "adam")
@@ -507,8 +508,6 @@ def save_net(net: TrainedNet, path: str | Path) -> None:
     The header is serialized with sorted keys and the params hold exact
     bit patterns, so identical nets produce identical bytes.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     mc = net.model_config
     if net.kind == "ffnn":
         model = {"type": "mlp", "input_dim": mc.input_dim,
@@ -534,13 +533,11 @@ def save_net(net: TrainedNet, path: str | Path) -> None:
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = net.params.astype("<f8").tobytes()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_NET_MAGIC)
         fh.write(struct.pack(">Q", len(blob)))
         fh.write(blob)
         fh.write(payload)
-    tmp.replace(path)
 
 
 def load_net(path: str | Path) -> TrainedNet:

@@ -4,11 +4,14 @@ The model class is a sparse linear combination of library terms:
 
     dX_s/dt = sum_j  Xi[s, j] * theta_j(states, inputs)
 
-First-order fits regress dTRQ/dt on a library over (TRQ, WF).  Second-
-order fits first augment the data with TRQ', TRQ'' and WF' (computed per
-maneuver segment, never across boundaries), then regress TRQ'' on a
-library over (TRQ, TRQ', WF, WF'); the first state equation
-d(TRQ)/dt = TRQ' is structural.
+One fit, :func:`fit_sparse`, serves both orders.  For each scoring
+segment it takes the derivative stack of the state (TRQ, TRQ', ... up to
+the order's derivative) and of the control (WF, ... one derivative fewer),
+inside the segment only, by ``SINDyConfig.derivative_method``.  The
+stacks give the library's states (TRQ at order 1; TRQ, TRQ' at order 2),
+the regression target (the state's last derivative) and the inputs (WF;
+WF, WF').  The order sets only these counts, the names, and the
+structural equations d(TRQ)/dt = TRQ_dot of a second-order model.
 
 Coefficients come from sequentially thresholded least squares (STLSQ):
 columns of the library matrix are RMS-normalized, a (optionally ridge-
@@ -20,10 +23,13 @@ coefficients are reported on physical scale.
 Library terms are evaluated by ``tssid.kernels.library_terms``, both for
 the design matrix and inside the integrator.  Fitted models are integrated
 by fixed-step RK4 with linearly interpolated inputs
-(``tssid.kernels.rk4_sparse``), all segments of a flight in one batched
+(``tssid.kernels.rk4_sparse``), any number of segments in one batched
 pass; the integrator also carries running integrals of every state and
 input so that linear first integrals of the model can be checked to
-machine precision.
+machine precision.  :func:`simulate_observed` starts each segment from
+the same derivative stacks of the observed series, by the method stored
+in the model (``model.config.derivative_method``), so a simulation
+differentiates the data as its fit did.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import numpy as np
 from . import kernels
 from .errors import (
     ComputationError,
+    ConfigError,
     DegreeTooHigh,
     EmptyDataset,
     IoError,
@@ -48,7 +55,7 @@ from .errors import (
     RankDeficient,
     SeriesTooShort,
 )
-from .flightdata import FlightRecord
+from .flightdata import FlightRecord, atomic_open
 
 DERIVATIVE_METHODS = ("central", "smoothed_central")
 
@@ -337,114 +344,62 @@ class SparseModel:
         }
 
 
-def _segment_arrays(flight: FlightRecord, state: str, control: str,
-                    min_len: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    out = []
-    dt = flight.dt
-    for seg in flight.scoring_segments():
-        if seg.n_samples < min_len:
-            raise SeriesTooShort(
-                f"flight {flight.flight_id!r}: segment {seg.label!r} has "
-                f"{seg.n_samples} samples, need >= {min_len}"
-            )
-        x = flight.values(state)[seg.start_index:seg.end_index]
-        u = flight.values(control)[seg.start_index:seg.end_index]
-        out.append((x, u, dt))
-    return out
+def _derivative_stack(series: np.ndarray, dt: float, k: int, method: str) -> list[np.ndarray]:
+    """``series`` and its first ``k`` derivatives, each taken from the one before."""
+    stack = [series]
+    for _ in range(k):
+        stack.append(differentiate(stack[-1], dt, method))
+    return stack
 
 
-def fit_first_order(flights: Sequence[FlightRecord], config: SINDyConfig = SINDyConfig(),
-                    state: str = "TRQ", control: str = "WF") -> SparseModel:
-    """Fit d(state)/dt = Xi . theta(state, control) over all non-excluded segments."""
-    if not flights:
-        raise EmptyDataset("fit_first_order needs at least one flight")
-    xs, us, dxs = [], [], []
-    for fl in flights:
-        for x, u, dt in _segment_arrays(fl, state, control, 3):
-            xs.append(x)
-            us.append(u)
-            dxs.append(differentiate(x, dt, config.derivative_method))
-    x_all = np.concatenate(xs)
-    u_all = np.concatenate(us)
-    dx_all = np.concatenate(dxs)
-    design = build_library(x_all, u_all, config.library, (state,), (control,))
-    xi = stlsq(design.values, dx_all, config.threshold,
-               config.max_iterations, config.ridge_lambda)
-    resid = design.values @ xi[0] - dx_all
-    rmse = float(np.sqrt(np.mean(resid * resid)))
-    return SparseModel(
-        order=1,
-        state_names=(state,),
-        input_names=(control,),
-        xi=xi,
-        labels=design.labels,
-        expo=design.expo,
-        trig=design.trig,
-        config=config,
-        residual_rmse=(rmse,),
-    )
+def _segment_rows(flights: Sequence[FlightRecord], order: int, method: str, state: str,
+                  control: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Library states, inputs and target, from each scoring segment's derivative stacks.
 
-
-def augment_second_order(flights: Sequence[FlightRecord],
-                         config: SINDyConfig = SINDyConfig(),
-                         state: str = "TRQ", control: str = "WF"):
-    """Per-segment derivative augmentation for the second-order fit.
-
-    Returns (X, U, d2x): X = [state, state'], U = [control, control'],
-    d2x the second derivative target.  Derivatives are computed inside
-    each segment only; segments need at least 5 samples.
+    The target gets an array of its own: BLAS would sum a strided column
+    of a wider array in another order.
     """
-    if not flights:
-        raise EmptyDataset("augment_second_order needs at least one flight")
-    xs, dxs, d2xs, us, dus = [], [], [], [], []
+    min_len = 2 * order + 1
+    stacks = []
     for fl in flights:
-        for x, u, dt in _segment_arrays(fl, state, control, 5):
-            dx = differentiate(x, dt, config.derivative_method)
-            d2x = differentiate(dx, dt, config.derivative_method)
-            du = differentiate(u, dt, config.derivative_method)
-            xs.append(x)
-            dxs.append(dx)
-            d2xs.append(d2x)
-            us.append(u)
-            dus.append(du)
-    X = np.column_stack([np.concatenate(xs), np.concatenate(dxs)])
-    U = np.column_stack([np.concatenate(us), np.concatenate(dus)])
-    return X, U, np.concatenate(d2xs)
+        for seg in fl.scoring_segments():
+            if seg.n_samples < min_len:
+                raise SeriesTooShort(f"flight {fl.flight_id!r}: segment {seg.label!r} has "
+                                     f"{seg.n_samples} samples, need >= {min_len}")
+            x, u = (fl.values(nm)[seg.start_index:seg.end_index] for nm in (state, control))
+            stacks.append(_derivative_stack(x, fl.dt, order, method)
+                          + _derivative_stack(u, fl.dt, order - 1, method))
+    cols = list(zip(*stacks))
+    X, U = (np.column_stack([np.concatenate(c) for c in part])
+            for part in (cols[:order], cols[order + 1:]))
+    return X, U, np.concatenate(cols[order])
 
 
-def fit_second_order(flights: Sequence[FlightRecord], config: SINDyConfig = SINDyConfig(),
-                     state: str = "TRQ", control: str = "WF") -> SparseModel:
-    """Fit state'' = Xi . theta(state, state', control, control').
+def fit_sparse(flights: Sequence[FlightRecord], order: int,
+               config: SINDyConfig = SINDyConfig(), state: str = "TRQ",
+               control: str = "WF") -> SparseModel:
+    """Fit state^(order) = Xi . theta(state..state^(order-1), control..control^(order-1)).
 
-    The returned model has two equations: the structural
-    d(state)/dt = state' and the fitted second equation.
+    Every scoring segment, of at least ``2*order + 1`` samples, contributes
+    its samples.  A second-order model has two equations: the structural
+    d(state)/dt = state_dot, and the fitted second one.
     """
-    X, U, d2x = augment_second_order(flights, config, state, control)
-    s_names = (state, f"{state}_dot")
-    i_names = (control, f"{control}_dot")
+    if order not in (1, 2):
+        raise ConfigError(f"order must be 1 or 2, got {order}")
+    if not flights:
+        raise EmptyDataset("fit_sparse needs at least one flight")
+    X, U, target = _segment_rows(flights, order, config.derivative_method, state, control)
+    s_names, i_names = ((nm, f"{nm}_dot")[:order] for nm in (state, control))
     design = build_library(X, U, config.library, s_names, i_names)
-    xi_row = stlsq(design.values, d2x, config.threshold,
+    xi = np.zeros((order, len(design.labels)))
+    for s in range(order - 1):
+        xi[s, design.labels.index(s_names[s + 1])] = 1.0
+    xi[-1] = stlsq(design.values, target, config.threshold,
                    config.max_iterations, config.ridge_lambda)[0]
-    resid = design.values @ xi_row - d2x
+    resid = design.values @ xi[-1] - target
     rmse = float(np.sqrt(np.mean(resid * resid)))
-    try:
-        dot_idx = design.labels.index(f"{state}_dot")
-    except ValueError:  # pragma: no cover - degree >= 1 guarantees the term
-        raise NoActiveTerms(f"library lacks the {state}_dot term") from None
-    xi = np.zeros((2, len(design.labels)))
-    xi[0, dot_idx] = 1.0
-    xi[1] = xi_row
-    return SparseModel(
-        order=2,
-        state_names=s_names,
-        input_names=i_names,
-        xi=xi,
-        labels=design.labels,
-        expo=design.expo,
-        trig=design.trig,
-        config=config,
-        residual_rmse=(0.0, rmse),
-    )
+    return SparseModel(order, s_names, i_names, xi, design.labels, design.expo, design.trig,
+                       config, residual_rmse=(0.0,) * (order - 1) + (rmse,))
 
 
 # --- simulation -----------------------------------------------------------------
@@ -464,10 +419,9 @@ def _input_matrix(model: SparseModel, u: np.ndarray, dt: float,
         raise LengthMismatch("simulate expects a 1-D control series")
     if u.shape[0] < 2:
         raise SeriesTooShort("simulate needs at least 2 control samples")
-    if model.order == 1:
-        return u[:, None]
-    if u_dot is None:
-        u_dot = differentiate(u, dt, "central")
+    if model.order == 1 or u_dot is None:
+        return np.column_stack(_derivative_stack(u, dt, model.order - 1,
+                                                 model.config.derivative_method))
     u_dot = np.asarray(u_dot, dtype=np.float64)
     if u_dot.shape != u.shape:
         raise LengthMismatch("u_dot must match the control series length")
@@ -481,8 +435,9 @@ def simulate_segments(model: SparseModel, us: Sequence[np.ndarray], dt: float,
 
     ``us`` holds one control series per segment, of any lengths; ``x0s``
     (and, for second order, ``xdot0s``) the initial values, and ``u_dots``
-    optional control derivatives.  Each segment's trajectory equals the
-    one it gets integrated alone.
+    optional control derivatives, taken by the model's derivative method
+    where not given.  Each segment's trajectory equals the one it gets
+    integrated alone.
     """
     if dt <= 0:
         raise LengthMismatch(f"dt must be positive, got {dt}")
@@ -491,14 +446,12 @@ def simulate_segments(model: SparseModel, us: Sequence[np.ndarray], dt: float,
     if u_dots is None:
         u_dots = [None] * len(us)
     inputs = [_input_matrix(model, u, dt, u_dot) for u, u_dot in zip(us, u_dots)]
-    if model.order == 1:
-        x_init = np.array([[float(x0)] for x0 in x0s])
-    elif xdot0s is None or any(v is None for v in xdot0s):
+    if model.order == 2 and (xdot0s is None or any(v is None for v in xdot0s)):
         raise MissingInitialDerivative(
             "second-order simulation needs the initial state derivative"
         )
-    else:
-        x_init = np.array([[float(x0), float(v0)] for x0, v0 in zip(x0s, xdot0s)])
+    starts = zip(x0s) if model.order == 1 else zip(x0s, xdot0s)
+    x_init = np.array([[float(v) for v in start] for start in starts])
     if len(x_init) != len(inputs):
         raise LengthMismatch(f"{len(inputs)} control series but {len(x_init)} initial states")
     lengths = [len(U) for U in inputs]
@@ -509,6 +462,22 @@ def simulate_segments(model: SparseModel, us: Sequence[np.ndarray], dt: float,
                                       float(dt), x_init, lengths)
     return [SimTrajectory(states[:len(U), b], quad[:len(U), b])
             for b, U in enumerate(inputs)]
+
+
+def simulate_observed(model: SparseModel, xs: Sequence[np.ndarray], us: Sequence[np.ndarray],
+                      dt: float) -> list[SimTrajectory]:
+    """Integrate several segments from their observed starts, in one RK4 pass.
+
+    ``xs`` and ``us`` hold each segment's observed state and control
+    series.  The initial state (x0, plus xdot0 at order 2) and the input
+    columns come from their derivative stacks, taken by the derivative
+    method the model was fitted with, as the fit took them.
+    """
+    k = model.order - 1
+    starts = [[s[0] for s in _derivative_stack(x, dt, k, model.config.derivative_method)]
+              for x in xs]
+    return simulate_segments(model, us, dt, [s[0] for s in starts],
+                             [s[1] for s in starts] if k else None)
 
 
 def simulate_full(model: SparseModel, u: np.ndarray, dt: float, x0: float,
@@ -606,8 +575,6 @@ _MAGIC = "tssid sparse model v1"
 
 def save_model(model: SparseModel, path: str | Path) -> None:
     """Write the model as UTF-8 text; floats use exact repr round-trip."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lib = model.config.library
     lines = [
         _MAGIC,
@@ -631,9 +598,8 @@ def save_model(model: SparseModel, path: str | Path) -> None:
         for j in range(row.shape[0]):
             if row[j] != 0.0:
                 lines.append(f"{model.labels[j]}\t{repr(float(row[j]))}")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path: str | Path) -> SparseModel:

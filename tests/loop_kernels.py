@@ -14,9 +14,20 @@ versions to agree with them to 1e-13 relative (neural) or 1e-12 relative
 iteration; ``tests/test_neural.py`` requires bitwise-equal windows and
 predictions from the index-array and sliding-view versions.  Parameter
 layouts are those documented in :mod:`tssid.kernels`.
+
+``fit_first_order``, ``augment_second_order`` and ``fit_second_order``
+(with their ``_segment_arrays``) are the two hand-written sparse fits that
+``tssid.sindy.fit_sparse`` replaced, kept verbatim; ``tests/test_sindy.py``
+requires bitwise-equal models from the one order-generic fit.
 """
 
+from typing import Sequence
+
 import numpy as np
+
+from tssid.errors import EmptyDataset, NoActiveTerms, SeriesTooShort
+from tssid.flightdata import FlightRecord
+from tssid.sindy import SINDyConfig, SparseModel, build_library, differentiate, stlsq
 
 
 def mlp_forward(flat, sizes, x):
@@ -446,3 +457,113 @@ def stride1_windows(X, lookback):
     for i in range(n_win):
         wins[i] = X[i:i + lookback]
     return wins
+
+
+def _segment_arrays(flight: FlightRecord, state: str, control: str,
+                    min_len: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    out = []
+    dt = flight.dt
+    for seg in flight.scoring_segments():
+        if seg.n_samples < min_len:
+            raise SeriesTooShort(
+                f"flight {flight.flight_id!r}: segment {seg.label!r} has "
+                f"{seg.n_samples} samples, need >= {min_len}"
+            )
+        x = flight.values(state)[seg.start_index:seg.end_index]
+        u = flight.values(control)[seg.start_index:seg.end_index]
+        out.append((x, u, dt))
+    return out
+
+
+def fit_first_order(flights: Sequence[FlightRecord], config: SINDyConfig = SINDyConfig(),
+                    state: str = "TRQ", control: str = "WF") -> SparseModel:
+    """Fit d(state)/dt = Xi . theta(state, control) over all non-excluded segments."""
+    if not flights:
+        raise EmptyDataset("fit_first_order needs at least one flight")
+    xs, us, dxs = [], [], []
+    for fl in flights:
+        for x, u, dt in _segment_arrays(fl, state, control, 3):
+            xs.append(x)
+            us.append(u)
+            dxs.append(differentiate(x, dt, config.derivative_method))
+    x_all = np.concatenate(xs)
+    u_all = np.concatenate(us)
+    dx_all = np.concatenate(dxs)
+    design = build_library(x_all, u_all, config.library, (state,), (control,))
+    xi = stlsq(design.values, dx_all, config.threshold,
+               config.max_iterations, config.ridge_lambda)
+    resid = design.values @ xi[0] - dx_all
+    rmse = float(np.sqrt(np.mean(resid * resid)))
+    return SparseModel(
+        order=1,
+        state_names=(state,),
+        input_names=(control,),
+        xi=xi,
+        labels=design.labels,
+        expo=design.expo,
+        trig=design.trig,
+        config=config,
+        residual_rmse=(rmse,),
+    )
+
+
+def augment_second_order(flights: Sequence[FlightRecord],
+                         config: SINDyConfig = SINDyConfig(),
+                         state: str = "TRQ", control: str = "WF"):
+    """Per-segment derivative augmentation for the second-order fit.
+
+    Returns (X, U, d2x): X = [state, state'], U = [control, control'],
+    d2x the second derivative target.  Derivatives are computed inside
+    each segment only; segments need at least 5 samples.
+    """
+    if not flights:
+        raise EmptyDataset("augment_second_order needs at least one flight")
+    xs, dxs, d2xs, us, dus = [], [], [], [], []
+    for fl in flights:
+        for x, u, dt in _segment_arrays(fl, state, control, 5):
+            dx = differentiate(x, dt, config.derivative_method)
+            d2x = differentiate(dx, dt, config.derivative_method)
+            du = differentiate(u, dt, config.derivative_method)
+            xs.append(x)
+            dxs.append(dx)
+            d2xs.append(d2x)
+            us.append(u)
+            dus.append(du)
+    X = np.column_stack([np.concatenate(xs), np.concatenate(dxs)])
+    U = np.column_stack([np.concatenate(us), np.concatenate(dus)])
+    return X, U, np.concatenate(d2xs)
+
+
+def fit_second_order(flights: Sequence[FlightRecord], config: SINDyConfig = SINDyConfig(),
+                     state: str = "TRQ", control: str = "WF") -> SparseModel:
+    """Fit state'' = Xi . theta(state, state', control, control').
+
+    The returned model has two equations: the structural
+    d(state)/dt = state' and the fitted second equation.
+    """
+    X, U, d2x = augment_second_order(flights, config, state, control)
+    s_names = (state, f"{state}_dot")
+    i_names = (control, f"{control}_dot")
+    design = build_library(X, U, config.library, s_names, i_names)
+    xi_row = stlsq(design.values, d2x, config.threshold,
+                   config.max_iterations, config.ridge_lambda)[0]
+    resid = design.values @ xi_row - d2x
+    rmse = float(np.sqrt(np.mean(resid * resid)))
+    try:
+        dot_idx = design.labels.index(f"{state}_dot")
+    except ValueError:  # pragma: no cover - degree >= 1 guarantees the term
+        raise NoActiveTerms(f"library lacks the {state}_dot term") from None
+    xi = np.zeros((2, len(design.labels)))
+    xi[0, dot_idx] = 1.0
+    xi[1] = xi_row
+    return SparseModel(
+        order=2,
+        state_names=s_names,
+        input_names=i_names,
+        xi=xi,
+        labels=design.labels,
+        expo=design.expo,
+        trig=design.trig,
+        config=config,
+        residual_rmse=(0.0, rmse),
+    )

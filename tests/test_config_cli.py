@@ -882,3 +882,34 @@ def test_exit_code_2_malformed_csv_text(tmp_path, capsys, smoke_corpus, name,
     err = capsys.readouterr().err
     assert Path(name).name in err and detail in err
     assert "Traceback" not in err
+
+
+def _edit_lines(edit):
+    def damage(path: Path) -> None:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(ln + "\n" for ln in edit(lines)), encoding="utf-8")
+    return damage
+
+
+@pytest.mark.parametrize("damage, detail", [
+    (_edit_lines(lambda ls: ["label,flight_id" + ls[0][len("flight_id,label"):]] + ls[1:]),
+     "header must be flight_id,label,start_index,end_index,excluded"),
+    (_edit_lines(lambda ls: []), "header must be flight_id,label,start_index,end_index,"
+                                 "excluded, got nothing"),
+    (_edit_lines(lambda ls: [ln + ",x" for ln in ls]), "got flight_id,label,start_index,"
+                                                        "end_index,excluded,x"),
+    (_edit_lines(lambda ls: [ls[0], "smk01,taxiing,0,40,2"] + ls[2:]),
+     "data row 1: excluded must be 0 or 1, got '2'"),
+    (_edit_lines(lambda ls: [ls[0], ls[1], "smk01,hover,30,73,0"] + ls[3:]),
+     "data row 2: flight 'smk01' segment 'hover' [30,73) overlaps 'taxiing' [0,40) "
+     "of data row 1"),
+    (_edit_lines(lambda ls: ls + ["smk99,hover,0,10,0"]), "flight 'smk99' is not in the corpus"),
+], ids=["swapped-header", "empty", "extra-column", "excluded-2", "overlap", "unknown-flight"])
+def test_exit_code_2_malformed_maneuvers_csv(tmp_path, capsys, smoke_corpus, damage, detail):
+    cfg = make_run(tmp_path, "smoke")
+    shutil.copytree(smoke_corpus, tmp_path / "data")
+    damage(tmp_path / "data" / "maneuvers.csv")
+    assert run_cli("ingest", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "maneuvers.csv: " in err and detail in err, err
+    assert "Traceback" not in err

@@ -37,6 +37,7 @@ from tssid.flightdata import (
     FlightRecord,
     ManeuverSegment,
     apply_minmax,
+    atomic_open,
     correlation_matrix,
     emit_csv,
     filter_maneuvers,
@@ -446,6 +447,20 @@ def test_emit_csv_rows_are_the_per_sample_repr_format(tmp_path, n):
         for i in range(n)
     ]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_atomic_open_replaces_the_file_only_when_the_write_completes(tmp_path):
+    path = tmp_path / "new" / "a.txt"
+    with atomic_open(path) as fh:
+        fh.write("one\r\n")
+    assert path.read_bytes() == b"one\r\n" and os.listdir(path.parent) == ["a.txt"]
+    with pytest.raises(RuntimeError), atomic_open(path) as fh:
+        fh.write("two\n")
+        raise RuntimeError
+    assert path.read_bytes() == b"one\r\n"
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"\x00three")
+    assert path.read_bytes() == b"\x00three" and os.listdir(path.parent) == ["a.txt"]
 
 
 # --- maneuver annotations ------------------------------------------------------

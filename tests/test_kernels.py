@@ -223,11 +223,11 @@ def test_simulate_record_is_one_call_equal_to_per_segment_simulate(order, monkey
         names, spec = (("TRQ", "TRQ_dot"), ("WF", "WF_dot")), LibrarySpec(degree=1)
     labels = build_term_encoding(*names, spec)[2]
     model = SparseModel(order, *names, xi, labels, expo, trg,
-                        SINDyConfig(library=spec), (0.0,) * order)
+                        SINDyConfig(derivative_method="central", library=spec), (0.0,) * order)
     calls = []
     real = kernels.rk4_sparse
     monkeypatch.setattr(kernels, "rk4_sparse", lambda *a: calls.append(a) or real(*a))
-    preds = cli._simulate_flights(model, recs, "central")
+    preds = cli._simulate_flights(model, recs)
     assert len(calls) == 1
     assert calls[0][3].shape[1] == 5  # every scoring segment of the three flights
     assert list(preds) == ["fl01", "fl02", "fl03"]

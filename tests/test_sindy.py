@@ -9,9 +9,13 @@ import loop_kernels
 import numpy as np
 import pytest
 
+from conftest import CONFIGS, toy_record
+from tssid.config import load_config
 from tssid.errors import (
     ComputationError,
+    ConfigError,
     DegreeTooHigh,
+    EmptyDataset,
     IoError,
     LengthMismatch,
     MissingInitialDerivative,
@@ -19,6 +23,7 @@ from tssid.errors import (
     RankDeficient,
     SeriesTooShort,
 )
+from tssid.flightdata import ManeuverSegment, filter_maneuvers
 from tssid.sindy import (
     _savgol_smooth,
     LibrarySpec,
@@ -27,14 +32,14 @@ from tssid.sindy import (
     build_library,
     build_term_encoding,
     differentiate,
-    fit_first_order,
-    fit_second_order,
+    fit_sparse,
     format_equations,
     load_model,
     reduction_residual,
     save_model,
     simulate,
     simulate_full,
+    simulate_observed,
     simulate_segments,
     stlsq,
 )
@@ -261,7 +266,7 @@ def _first_order_flights():
 
 def test_fit_first_order_recovers_plant():
     cfg = SINDyConfig(derivative_method="central")
-    model = fit_first_order(_first_order_flights(), cfg)
+    model = fit_sparse(_first_order_flights(), 1, cfg)
     active = model.active_terms(0)
     assert set(active) == {"1", "TRQ", "WF"}
     assert active["1"] == pytest.approx(-10.0, rel=1e-3)
@@ -293,7 +298,7 @@ def test_fit_second_order_structure_and_coefficients():
     #   x'' = -(1/(t1 t2)) x - ((t1+t2)/(t1 t2)) x' + (mu/(t1 t2)) u
     cfg = SINDyConfig(threshold=1.0, derivative_method="central",
                       library=LibrarySpec(degree=1))
-    model = fit_second_order(_second_order_flights(), cfg)
+    model = fit_sparse(_second_order_flights(), 2, cfg)
     assert model.order == 2
     assert model.state_names == ("TRQ", "TRQ_dot")
     assert model.input_names == ("WF", "WF_dot")
@@ -310,10 +315,10 @@ def test_fit_second_order_structure_and_coefficients():
 
 def test_fit_second_order_beats_first_order_in_residual():
     flights = _second_order_flights()
-    m1 = fit_first_order(flights, SINDyConfig(derivative_method="central"))
-    m2 = fit_second_order(flights, SINDyConfig(threshold=1.0,
-                                               derivative_method="central",
-                                               library=LibrarySpec(degree=1)))
+    m1 = fit_sparse(flights, 1, SINDyConfig(derivative_method="central"))
+    m2 = fit_sparse(flights, 2, SINDyConfig(threshold=1.0,
+                                            derivative_method="central",
+                                            library=LibrarySpec(degree=1)))
     # the cascade's second derivative is not explained by a first-order law
     sim1 = simulate(m1, flights[0].values("WF"), flights[0].dt,
                     float(flights[0].values("TRQ")[0]))
@@ -324,6 +329,53 @@ def test_fit_second_order_beats_first_order_in_residual():
     err1 = np.mean(np.abs(sim1 - x))
     err2 = np.mean(np.abs(sim2 - x))
     assert err2 < 0.5 * err1
+
+
+def _smoke_train_flights():
+    # the smoke preset's training flights, taxiing excluded as the CLI does
+    cfg = load_config(CONFIGS / "smoke.yaml")
+    specs = {spec.flight_id: spec for spec in cfg.corpus.build_specs()}
+    return [filter_maneuvers(generate_flight(specs[fid]), cfg.exclude_labels)
+            for fid in cfg.split_explicit["train"]]
+
+
+def _bits(model: SparseModel) -> tuple:
+    return (model.order, model.state_names, model.input_names, model.labels,
+            model.xi.tobytes(), model.expo.tobytes(), model.trig.tobytes(),
+            model.config, tuple(float(r).hex() for r in model.residual_rmse))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("method", ["central", "smoothed_central"])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("corpus", ["plant", "smoke"])
+def test_fit_sparse_is_bitwise_the_per_order_fit(order, method, degree, corpus):
+    # several flights, some segments excluded; on the smoke flights a strided
+    # view of the target (instead of its own contiguous array) moves the
+    # first-order residual in the last digit
+    if corpus == "plant":
+        fa, fb = _first_order_flights()
+        segs = fa.maneuvers
+        flights = [fa.with_maneuvers((segs[0], replace(segs[1], excluded=True), segs[2])), fb]
+    else:
+        flights = _smoke_train_flights()
+    assert any(seg.excluded for fl in flights for seg in fl.maneuvers)
+    cfg = SINDyConfig(threshold=2.0 if order == 2 else 0.05, derivative_method=method,
+                      library=LibrarySpec(degree=degree))
+    old = loop_kernels.fit_first_order if order == 1 else loop_kernels.fit_second_order
+    assert _bits(fit_sparse(flights, order, cfg)) == _bits(old(flights, cfg))
+
+
+def test_fit_sparse_segment_length_and_order_bounds():
+    fl = toy_record(n=40, segments=(ManeuverSegment("a", 0, 4), ManeuverSegment("b", 4, 40)))
+    cfg = SINDyConfig(derivative_method="central", library=LibrarySpec(degree=1))
+    assert fit_sparse([fl], 1, cfg).order == 1  # 4 >= 2*1 + 1
+    with pytest.raises(SeriesTooShort, match="'a' has 4 samples, need >= 5"):
+        fit_sparse([fl], 2, cfg)
+    with pytest.raises(ConfigError, match="order must be 1 or 2, got 3"):
+        fit_sparse([fl], 3, cfg)
+    with pytest.raises(EmptyDataset):
+        fit_sparse([], 1, cfg)
 
 
 # --- simulation and the reduction identity -------------------------------------------
@@ -393,6 +445,29 @@ def test_second_order_simulation_needs_initial_derivative():
         simulate(model, np.linspace(0.0, 1.0, 50), 0.01, x0=0.0)
 
 
+def test_second_order_simulation_takes_the_models_derivative_method():
+    # derivatives not given are taken as the fit took them: u_dot in
+    # simulate, xdot0 and u_dot from the observed series in simulate_observed
+    dt = 0.05
+    t = np.arange(200) * dt
+    rng = np.random.default_rng(3)
+    u = 300.0 + 40.0 * np.sin(1.3 * t) + rng.normal(0.0, 0.5, t.shape)
+    x = 75.0 + 5.0 * np.cos(0.7 * t) + rng.normal(0.0, 0.2, t.shape)
+    for method in ("central", "smoothed_central"):
+        model = replace(_manual_second_order_model({"TRQ": -4.0, "TRQ_dot": -3.0,
+                                                    "WF": 1.0, "WF_dot": 0.5}),
+                        config=SINDyConfig(derivative_method=method,
+                                           library=LibrarySpec(degree=1)))
+        got = simulate(model, u, dt, x0=75.0, xdot0=0.0)
+        (observed,) = simulate_observed(model, [x], [u], dt)
+        for other in ("central", "smoothed_central"):
+            u_dot = differentiate(u, dt, other)
+            given = simulate(model, u, dt, 75.0, 0.0, u_dot)
+            assert np.array_equal(got, given) == (other == method), (method, other)
+            given = simulate(model, u, dt, x[0], differentiate(x, dt, other)[0], u_dot)
+            assert np.array_equal(observed.states[:, 0], given) == (other == method)
+
+
 def test_simulate_validation():
     model = _manual_first_order_model()
     with pytest.raises(SeriesTooShort):
@@ -435,7 +510,7 @@ def test_format_equations_readable():
 def test_save_load_round_trip_bitwise(tmp_path):
     cfg = SINDyConfig(derivative_method="central", threshold=0.07,
                       ridge_lambda=3e-11)
-    model = replace(fit_first_order(_first_order_flights(), cfg), fingerprint="ab12")
+    model = replace(fit_sparse(_first_order_flights(), 1, cfg), fingerprint="ab12")
     p = tmp_path / "model.txt"
     save_model(model, p)
     back = load_model(p)
