@@ -86,9 +86,8 @@ from .manifest import (
     write_manifest,
 )
 from .neural import (
-    TabularData,
+    NetData,
     TrainedNet,
-    WindowedData,
     load_net,
     make_windows,
     predict_series,
@@ -219,10 +218,6 @@ def _load_records(cfg: RunConfig,
                 if stamp_path.exists() else "")
     check_fingerprint(stamp_path, recorded, _corpus_fingerprint(cfg), "generate")
     files = {}
-    segments = {}
-    if man_path.exists():
-        segments = load_maneuvers(man_path, corpus.flight_ids)
-        files[man_path.name] = file_sha256(man_path)
     records = []
     for fid in ids:
         path = flights_dir / f"{fid}.csv"
@@ -230,11 +225,13 @@ def _load_records(cfg: RunConfig,
             raise IoError(f"missing flight file {path}; run `tssid generate` first")
         rec, files[f"flights/{fid}.csv"] = ingest_cached(
             path, corpus.sample_rate_hz, fid, cfg.out_dir / "cache")
-        if fid in segments:
-            rec = rec.with_maneuvers(segments[fid])
-        rec = filter_maneuvers(rec, cfg.exclude_labels)
         records.append(rec)
-    return records, files
+    if man_path.exists():
+        segments = load_maneuvers(man_path, corpus.flight_ids,
+                                  {rec.flight_id: rec.n_samples for rec in records})
+        files[man_path.name] = file_sha256(man_path)
+        records = [rec.with_maneuvers(segments.get(rec.flight_id, ())) for rec in records]
+    return [filter_maneuvers(rec, cfg.exclude_labels) for rec in records], files
 
 
 def _split_of(cfg: RunConfig) -> DatasetSplit:
@@ -257,32 +254,28 @@ def _resolve_features(cfg: RunConfig, records: Sequence[FlightRecord]) -> tuple[
     return DEFAULT_FEATURES
 
 
-def _tabular(records: Sequence[FlightRecord], inputs: Sequence[str], target: str,
-             scaler) -> TabularData:
-    xs, ys = [], []
-    for rec in records:
-        mask = rec.included_mask()
-        cols = [scale_series(scaler, nm, rec.values(nm))[mask] for nm in inputs]
-        xs.append(np.column_stack(cols))
-        ys.append(scale_series(scaler, target, rec.values(target))[mask])
-    return TabularData(np.concatenate(xs), np.concatenate(ys))
+def _net_data(records: Sequence[FlightRecord], inputs: Sequence[str], target: str,
+              scaler, windows: tuple[int, int] | None) -> NetData:
+    """Scaled net data of the records' included maneuvers.
 
-
-def _windows(records: Sequence[FlightRecord], inputs: Sequence[str], target: str,
-             scaler, lookback: int, stride: int) -> WindowedData:
-    xs, ys = [], []
+    Without ``windows`` it holds one row per included sample; with
+    ``(lookback, stride)`` it holds the lookback windows inside each
+    included maneuver.  No record gives an empty dataset.
+    """
+    shape = (0,) if windows is None else (0, windows[0])
+    xs, ys = [np.empty(shape + (len(inputs),))], [np.empty(shape)]
     for rec in records:
-        cols = [scale_series(scaler, nm, rec.values(nm)) for nm in inputs]
-        X = np.column_stack(cols)
+        X = np.column_stack([scale_series(scaler, nm, rec.values(nm)) for nm in inputs])
         y = scale_series(scaler, target, rec.values(target))
-        segs = rec.maneuvers if rec.maneuvers else None
-        win = make_windows(X, y, lookback, stride, segs)
-        if len(win):
+        if windows is None:
+            mask = rec.included_mask()
+            xs.append(X[mask])
+            ys.append(y[mask])
+        else:
+            win = make_windows(X, y, *windows, rec.maneuvers or None)
             xs.append(win.inputs)
             ys.append(win.targets)
-    if not xs:
-        return WindowedData(np.empty((0, lookback, len(inputs))), np.empty((0, lookback)))
-    return WindowedData(np.concatenate(xs), np.concatenate(ys))
+    return NetData(np.concatenate(xs), np.concatenate(ys))
 
 
 def _train_one(cfg: RunConfig, kind: str, train_recs: Sequence[FlightRecord],
@@ -290,20 +283,14 @@ def _train_one(cfg: RunConfig, kind: str, train_recs: Sequence[FlightRecord],
                fp: str) -> TrainedNet:
     target = cfg.features.target
     scaler = fit_minmax(train_recs, tuple(inputs) + (target,))
+    n = cfg.neural
     if kind == "ffnn":
-        model_config = cfg.mlp_config(len(inputs))
-        train_config = cfg.neural.ffnn_train
-        train_data = _tabular(train_recs, inputs, target, scaler)
-        val_data = _tabular(val_recs, inputs, target, scaler) if val_recs else None
+        model_config, train_config, windows = cfg.mlp_config(len(inputs)), n.ffnn_train, None
     else:
-        model_config = cfg.lstm_config(len(inputs))
-        train_config = cfg.neural.lstm_train
-        lb, stride = cfg.neural.lstm_lookback, cfg.neural.lstm_stride
-        train_data = _windows(train_recs, inputs, target, scaler, lb, stride)
-        val_data = (_windows(val_recs, inputs, target, scaler, lb, stride)
-                    if val_recs else None)
-        if val_data is not None and not len(val_data):
-            val_data = None
+        model_config, train_config = cfg.lstm_config(len(inputs)), n.lstm_train
+        windows = (n.lstm_lookback, n.lstm_stride)
+    train_data, val_data = (_net_data(recs, inputs, target, scaler, windows)
+                            for recs in (train_recs, val_recs))
     log.info("training %s on %d flights (%d samples/windows)",
              kind, len(train_recs), len(train_data))
     net = train(model_config, train_config, train_data, val_data)

@@ -254,7 +254,10 @@ def _parse_profile(value, context: str) -> ManeuverProfile:
     duration = _num(float, _require(raw, "duration_s", context), f"{context}.duration_s")
     kwargs = {k: _num(float, raw[k], f"{context}.{k}") for k in _PROFILE_NUMBERS if k in raw}
     if "label" in raw:
-        kwargs["label"] = _str(raw["label"], f"{context}.label")
+        label = kwargs["label"] = _str(raw["label"], f"{context}.label")
+        if any(c in label for c in ',"\t\r\n'):
+            # maneuvers.csv and the eval reports hold a label unquoted
+            raise ConfigError(f"{context}.label: {label!r} holds a comma, quote, tab or line break")
     return ManeuverProfile(kind=kind, duration_s=duration, **kwargs)
 
 

@@ -482,8 +482,8 @@ def save_maneuvers(maneuvers: Mapping[str, Sequence[ManeuverSegment]],
         fh.write("\n".join(lines) + "\n")
 
 
-def _maneuver_row(path: Path, r: int, row: Sequence[str],
-                  flight_ids: Collection[str] | None) -> tuple[str, ManeuverSegment]:
+def _maneuver_row(path: Path, r: int, row: Sequence[str], flight_ids: Collection[str] | None,
+                  n_samples: Mapping[str, int]) -> tuple[str, ManeuverSegment]:
     def bad(why: str) -> MalformedCsv:
         return MalformedCsv(f"{path}: data row {r}: {why}")
 
@@ -495,19 +495,26 @@ def _maneuver_row(path: Path, r: int, row: Sequence[str],
     if excluded not in ("0", "1"):
         raise bad(f"excluded must be 0 or 1, got {excluded!r}")
     try:
-        return flight_id, ManeuverSegment(label, int(start), int(end), excluded == "1")
+        seg = ManeuverSegment(label, int(start), int(end), excluded == "1")
     except (ValueError, LengthMismatch) as exc:
         raise bad(str(exc)) from None
+    n = n_samples.get(flight_id)
+    if n is not None and seg.end_index > n:
+        raise bad(f"flight {flight_id!r} segment {label!r} ends at {seg.end_index}, "
+                  f"the flight has {n} samples")
+    return flight_id, seg
 
 
-def load_maneuvers(path: str | Path, flight_ids: Collection[str] | None = None
+def load_maneuvers(path: str | Path, flight_ids: Collection[str] | None = None,
+                   n_samples: Mapping[str, int] | None = None
                    ) -> dict[str, tuple[ManeuverSegment, ...]]:
     """Read a maneuver annotation CSV; returns flight_id -> segments.
 
     The header must be exactly ``MANEUVER_COLUMNS``.  A row needs five
     cells, integer indices with ``0 <= start_index < end_index``,
-    ``excluded`` 0 or 1, a flight among ``flight_ids`` when given, and no
-    overlap with another segment of its flight.  Anything else is a
+    ``excluded`` 0 or 1, a flight among ``flight_ids`` when given, an end
+    within its flight's ``n_samples`` when given, and no overlap with
+    another segment of its flight.  Anything else is a
     :class:`MalformedCsv` naming the file and the 1-based data row.
     """
     path = Path(path)
@@ -521,7 +528,7 @@ def load_maneuvers(path: str | Path, flight_ids: Collection[str] | None = None
                     raise MalformedCsv(f"{path}: header must be {','.join(MANEUVER_COLUMNS)}, "
                                        f"got {'nothing' if header is None else ','.join(header)}")
                 for r, row in enumerate(reader, start=1):
-                    flight_id, seg = _maneuver_row(path, r, row, flight_ids)
+                    flight_id, seg = _maneuver_row(path, r, row, flight_ids, n_samples or {})
                     out.setdefault(flight_id, []).append((r, seg))
             except (UnicodeDecodeError, csv.Error) as exc:
                 raise _malformed(path, reader, exc) from None

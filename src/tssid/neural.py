@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +39,7 @@ from .errors import (
     LengthMismatch,
     SeriesTooShort,
     ShapeMismatch,
+    TssidError,
 )
 from .flightdata import (FlightRecord, ManeuverSegment, ScalerParams, atomic_open, scale_series,
                          unscale_series)
@@ -50,6 +52,7 @@ OPTIMIZERS = ("rmsprop", "adam")
 class MLPConfig:
     """Feedforward architecture: ReLU hidden layers, linear scalar head."""
 
+    header_type: ClassVar[str] = "mlp"  # ``model.type`` in a weights header
     input_dim: int
     hidden_layers: tuple[int, ...] = (24, 24, 24, 24)
     output_dim: int = 1
@@ -76,6 +79,7 @@ class MLPConfig:
 class LSTMConfig:
     """Stacked LSTM architecture with a per-step scalar linear head."""
 
+    header_type: ClassVar[str] = "lstm"
     input_dim: int
     hidden_size: int = 6
     num_layers: int = 3
@@ -216,31 +220,12 @@ def lstm_backward(config: LSTMConfig, params: np.ndarray, x: np.ndarray,
 # --- datasets -------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TabularData:
-    """Per-sample features and targets for the feedforward net."""
+class NetData:
+    """Net inputs and the targets they predict, ``targets.shape == inputs.shape[:-1]``.
 
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
-        y = np.ascontiguousarray(self.y, dtype=np.float64).reshape(-1)
-        if X.ndim != 2:
-            raise DimensionMismatch("TabularData.X must be 2-D")
-        if X.shape[0] != y.shape[0]:
-            raise LengthMismatch(
-                f"X has {X.shape[0]} rows, y has {y.shape[0]}"
-            )
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-
-    def __len__(self) -> int:
-        return int(self.X.shape[0])
-
-
-@dataclass(frozen=True)
-class WindowedData:
-    """Lookback windows and per-step targets for the LSTM."""
+    The feedforward net takes samples ``(n, d)`` with targets ``(n,)``; the
+    LSTM takes lookback windows ``(n, T, d)`` with per-step targets ``(n, T)``.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -248,10 +233,10 @@ class WindowedData:
     def __post_init__(self):
         X = np.ascontiguousarray(self.inputs, dtype=np.float64)
         y = np.ascontiguousarray(self.targets, dtype=np.float64)
-        if X.ndim != 3 or y.ndim != 2 or y.shape != X.shape[:2]:
-            raise DimensionMismatch(
-                f"windows {X.shape} and targets {y.shape} are inconsistent"
-            )
+        if X.ndim not in (2, 3):
+            raise DimensionMismatch(f"inputs must be samples or windows, got shape {X.shape}")
+        if y.shape != X.shape[:-1]:
+            raise LengthMismatch(f"inputs {X.shape} and targets {y.shape} are inconsistent")
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "targets", y)
 
@@ -261,7 +246,7 @@ class WindowedData:
 
 def make_windows(features: np.ndarray, target: np.ndarray, lookback: int,
                  stride: int = 1,
-                 segments: Sequence[ManeuverSegment] | None = None) -> WindowedData:
+                 segments: Sequence[ManeuverSegment] | None = None) -> NetData:
     """Slice a series into lookback windows.
 
     Windows never cross segment boundaries and excluded segments yield
@@ -292,7 +277,7 @@ def make_windows(features: np.ndarray, target: np.ndarray, lookback: int,
             )
         starts.append(np.arange(seg.start_index, seg.end_index - lookback + 1, stride))
     rows = np.concatenate(starts)[:, None] + np.arange(lookback)
-    return WindowedData(features[rows], target[rows])
+    return NetData(features[rows], target[rows])
 
 
 # --- optimizers -----------------------------------------------------------------
@@ -389,56 +374,59 @@ class TrainedNet:
         return ScalerParams(self.scaler_bounds)
 
 
-def _full_mse(kind: str, model_config, params, data) -> float:
+def _architecture(mc: MLPConfig | LSTMConfig) -> tuple:
+    """``(kind, rank, init, forward, value_and_grad)`` of a net config.
+
+    ``rank`` is its inputs' ndim and ``init(seed)`` gives params;
+    ``forward(params, inputs)`` predicts in the targets' shape and
+    ``value_and_grad(params, inputs, targets)`` gives the MSE and its gradient.
+    """
+    if isinstance(mc, MLPConfig):
+        sizes = mc.sizes
+        return ("ffnn", 2, partial(init_mlp_params, mc),
+                lambda p, x: kernels.mlp_forward(p, sizes, x)[:, 0],
+                lambda p, x, y: kernels.mlp_value_and_grad(p, sizes, x, y[:, None]))
+    if isinstance(mc, LSTMConfig):
+        dims = (mc.input_dim, mc.hidden_size, mc.num_layers)
+        return ("lstm", 3, partial(init_lstm_params, mc),
+                lambda p, x: kernels.lstm_forward(p, *dims, x),
+                lambda p, x, y: kernels.lstm_value_and_grad(p, *dims, x, y))
+    raise DimensionMismatch(f"unknown model config {type(mc).__name__}")
+
+
+def _full_mse(forward, params, data: NetData) -> float:
     if len(data) == 0:
         return float("nan")
-    if kind == "ffnn":
-        pred = kernels.mlp_forward(params, model_config.sizes, data.X)
-        d = pred[:, 0] - data.y
-    else:
-        pred = kernels.lstm_forward(params, model_config.input_dim,
-                                    model_config.hidden_size,
-                                    model_config.num_layers, data.inputs)
-        d = (pred - data.targets).reshape(-1)
+    d = (forward(params, data.inputs) - data.targets).reshape(-1)
     return float(np.mean(d * d))
 
 
 def train(model_config: MLPConfig | LSTMConfig, train_config: TrainConfig,
-          train_data: TabularData | WindowedData,
-          val_data: TabularData | WindowedData | None = None) -> TrainedNet:
-    """Mini-batch training loop.
+          train_data: NetData, val_data: NetData | None = None) -> TrainedNet:
+    """Mini-batch training loop, one for both architectures.
 
     Initialization and shuffling derive from ``train_config.seed``; the
-    loop records full-dataset train and validation MSE after every epoch.
+    loop records full-dataset train and validation MSE after every epoch
+    (NaN without validation data).  Datasets must hold samples for the MLP
+    and windows for the LSTM, with ``input_dim`` features.
     """
-    if isinstance(model_config, MLPConfig):
-        kind = "ffnn"
-        if not isinstance(train_data, TabularData):
-            raise DimensionMismatch("MLP training needs TabularData")
-        params = init_mlp_params(model_config, derive_seed(train_config.seed, "init"))
-        step_batch = lambda p, xb, yb: kernels.mlp_value_and_grad(
-            p, model_config.sizes, xb, yb)
-    elif isinstance(model_config, LSTMConfig):
-        kind = "lstm"
-        if not isinstance(train_data, WindowedData):
-            raise DimensionMismatch("LSTM training needs WindowedData")
-        params = init_lstm_params(model_config, derive_seed(train_config.seed, "init"))
-        step_batch = lambda p, xb, yb: kernels.lstm_value_and_grad(
-            p, model_config.input_dim, model_config.hidden_size,
-            model_config.num_layers, xb, yb)
-    else:
-        raise DimensionMismatch(f"unknown model config {type(model_config).__name__}")
-
+    kind, rank, init, forward, value_and_grad = _architecture(model_config)
+    for data in (train_data, val_data):
+        if data is not None and (data.inputs.ndim, data.inputs.shape[-1]) != (
+                rank, model_config.input_dim):
+            raise DimensionMismatch(f"{kind} training needs {rank}-D inputs of "
+                                    f"{model_config.input_dim} features, got {data.inputs.shape}")
     n = len(train_data)
     if n == 0:
         raise EmptyDataset("no training samples")
 
+    params = init(derive_seed(train_config.seed, "init"))
     opt = init_optimizer(train_config.optimizer, model_config.n_params)
     stepper = step_rmsprop if train_config.optimizer == "rmsprop" else step_adam
     rng = np.random.default_rng(derive_seed(train_config.seed, "shuffle"))
 
     train_hist = np.empty(train_config.epochs)
-    val_hist = np.empty(train_config.epochs)
+    val_hist = np.full(train_config.epochs, np.nan)
     bs = min(train_config.batch_size, n)
     # A diverging run overflows before its epoch check can stop it; the
     # check below reports it, so numpy's warnings would only be noise.
@@ -447,21 +435,16 @@ def train(model_config: MLPConfig | LSTMConfig, train_config: TrainConfig,
             order = rng.permutation(n) if train_config.shuffle else np.arange(n)
             for lo in range(0, n, bs):
                 idx = order[lo:lo + bs]
-                if kind == "ffnn":
-                    xb = np.ascontiguousarray(train_data.X[idx])
-                    yb = np.ascontiguousarray(train_data.y[idx][:, None])
-                else:
-                    xb = np.ascontiguousarray(train_data.inputs[idx])
-                    yb = np.ascontiguousarray(train_data.targets[idx])
-                _, grad = step_batch(params, xb, yb)
+                _, grad = value_and_grad(params, train_data.inputs[idx],
+                                         train_data.targets[idx])
                 params, opt = stepper(params, grad, opt, train_config.learning_rate)
-            train_hist[epoch] = _full_mse(kind, model_config, params, train_data)
+            train_hist[epoch] = _full_mse(forward, params, train_data)
             if not np.isfinite(train_hist[epoch]):
                 raise ComputationError(
                     f"{kind} training diverged at epoch {epoch + 1}: train MSE is "
                     f"{train_hist[epoch]}; no weights were saved")
-            val_hist[epoch] = (_full_mse(kind, model_config, params, val_data)
-                               if val_data is not None else float("nan"))
+            if val_data is not None:
+                val_hist[epoch] = _full_mse(forward, params, val_data)
     return TrainedNet(kind, model_config, train_config, params, train_hist, val_hist)
 
 
@@ -500,29 +483,29 @@ def predict_series(net: TrainedNet, record: FlightRecord) -> np.ndarray:
 # --- persistence -------------------------------------------------------------------
 
 _NET_MAGIC = b"TSSIDNET v1\n"
+_MODEL_TYPES = {cls.header_type: cls for cls in (MLPConfig, LSTMConfig)}
+
+
+def _config_from(config_type, block):
+    """The config a header block describes; the block's keys must be its fields."""
+    names = {f.name for f in fields(config_type)}
+    if set(block) != names:
+        raise KeyError(f"{config_type.__name__} takes {sorted(names)}, got {sorted(block)}")
+    return config_type(**block)
 
 
 def save_net(net: TrainedNet, path: str | Path) -> None:
     """Binary weights file: magic, JSON header, raw little-endian float64.
 
-    The header is serialized with sorted keys and the params hold exact
+    The header's ``model`` and ``train`` blocks are the config dataclasses'
+    fields.  It is serialized with sorted keys and the params hold exact
     bit patterns, so identical nets produce identical bytes.
     """
     mc = net.model_config
-    if net.kind == "ffnn":
-        model = {"type": "mlp", "input_dim": mc.input_dim,
-                 "hidden_layers": list(mc.hidden_layers), "output_dim": mc.output_dim}
-    else:
-        model = {"type": "lstm", "input_dim": mc.input_dim,
-                 "hidden_size": mc.hidden_size, "num_layers": mc.num_layers,
-                 "lookback": mc.lookback}
-    tc = net.train_config
     header = {
         "kind": net.kind,
-        "model": model,
-        "train": {"optimizer": tc.optimizer, "learning_rate": tc.learning_rate,
-                  "batch_size": tc.batch_size, "epochs": tc.epochs,
-                  "seed": tc.seed, "shuffle": tc.shuffle},
+        "model": {"type": mc.header_type, **asdict(mc)},
+        "train": asdict(net.train_config),
         "feature_names": list(net.feature_names),
         "target_name": net.target_name,
         "scaler_bounds": {k: [v[0], v[1]] for k, v in net.scaler_bounds.items()},
@@ -541,7 +524,12 @@ def save_net(net: TrainedNet, path: str | Path) -> None:
 
 
 def load_net(path: str | Path) -> TrainedNet:
-    """Read a weights file written by :func:`save_net` (exact round-trip)."""
+    """Read a weights file written by :func:`save_net` (exact round-trip).
+
+    A file that :func:`save_net` could not have written (bad magic, a
+    header that is not JSON or describes no valid net, a payload of the
+    wrong size) is an :class:`IoError` naming the file.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -556,25 +544,33 @@ def load_net(path: str | Path) -> TrainedNet:
     off += 8
     try:
         header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IoError(f"{path}: malformed header: {exc}") from exc
-    off += hlen
-    model = header.get("model", {})
-    try:
-        if model["type"] == "mlp":
-            mc = MLPConfig(model["input_dim"], tuple(model["hidden_layers"]),
-                           model["output_dim"])
-        elif model["type"] == "lstm":
-            mc = LSTMConfig(model["input_dim"], model["hidden_size"],
-                            model["num_layers"], model["lookback"])
-        else:
-            raise IoError(f"{path}: unknown model type {model['type']!r}")
-        t = header["train"]
-        tc = TrainConfig(t["optimizer"], t["learning_rate"], t["batch_size"],
-                         t["epochs"], t["seed"], t["shuffle"])
+        model = dict(header["model"])
+        mc = _config_from(_MODEL_TYPES[model.pop("type")], model)
+        kind = _architecture(mc)[0]
+        if header.get("kind", kind) != kind:
+            raise ValueError(f"kind {header['kind']!r} does not match the model type")
         n_params = int(header["n_params"])
-    except (KeyError, TypeError) as exc:
-        raise IoError(f"{path}: malformed header: {exc}") from exc
+        names, target = tuple(header.get("feature_names", ())), header.get("target_name", "TRQ")
+        if (not all(isinstance(nm, str) for nm in (*names, target))
+                or len(names) not in (0, mc.input_dim)):
+            raise ValueError(f"feature_names {names} and target_name {target!r} do not "
+                             f"name a model of {mc.input_dim} inputs")
+        described = dict(
+            kind=kind,
+            model_config=mc,
+            train_config=_config_from(TrainConfig, header["train"]),
+            train_mse=np.array([float(v) for v in header.get("train_mse", [])]),
+            val_mse=np.array([float("nan") if v is None else float(v)
+                              for v in header.get("val_mse", [])]),
+            feature_names=names,
+            target_name=target,
+            scaler_bounds={k: (float(lo), float(hi)) for k, (lo, hi)
+                           in header.get("scaler_bounds", {}).items()},
+            fingerprint=header.get("fingerprint", ""),
+        )
+    except (LookupError, TypeError, ValueError, AttributeError, TssidError) as exc:
+        raise IoError(f"{path}: malformed header: {exc!r}") from None
+    off += hlen
     if n_params != mc.n_params:
         raise IoError(
             f"{path}: header claims {n_params} params, architecture needs {mc.n_params}"
@@ -584,17 +580,5 @@ def load_net(path: str | Path) -> TrainedNet:
         raise IoError(
             f"{path}: payload holds {len(payload)} bytes, expected {8 * n_params}"
         )
-    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    val = [float("nan") if v is None else float(v) for v in header.get("val_mse", [])]
-    return TrainedNet(
-        kind=header.get("kind", model["type"]),
-        model_config=mc,
-        train_config=tc,
-        params=params,
-        train_mse=np.array([float(v) for v in header.get("train_mse", [])]),
-        val_mse=np.array(val),
-        feature_names=tuple(header.get("feature_names", ())),
-        target_name=header.get("target_name", "TRQ"),
-        scaler_bounds={k: (v[0], v[1]) for k, v in header.get("scaler_bounds", {}).items()},
-        fingerprint=header.get("fingerprint", ""),
-    )
+    return TrainedNet(params=np.frombuffer(payload, dtype="<f8").astype(np.float64),
+                      **described)

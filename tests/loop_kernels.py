@@ -19,14 +19,26 @@ layouts are those documented in :mod:`tssid.kernels`.
 (with their ``_segment_arrays``) are the two hand-written sparse fits that
 ``tssid.sindy.fit_sparse`` replaced, kept verbatim; ``tests/test_sindy.py``
 requires bitwise-equal models from the one order-generic fit.
+
+``train`` and ``_full_mse`` (with ``TabularData`` and ``WindowedData``, the
+two dataset classes they take) are the training loop that branched on the
+net kind in every batch, kept verbatim; ``tests/test_neural.py`` requires
+bitwise-equal params and loss histories from the one loop of
+``tssid.neural.train``.
 """
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from tssid.errors import EmptyDataset, NoActiveTerms, SeriesTooShort
+from tssid import kernels
+from tssid.errors import (ComputationError, DimensionMismatch, EmptyDataset, LengthMismatch,
+                          NoActiveTerms, SeriesTooShort)
 from tssid.flightdata import FlightRecord
+from tssid.neural import (LSTMConfig, MLPConfig, TrainConfig, TrainedNet, init_lstm_params,
+                          init_mlp_params, init_optimizer, step_adam, step_rmsprop)
+from tssid.seeding import derive_seed
 from tssid.sindy import SINDyConfig, SparseModel, build_library, differentiate, stlsq
 
 
@@ -567,3 +579,123 @@ def fit_second_order(flights: Sequence[FlightRecord], config: SINDyConfig = SIND
         config=config,
         residual_rmse=(0.0, rmse),
     )
+
+
+@dataclass(frozen=True)
+class TabularData:
+    """Per-sample features and targets for the feedforward net."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        y = np.ascontiguousarray(self.y, dtype=np.float64).reshape(-1)
+        if X.ndim != 2:
+            raise DimensionMismatch("TabularData.X must be 2-D")
+        if X.shape[0] != y.shape[0]:
+            raise LengthMismatch(
+                f"X has {X.shape[0]} rows, y has {y.shape[0]}"
+            )
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return int(self.X.shape[0])
+
+
+@dataclass(frozen=True)
+class WindowedData:
+    """Lookback windows and per-step targets for the LSTM."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        X = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        y = np.ascontiguousarray(self.targets, dtype=np.float64)
+        if X.ndim != 3 or y.ndim != 2 or y.shape != X.shape[:2]:
+            raise DimensionMismatch(
+                f"windows {X.shape} and targets {y.shape} are inconsistent"
+            )
+        object.__setattr__(self, "inputs", X)
+        object.__setattr__(self, "targets", y)
+
+    def __len__(self) -> int:
+        return int(self.inputs.shape[0])
+
+
+def _full_mse(kind: str, model_config, params, data) -> float:
+    if len(data) == 0:
+        return float("nan")
+    if kind == "ffnn":
+        pred = kernels.mlp_forward(params, model_config.sizes, data.X)
+        d = pred[:, 0] - data.y
+    else:
+        pred = kernels.lstm_forward(params, model_config.input_dim,
+                                    model_config.hidden_size,
+                                    model_config.num_layers, data.inputs)
+        d = (pred - data.targets).reshape(-1)
+    return float(np.mean(d * d))
+
+
+def train(model_config: MLPConfig | LSTMConfig, train_config: TrainConfig,
+          train_data: TabularData | WindowedData,
+          val_data: TabularData | WindowedData | None = None) -> TrainedNet:
+    """Mini-batch training loop.
+
+    Initialization and shuffling derive from ``train_config.seed``; the
+    loop records full-dataset train and validation MSE after every epoch.
+    """
+    if isinstance(model_config, MLPConfig):
+        kind = "ffnn"
+        if not isinstance(train_data, TabularData):
+            raise DimensionMismatch("MLP training needs TabularData")
+        params = init_mlp_params(model_config, derive_seed(train_config.seed, "init"))
+        step_batch = lambda p, xb, yb: kernels.mlp_value_and_grad(
+            p, model_config.sizes, xb, yb)
+    elif isinstance(model_config, LSTMConfig):
+        kind = "lstm"
+        if not isinstance(train_data, WindowedData):
+            raise DimensionMismatch("LSTM training needs WindowedData")
+        params = init_lstm_params(model_config, derive_seed(train_config.seed, "init"))
+        step_batch = lambda p, xb, yb: kernels.lstm_value_and_grad(
+            p, model_config.input_dim, model_config.hidden_size,
+            model_config.num_layers, xb, yb)
+    else:
+        raise DimensionMismatch(f"unknown model config {type(model_config).__name__}")
+
+    n = len(train_data)
+    if n == 0:
+        raise EmptyDataset("no training samples")
+
+    opt = init_optimizer(train_config.optimizer, model_config.n_params)
+    stepper = step_rmsprop if train_config.optimizer == "rmsprop" else step_adam
+    rng = np.random.default_rng(derive_seed(train_config.seed, "shuffle"))
+
+    train_hist = np.empty(train_config.epochs)
+    val_hist = np.empty(train_config.epochs)
+    bs = min(train_config.batch_size, n)
+    # A diverging run overflows before its epoch check can stop it; the
+    # check below reports it, so numpy's warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(train_config.epochs):
+            order = rng.permutation(n) if train_config.shuffle else np.arange(n)
+            for lo in range(0, n, bs):
+                idx = order[lo:lo + bs]
+                if kind == "ffnn":
+                    xb = np.ascontiguousarray(train_data.X[idx])
+                    yb = np.ascontiguousarray(train_data.y[idx][:, None])
+                else:
+                    xb = np.ascontiguousarray(train_data.inputs[idx])
+                    yb = np.ascontiguousarray(train_data.targets[idx])
+                _, grad = step_batch(params, xb, yb)
+                params, opt = stepper(params, grad, opt, train_config.learning_rate)
+            train_hist[epoch] = _full_mse(kind, model_config, params, train_data)
+            if not np.isfinite(train_hist[epoch]):
+                raise ComputationError(
+                    f"{kind} training diverged at epoch {epoch + 1}: train MSE is "
+                    f"{train_hist[epoch]}; no weights were saved")
+            val_hist[epoch] = (_full_mse(kind, model_config, params, val_data)
+                               if val_data is not None else float("nan"))
+    return TrainedNet(kind, model_config, train_config, params, train_hist, val_hist)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import json
 import re
 import shutil
 import warnings
@@ -669,6 +670,35 @@ def _edit_sindy1_model(name: str, pattern: str, repl: str):
 
 
 _SIMULATE_1 = ("simulate", "--order", "1")
+_EVALUATE_FFNN = ("evaluate", "--model", "ffnn")
+
+
+def _edit_weights_header(name: str, edit):
+    """Damage ``name`` that rewrites the ffnn weights header as ``edit(header)`` returns it."""
+    def damage(tmp: Path) -> None:
+        weights = tmp / "out" / "ffnn_weights.bin"
+        raw = weights.read_bytes()
+        off = len(b"TSSIDNET v1\n")
+        hlen = int.from_bytes(raw[off:off + 8], "big")
+        header = edit(json.loads(raw[off + 8:off + 8 + hlen]))
+        blob = json.dumps(header).encode("utf-8")
+        weights.write_bytes(raw[:off] + len(blob).to_bytes(8, "big") + blob
+                            + raw[off + 8 + hlen:])
+    damage.__name__ = name
+    return damage
+
+
+def _set(header: dict, path: tuple[str, ...], value) -> dict:
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return header
+
+
+def _one_value_bounds(header: dict) -> dict:
+    name, (lo, _hi) = next(iter(header["scaler_bounds"].items()))
+    return _set(header, ("scaler_bounds", name), [lo])
 
 
 @pytest.mark.parametrize("damage, argv, name", [
@@ -684,6 +714,19 @@ _SIMULATE_1 = ("simulate", "--order", "1")
                         "derivative_method: spline"), _SIMULATE_1, "sindy1_model.txt"),
     (_edit_sindy1_model("_library_degree_9", r"library_degree: .*", "library_degree: 9"),
      _SIMULATE_1, "sindy1_model.txt"),
+    # weights headers save_net cannot write, which used to raise a traceback or exit 2
+    *((_edit_weights_header(name, edit), _EVALUATE_FFNN, "ffnn_weights.bin") for name, edit in (
+        ("_hidden_layer_x", lambda h: _set(h, ("model", "hidden_layers"), ["x", 8])),
+        ("_n_params_abc", lambda h: _set(h, ("n_params",), "abc")),
+        ("_one_value_scaler_bounds", _one_value_bounds),
+        ("_train_mse_a", lambda h: _set(h, ("train_mse",), ["a"])),
+        ("_header_is_a_list", lambda h: [h]),
+        ("_optimizer_list", lambda h: _set(h, ("train", "optimizer"), ["adam"])),
+        ("_model_key_missing", lambda h: (h["model"].pop("output_dim"), h)[1]),
+        ("_train_key_extra", lambda h: _set(h, ("train", "momentum"), 0.9)),
+        ("_kind_lstm", lambda h: _set(h, ("kind",), "lstm")),
+        ("_feature_names_short", lambda h: _set(h, ("feature_names",), h["feature_names"][:1])),
+    )),
 ])
 def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, argv, name):
     shutil.copytree(smoke_run["data"], tmp_path / "data")
@@ -774,6 +817,19 @@ def test_exit_code_2_bad_choice_names_the_key_and_the_value(tmp_path, capsys, pa
     assert f"{key}: expected one of" in err
     assert repr(given) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", ["hover,low", 'say "hover"', "hover\tlow", "hover\rlow",
+                                   "hover\nlow"])
+def test_exit_code_2_maneuver_label_a_csv_row_cannot_hold(tmp_path, capsys, label):
+    flights = [{"id": "lab01", "maneuvers": [{"kind": "hold", "duration_s": 5, "level": 300,
+                                              "label": label}]}]
+    cfg = _smoke_with(tmp_path, ("corpus", "flights"), flights)
+    assert run_cli("generate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"corpus.flights[0].maneuvers[0].label: {label!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "data" / "maneuvers.csv").exists()
 
 
 def test_whole_numbers_and_yaml_booleans_are_accepted(tmp_path):
@@ -904,7 +960,11 @@ def _edit_lines(edit):
      "data row 2: flight 'smk01' segment 'hover' [30,73) overlaps 'taxiing' [0,40) "
      "of data row 1"),
     (_edit_lines(lambda ls: ls + ["smk99,hover,0,10,0"]), "flight 'smk99' is not in the corpus"),
-], ids=["swapped-header", "empty", "extra-column", "excluded-2", "overlap", "unknown-flight"])
+    (_edit_lines(lambda ls: [ln.replace(",159,239,", ",159,99999,") for ln in ls]),
+     "data row 7: flight 'smk01' segment 'collective_sweep' ends at 99999, the flight has 239 "
+     "samples"),
+], ids=["swapped-header", "empty", "extra-column", "excluded-2", "overlap", "unknown-flight",
+        "past-the-last-sample"])
 def test_exit_code_2_malformed_maneuvers_csv(tmp_path, capsys, smoke_corpus, damage, detail):
     cfg = make_run(tmp_path, "smoke")
     shutil.copytree(smoke_corpus, tmp_path / "data")

@@ -25,11 +25,10 @@ from tssid.flightdata import Channel, FlightRecord, ManeuverSegment, unscale_ser
 from tssid.neural import (
     LSTMConfig,
     MLPConfig,
+    NetData,
     OptimizerState,
-    TabularData,
     TrainConfig,
     TrainedNet,
-    WindowedData,
     init_lstm_params,
     init_mlp_params,
     init_optimizer,
@@ -222,7 +221,7 @@ def _toy_tabular(n=240, seed=6):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, (n, 2))
     y = 0.3 * X[:, 0] - 0.2 * X[:, 1] + 0.05
-    return TabularData(X[: n - 40], y[: n - 40]), TabularData(X[n - 40:], y[n - 40:])
+    return NetData(X[: n - 40], y[: n - 40]), NetData(X[n - 40:], y[n - 40:])
 
 
 def _toy_windows(seed=7):
@@ -232,8 +231,8 @@ def _toy_windows(seed=7):
     y = 0.4 + 0.2 * np.sin(t - 0.1)
     data = make_windows(x, y, lookback=6, stride=2)
     k = len(data) - 12
-    return (WindowedData(data.inputs[:k], data.targets[:k]),
-            WindowedData(data.inputs[k:], data.targets[k:]))
+    return (NetData(data.inputs[:k], data.targets[:k]),
+            NetData(data.inputs[k:], data.targets[k:]))
 
 
 def test_train_mlp_loss_decreases_and_is_deterministic():
@@ -287,12 +286,53 @@ def test_train_data_kind_enforced():
         train(MLPConfig(input_dim=2), TrainConfig(epochs=1), wtr)
     with pytest.raises(DimensionMismatch):
         train(LSTMConfig(input_dim=1), TrainConfig(epochs=1), tr)
+    # inputs of the right rank but the wrong width, for training or validation
+    with pytest.raises(DimensionMismatch):
+        train(MLPConfig(input_dim=3), TrainConfig(epochs=1), tr)
+    with pytest.raises(DimensionMismatch):
+        train(MLPConfig(input_dim=2), TrainConfig(epochs=1), tr,
+              NetData(np.empty((0, 3)), np.empty(0)))
 
 
 def test_train_rejects_empty_dataset():
-    empty = TabularData(np.empty((0, 2)), np.empty(0))
+    empty = NetData(np.empty((0, 2)), np.empty(0))
     with pytest.raises(EmptyDataset):
         train(MLPConfig(input_dim=2), TrainConfig(epochs=1), empty)
+
+
+def test_net_data_targets_match_the_inputs_leading_axes():
+    NetData(np.zeros((4, 3, 2)), np.zeros((4, 3)))
+    with pytest.raises(LengthMismatch):
+        NetData(np.zeros((4, 2)), np.zeros((4, 1)))
+    with pytest.raises(LengthMismatch):
+        NetData(np.zeros((4, 3, 2)), np.zeros(4))
+    with pytest.raises(DimensionMismatch):
+        NetData(np.zeros(4), np.zeros(()))
+
+
+@pytest.mark.parametrize("val", ["none", "empty", "data"])
+@pytest.mark.parametrize("shuffle", [True, False])
+@pytest.mark.parametrize("optimizer", ["rmsprop", "adam"])
+@pytest.mark.parametrize("kind", ["ffnn", "lstm"])
+def test_train_is_bitwise_the_per_kind_loop(kind, optimizer, shuffle, val):
+    """The one loop reproduces the loop that branched on the kind in every batch."""
+    if kind == "ffnn":
+        (tr, va), old_data = _toy_tabular(n=150), loop_kernels.TabularData
+        mc = MLPConfig(input_dim=2, hidden_layers=(6, 5))
+    else:
+        (tr, va), old_data = _toy_windows(), loop_kernels.WindowedData
+        mc = LSTMConfig(input_dim=1, hidden_size=3, num_layers=2, lookback=6)
+    va = {"none": None, "empty": NetData(va.inputs[:0], va.targets[:0]), "data": va}[val]
+    tc = TrainConfig(optimizer=optimizer, learning_rate=1e-2, batch_size=16, epochs=3,
+                     seed=5, shuffle=shuffle)
+    net = train(mc, tc, tr, va)
+    ref = loop_kernels.train(mc, tc, old_data(tr.inputs, tr.targets),
+                             None if va is None else old_data(va.inputs, va.targets))
+    assert net.kind == ref.kind == kind
+    np.testing.assert_array_equal(net.params, ref.params)
+    np.testing.assert_array_equal(net.train_mse, ref.train_mse)
+    np.testing.assert_array_equal(net.val_mse, ref.val_mse)
+    assert np.isfinite(net.val_mse).all() == (val == "data")
 
 
 # --- windowing -------------------------------------------------------------------------
