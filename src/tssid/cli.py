@@ -52,6 +52,7 @@ from . import __version__
 from .config import MODEL_IDS, RunConfig, load_config
 from .errors import ConfigError, IoError, MissingArtifact, TssidError
 from .evaluation import (
+    check_finite_prediction,
     compare_models,
     load_report,
     save_report,
@@ -117,25 +118,63 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _relpaths(base: Path, paths: Sequence[Path]) -> tuple[str, ...]:
-    return tuple(sorted(p.relative_to(base).as_posix() for p in paths))
+class _Stage:
+    """One command's receipt: the files it read, wrote and checked, and its timings.
 
+    A command creates it first and calls :meth:`finish`, the only writer of
+    a manifest, last; a command that fails leaves the previous manifest in
+    place.  ``fingerprints`` are keyed by paths relative to ``base_dir``.
+    """
 
-def _finish(cfg: RunConfig, command: str, base_dir: Path, outputs: Sequence[Path],
-            timings: dict[str, float], extra: dict | None = None,
-            inputs: dict[str, str] | None = None,
-            fingerprints: dict[str, str] | None = None) -> Path:
-    """Write the stage's manifest; ``fingerprints`` are those it wrote or checked."""
-    manifest = RunManifest(
-        command=command,
-        seed=cfg.seed,
-        outputs=_relpaths(base_dir, outputs),
-        inputs=tuple({"path": p, "sha256": d} for p, d in sorted((inputs or {}).items())),
-        fingerprints=fingerprints or {},
-        timings=timings,
-        extra=extra or {},
-    )
-    return write_manifest(base_dir, manifest)
+    def __init__(self, cfg: RunConfig, command: str, base_dir: Path | None = None):
+        self.cfg, self.command = cfg, command
+        self.base_dir = cfg.out_dir if base_dir is None else base_dir
+        self.inputs: dict[str, str] = {}
+        self.fingerprints: dict[str, str] = {}
+        self.outputs: list[Path] = []
+        self.timings: dict[str, float] = {}
+        self.extra: dict = {}
+        self._t0 = time.perf_counter()
+
+    def records(self, ids: Sequence[str]) -> list[FlightRecord]:
+        """The corpus flights ``ids`` (see :func:`_load_records`), recorded as read."""
+        records, self.inputs = _load_records(self.cfg, ids)
+        self.fingerprints["corpus"] = _corpus_fingerprint(self.cfg)
+        return records
+
+    def model(self, model_id: str) -> SparseModel | TrainedNet:
+        """The fitted or trained model, refused unless its stamp is fresh."""
+        path = _model_path(self.cfg, model_id)
+        producer = "train" if model_id in NET_KINDS else "fit-sindy"
+        if not path.exists():
+            raise MissingArtifact(f"no {model_id} model at {path}; run `tssid {producer}` first")
+        model = load_net(path) if model_id in NET_KINDS else load_model(path)
+        check_fingerprint(path, model.fingerprint, _fresh_fingerprint(self.cfg, model_id),
+                          producer)
+        self.stamp(path, model.fingerprint)
+        return model
+
+    def rel(self, path: Path) -> str:
+        return path.relative_to(self.base_dir).as_posix()
+
+    def stamp(self, path: Path, fp: str) -> None:
+        """Record the fingerprint of the artifact written or checked at ``path``."""
+        self.fingerprints[self.rel(path)] = fp
+
+    @contextlib.contextmanager
+    def timed(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
+
+    def finish(self) -> Path:
+        """Write the manifest, with the command's total wall time."""
+        self.timings["total"] = time.perf_counter() - self._t0
+        outputs = tuple(sorted(self.rel(p) for p in self.outputs))
+        inputs = tuple({"path": p, "sha256": d} for p, d in sorted(self.inputs.items()))
+        return write_manifest(self.base_dir, RunManifest(
+            command=self.command, seed=self.cfg.seed, outputs=outputs, inputs=inputs,
+            fingerprints=self.fingerprints, timings=self.timings, extra=self.extra))
 
 
 def _corpus_cfg(cfg: RunConfig):
@@ -156,9 +195,9 @@ def _corpus_cfg(cfg: RunConfig):
 #     manifest_simulate.json)        ids, sha256 of each test flight and
 #                                    maneuvers.csv read
 # All but the last are pure functions of the resolved configuration; the
-# loaders below compare them with the recorded stamps through
-# check_fingerprint.  A simulation that is not fresh is integrated again,
-# never refused.
+# readers (_load_records, _Stage.model, cmd_report) compare them with the
+# recorded stamps through check_fingerprint.  A simulation that is not
+# fresh is integrated again, never refused.
 
 def _corpus_fingerprint(cfg: RunConfig) -> str:
     return fingerprint("corpus", _corpus_cfg(cfg))
@@ -186,11 +225,11 @@ def _eval_fingerprint(cfg: RunConfig, model_fp: str, test_ids: Sequence[str]) ->
     return fingerprint("eval", model_fp, test_ids, cfg.features.target)
 
 
-def _sim_fingerprint(cfg: RunConfig, model_id: str, model: SparseModel,
-                     test_ids: Sequence[str], corpus_files: dict[str, str]) -> str:
-    """The simulation of this model file over these test flights' bytes."""
-    model_sha = file_sha256(_model_path(cfg, model_id))
-    return fingerprint("sim", model.fingerprint, model_sha, test_ids, corpus_files)
+def _sim_fingerprint(stage: _Stage, model_id: str, model: SparseModel,
+                     test_ids: Sequence[str]) -> str:
+    """The simulation of this model file over the bytes of the test flights the stage read."""
+    model_sha = file_sha256(_model_path(stage.cfg, model_id))
+    return fingerprint("sim", model.fingerprint, model_sha, test_ids, stage.inputs)
 
 
 def _fresh_fingerprint(cfg: RunConfig, model_id: str) -> str:
@@ -318,23 +357,14 @@ def _model_path(cfg: RunConfig, model_id: str) -> Path:
     return cfg.out_dir / f"{model_id}_{suffix}"
 
 
-def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
-    """The fitted or trained model, refused unless its stamp is fresh."""
-    path = _model_path(cfg, model_id)
-    stage = "train" if model_id in NET_KINDS else "fit-sindy"
-    if not path.exists():
-        raise MissingArtifact(f"no {model_id} model at {path}; run `tssid {stage}` first")
-    model = load_net(path) if model_id in NET_KINDS else load_model(path)
-    check_fingerprint(path, model.fingerprint, _fresh_fingerprint(cfg, model_id), stage)
-    return model
-
-
 def _simulate_flights(model: SparseModel,
                       records: Sequence[FlightRecord]) -> dict[str, np.ndarray]:
     """Each flight's full-length prediction; NaN outside its scoring segments.
 
     The scoring segments of all flights are integrated in one batched pass.
     The flights share the corpus sample rate, so one step serves them all.
+    A prediction that is not finite inside a segment (a diverged model) is
+    a ``ComputationError``, as it is when scored.
     """
     if not records:
         return {}
@@ -342,9 +372,13 @@ def _simulate_flights(model: SparseModel,
     segs = [(rec, seg) for rec in records for seg in rec.scoring_segments()]
     xs, us = ([rec.values(nm)[s.start_index:s.end_index] for rec, s in segs]
               for nm in (model.state_names[0], model.input_names[0]))
-    trajs = simulate_observed(model, xs, us, dt)
+    # a diverging model overflows; the check below reports it, so numpy's
+    # warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajs = simulate_observed(model, xs, us, dt)
     preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
     for (rec, seg), traj in zip(segs, trajs):
+        check_finite_prediction(f"sindy{model.order}", rec.flight_id, seg, traj.states[:, 0])
         preds[rec.flight_id][seg.start_index:seg.end_index] = traj.states[:, 0]
     return preds
 
@@ -362,47 +396,48 @@ def _read_simulation(cfg: RunConfig, model_id: str, records: Sequence[FlightReco
         man = load_manifest(manifest_path(cfg.out_dir, "simulate"))
     except IoError:
         return None
-    sim_dir = f"sim_{model_id}"
+    sim_dir = Path(f"sim_{model_id}")
     digests = man.extra.get("output_sha256")
-    if man.fingerprints.get(sim_dir) != sim_fp or not isinstance(digests, dict):
+    if man.fingerprints.get(sim_dir.name) != sim_fp or not isinstance(digests, dict):
         return None
-    preds = {}
-    for rec in records:
-        pred = np.full(rec.n_samples, np.nan)
-        for i, seg in enumerate(rec.scoring_segments()):
-            rel = f"{sim_dir}/{_segment_csv_name(rec, i, seg.label)}"
-            try:
-                blob = (cfg.out_dir / rel).read_bytes()
-                if hashlib.sha256(blob).hexdigest() != digests.get(rel):
-                    return None
-                values = [float(row.rpartition(",")[2])
-                          for row in blob.decode("utf-8").splitlines()[1:]]
-            except (OSError, ValueError):
+    preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
+    for rec, seg, rel in _segment_files(records, sim_dir):
+        try:
+            blob = (cfg.out_dir / rel).read_bytes()
+            if hashlib.sha256(blob).hexdigest() != digests.get(rel.as_posix()):
                 return None
-            pred[seg.start_index:seg.end_index] = values
-        preds[rec.flight_id] = pred
+            values = [float(row.rpartition(",")[2])
+                      for row in blob.decode("utf-8").splitlines()[1:]]
+        except (OSError, ValueError):
+            return None
+        preds[rec.flight_id][seg.start_index:seg.end_index] = values
     return preds
 
 
-def _predictions_for(cfg: RunConfig, model_id: str, records: Sequence[FlightRecord],
-                     test_ids: Sequence[str], corpus_files: dict[str, str]
-                     ) -> tuple[dict[str, np.ndarray], str, str | None]:
-    """Each record's prediction by the fresh model, the model's fingerprint,
-    and the fingerprint of the simulation read in place of integrating, if any.
+def _predictions_for(stage: _Stage, model_id: str, records: Sequence[FlightRecord],
+                     test_ids: Sequence[str]) -> tuple[dict[str, np.ndarray], str]:
+    """Each record's prediction by the fresh model, and the model's fingerprint.
+
+    A sparse model's predictions are read from a fresh simulation, whose
+    stamp the stage then records, or else integrated.
     """
-    model = _load_model(cfg, model_id)
+    model = stage.model(model_id)
     if model_id in NET_KINDS:
-        return {r.flight_id: predict_series(model, r) for r in records}, model.fingerprint, None
-    sim_fp = _sim_fingerprint(cfg, model_id, model, test_ids, corpus_files)
-    preds = _read_simulation(cfg, model_id, records, sim_fp)
+        return {r.flight_id: predict_series(model, r) for r in records}, model.fingerprint
+    sim_fp = _sim_fingerprint(stage, model_id, model, test_ids)
+    preds = _read_simulation(stage.cfg, model_id, records, sim_fp)
     if preds is None:
-        preds, sim_fp = _simulate_flights(model, records), None
-    return preds, model.fingerprint, sim_fp
+        return _simulate_flights(model, records), model.fingerprint
+    stage.stamp(stage.cfg.out_dir / f"sim_{model_id}", sim_fp)
+    return preds, model.fingerprint
 
 
-def _segment_csv_name(rec: FlightRecord, index: int, label: str) -> str:
-    safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
-    return f"{rec.flight_id}__{index:02d}_{safe}.csv"
+def _segment_files(records: Sequence[FlightRecord], directory: Path):
+    """Each record's scoring segments, in order, each with its CSV path under ``directory``."""
+    for rec in records:
+        for i, seg in enumerate(rec.scoring_segments()):
+            safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in seg.label)
+            yield rec, seg, directory / f"{rec.flight_id}__{i:02d}_{safe}.csv"
 
 
 # --- commands ---------------------------------------------------------------
@@ -529,7 +564,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     run; only the order of ``TSSID_LOG=INFO`` lines may interleave.
     """
     corpus = _corpus_cfg(cfg)
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "generate", cfg.data_dir)
     specs = corpus.build_specs()
     segments = {spec.flight_id: flight_segments(spec) for spec in specs}
     flights_dir = cfg.data_dir / "flights"
@@ -537,17 +572,16 @@ def cmd_generate(cfg: RunConfig) -> int:
                       flights_dir)
     man_path = cfg.data_dir / "maneuvers.csv"
     save_maneuvers(segments, man_path)
-    outputs = [flights_dir / f"{spec.flight_id}.csv" for spec in specs] + [man_path]
-    timings = {"total": time.perf_counter() - t0}
-    manifest = _finish(cfg, "generate", cfg.data_dir, outputs, timings,
-                       fingerprints={"corpus": _corpus_fingerprint(cfg)})
+    stage.outputs += [flights_dir / f"{spec.flight_id}.csv" for spec in specs] + [man_path]
+    stage.fingerprints["corpus"] = _corpus_fingerprint(cfg)
+    manifest = stage.finish()
     print(f"generated {len(specs)} flights in {cfg.data_dir} ({manifest.name})")
     return 0
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    records, corpus_files = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
+    stage = _Stage(cfg, "ingest")
+    records = stage.records(_corpus_cfg(cfg).flight_ids)
     lines = ["flight_id,n_samples,duration_s,n_maneuvers,n_excluded"]
     for rec in records:
         n_exc = sum(1 for seg in rec.maneuvers if seg.excluded)
@@ -555,26 +589,23 @@ def cmd_ingest(cfg: RunConfig) -> int:
                      f"{len(rec.maneuvers)},{n_exc}")
     out = cfg.out_dir / "ingest_summary.csv"
     _write_text(out, "\n".join(lines) + "\n")
-    timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "ingest", cfg.out_dir, [out], timings, inputs=corpus_files,
-            fingerprints={"corpus": _corpus_fingerprint(cfg)})
+    stage.outputs.append(out)
+    stage.finish()
     total = sum(r.n_samples for r in records)
     print(f"ingested {len(records)} flights, {total} samples -> {out}")
     return 0
 
 
 def cmd_correlate(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    records, corpus_files = _load_records(cfg, _corpus_cfg(cfg).flight_ids)
-    corr = correlation_matrix(records)
+    stage = _Stage(cfg, "correlate")
+    corr = correlation_matrix(stage.records(_corpus_cfg(cfg).flight_ids))
     lines = ["channel," + ",".join(corr.names)]
     for i, nm in enumerate(corr.names):
         lines.append(nm + "," + ",".join(repr(float(v)) for v in corr.values[i]))
     out = cfg.out_dir / "correlation_matrix.csv"
     _write_text(out, "\n".join(lines) + "\n")
-    timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "correlate", cfg.out_dir, [out], timings, inputs=corpus_files,
-            fingerprints={"corpus": _corpus_fingerprint(cfg)})
+    stage.outputs.append(out)
+    stage.finish()
     target = cfg.features.target
     if target in corr.names:
         pairs = sorted(((abs(corr.corr(nm, target)), nm) for nm in corr.names
@@ -586,154 +617,120 @@ def cmd_correlate(cfg: RunConfig) -> int:
 
 
 def cmd_split(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "split")
     split = _split_of(cfg)
     payload = {"train": list(split.train_ids), "val": list(split.val_ids),
                "test": list(split.test_ids)}
     out = cfg.out_dir / "split.yaml"
     _write_text(out, yaml.safe_dump(payload, sort_keys=True))
-    timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "split", cfg.out_dir, [out], timings)
+    stage.outputs.append(out)
+    stage.finish()
     print(f"split {len(_corpus_cfg(cfg).flight_ids)} flights: {len(split.train_ids)} train / "
           f"{len(split.val_ids)} val / {len(split.test_ids)} test -> {out}")
     return 0
 
 
 def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "fit-sindy")
     split = _split_of(cfg)
-    train_recs, corpus_files = _load_records(cfg, split.train_ids)
-    outputs = []
-    timings: dict[str, float] = {}
-    fps = {"corpus": _corpus_fingerprint(cfg)}
+    train_recs = stage.records(split.train_ids)
     for order in orders:
-        t1 = time.perf_counter()
-        model = fit_sparse(train_recs, order, cfg.sindy_config(order))
-        mp = _model_path(cfg, f"sindy{order}")
-        fps[mp.name] = _model_fingerprint(cfg, f"sindy{order}", split.train_ids,
-                                          split.val_ids)
-        save_model(dataclasses.replace(model, fingerprint=fps[mp.name]), mp)
-        eq_text = format_equations(model)
-        resid = ", ".join(f"{r:.6g}" for r in model.residual_rmse)
-        ep = cfg.out_dir / f"sindy{order}_equations.txt"
-        _write_text(ep, eq_text + f"\nresidual_rmse: {resid}\n")
-        outputs.extend([mp, ep])
-        timings[f"order{order}"] = time.perf_counter() - t1
-        print(f"sindy order {order}:")
-        print("  " + eq_text.replace("\n", "\n  "))
-    timings["total"] = time.perf_counter() - t0
-    _finish(cfg, "fit-sindy", cfg.out_dir, outputs, timings, inputs=corpus_files,
-            fingerprints=fps)
+        with stage.timed(f"order{order}"):
+            model = fit_sparse(train_recs, order, cfg.sindy_config(order))
+            mp = _model_path(cfg, f"sindy{order}")
+            fp = _model_fingerprint(cfg, f"sindy{order}", split.train_ids, split.val_ids)
+            save_model(dataclasses.replace(model, fingerprint=fp), mp)
+            eq_text = format_equations(model)
+            resid = ", ".join(f"{r:.6g}" for r in model.residual_rmse)
+            ep = cfg.out_dir / f"sindy{order}_equations.txt"
+            _write_text(ep, eq_text + f"\nresidual_rmse: {resid}\n")
+            stage.outputs += [mp, ep]
+            stage.stamp(mp, fp)
+            print(f"sindy order {order}:")
+            print("  " + eq_text.replace("\n", "\n  "))
+    stage.finish()
     return 0
 
 
 def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "train")
     split = _split_of(cfg)
-    records, corpus_files = _load_records(cfg, split.train_ids + split.val_ids)
+    records = stage.records(split.train_ids + split.val_ids)
     train_recs = records[:len(split.train_ids)]
     val_recs = records[len(split.train_ids):]
     inputs = _resolve_features(cfg, train_recs)
-    outputs = []
-    timings: dict[str, float] = {}
-    fps = {"corpus": _corpus_fingerprint(cfg)}
     for kind in kinds:
-        t1 = time.perf_counter()
-        wp = _model_path(cfg, kind)
-        fps[wp.name] = _model_fingerprint(cfg, kind, split.train_ids, split.val_ids)
-        net = _train_one(cfg, kind, train_recs, val_recs, inputs, fps[wp.name])
-        save_net(net, wp)
-        lp = cfg.out_dir / f"{kind}_loss.csv"
-        _write_text(lp, _loss_csv(net))
-        outputs.extend([wp, lp])
-        timings[kind] = time.perf_counter() - t1
+        with stage.timed(kind):
+            wp = _model_path(cfg, kind)
+            fp = _model_fingerprint(cfg, kind, split.train_ids, split.val_ids)
+            net = _train_one(cfg, kind, train_recs, val_recs, inputs, fp)
+            save_net(net, wp)
+            lp = cfg.out_dir / f"{kind}_loss.csv"
+            _write_text(lp, _loss_csv(net))
+            stage.outputs += [wp, lp]
+            stage.stamp(wp, fp)
         final_val = net.val_mse[-1] if len(net.val_mse) else float("nan")
         print(f"trained {kind}: {len(net.train_mse)} epochs, "
               f"final train mse {net.train_mse[-1]:.3e}, val mse {final_val:.3e}")
-    timings["total"] = time.perf_counter() - t0
-    _finish(cfg, "train", cfg.out_dir, outputs, timings, inputs=corpus_files,
-            fingerprints=fps)
+    stage.finish()
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "simulate")
     test_ids = _split_of(cfg).test_ids
-    test_recs, corpus_files = _load_records(cfg, test_ids)
-    outputs = []
-    digests = {}
-    fps = {"corpus": _corpus_fingerprint(cfg)}
+    test_recs = stage.records(test_ids)
+    digests = stage.extra["output_sha256"] = {}
     for order in orders:
         model_id = f"sindy{order}"
-        model = _load_model(cfg, model_id)
-        fps[_model_path(cfg, model_id).name] = model.fingerprint
-        fps[f"sim_{model_id}"] = _sim_fingerprint(cfg, model_id, model, test_ids,
-                                                  corpus_files)
-        preds = _simulate_flights(model, test_recs)
+        model = stage.model(model_id)
         sim_dir = cfg.out_dir / f"sim_{model_id}"
-        for rec in test_recs:
-            pred = preds[rec.flight_id]
-            t = np.arange(rec.n_samples) * rec.dt
-            wf = rec.values(model.input_names[0])
-            trq = rec.values(model.state_names[0])
-            for i, seg in enumerate(rec.scoring_segments()):
-                s, e = seg.start_index, seg.end_index
-                path = sim_dir / _segment_csv_name(rec, i, seg.label)
-                write_float_csv(path, ("time_s", "WF", "TRQ_actual", "TRQ_pred"),
-                                (t[s:e], wf[s:e], trq[s:e], pred[s:e]))
-                outputs.append(path)
-                digests[path.relative_to(cfg.out_dir).as_posix()] = file_sha256(path)
+        stage.stamp(sim_dir, _sim_fingerprint(stage, model_id, model, test_ids))
+        preds = _simulate_flights(model, test_recs)
+        for rec, seg, path in _segment_files(test_recs, sim_dir):
+            s, e = seg.start_index, seg.end_index
+            write_float_csv(path, ("time_s", "WF", "TRQ_actual", "TRQ_pred"),
+                            (np.arange(s, e) * rec.dt, rec.values(model.input_names[0])[s:e],
+                             rec.values(model.state_names[0])[s:e], preds[rec.flight_id][s:e]))
+            stage.outputs.append(path)
+            digests[stage.rel(path)] = file_sha256(path)
         print(f"simulated {model_id} over {len(test_recs)} test flights -> {sim_dir}")
-    timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "simulate", cfg.out_dir, outputs, timings,
-            extra={"output_sha256": digests}, inputs=corpus_files, fingerprints=fps)
+    stage.finish()
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "evaluate")
     test_ids = _split_of(cfg).test_ids
-    test_recs, corpus_files = _load_records(cfg, test_ids)
+    test_recs = stage.records(test_ids)
     target = cfg.features.target
     reports = []
-    outputs = []
-    fps = {"corpus": _corpus_fingerprint(cfg)}
     for model_id in model_ids:
-        preds, model_fp, sim_fp = _predictions_for(cfg, model_id, test_recs, test_ids,
-                                                   corpus_files)
-        if sim_fp is not None:
-            fps[f"sim_{model_id}"] = sim_fp
+        preds, model_fp = _predictions_for(stage, model_id, test_recs, test_ids)
         report = dataclasses.replace(score_model(model_id, preds, test_recs, target),
                                      fingerprint=_eval_fingerprint(cfg, model_fp, test_ids))
         rp = cfg.out_dir / f"eval_{model_id}.txt"
         save_report(report, rp)
-        outputs.append(rp)
+        stage.outputs.append(rp)
+        stage.stamp(rp, report.fingerprint)
         reports.append(report)
-        fps[_model_path(cfg, model_id).name] = model_fp
-        fps[rp.name] = report.fingerprint
-        for rec in test_recs:
-            pred = preds[rec.flight_id]
-            t = np.arange(rec.n_samples) * rec.dt
-            actual = rec.values(target)
-            for i, seg in enumerate(rec.scoring_segments()):
-                s, e = seg.start_index, seg.end_index
-                path = cfg.out_dir / "overlays" / model_id / _segment_csv_name(rec, i, seg.label)
-                write_overlay_csv(path, t[s:e], actual[s:e], pred[s:e])
-                outputs.append(path)
+        for rec, seg, path in _segment_files(test_recs, cfg.out_dir / "overlays" / model_id):
+            s, e = seg.start_index, seg.end_index
+            write_overlay_csv(path, np.arange(s, e) * rec.dt, rec.values(target)[s:e],
+                              preds[rec.flight_id][s:e])
+            stage.outputs.append(path)
         print(f"{model_id}: overall rMAE {report.overall_rmae * 100:.2f}%")
     table = compare_models(reports)
     cp = cfg.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
-    outputs.append(cp)
-    timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "evaluate", cfg.out_dir, outputs, timings, inputs=corpus_files,
-            fingerprints=fps)
+    stage.outputs.append(cp)
+    stage.finish()
     print(f"wrote {cp}")
     return 0
 
 
 def cmd_retrain_experiment(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "retrain-experiment")
     if not cfg.retrain_augment_ids:
         raise ConfigError("retrain-experiment needs retrain.augment_ids in the config")
     split = _split_of(cfg)
@@ -748,44 +745,39 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
                           "leave at least one flight for evaluation")
     # the split covers every flight, and the experiment uses all of them
     ids = _corpus_cfg(cfg).flight_ids
-    records, corpus_files = _load_records(cfg, ids)
+    records = stage.records(ids)
     by_id = dict(zip(ids, records))
     eval_recs = [by_id[i] for i in eval_ids]
     val_recs = [by_id[i] for i in split.val_ids]
     inputs = _resolve_features(cfg, [by_id[i] for i in split.train_ids])
 
     rt_dir = cfg.out_dir / "retrain"
-    outputs = []
-    timings: dict[str, float] = {}
     phases = {
         "baseline": list(split.train_ids),
         "retrained": list(split.train_ids) + list(cfg.retrain_augment_ids),
     }
     scores: dict[str, dict[str, float]] = {k: {} for k in NET_KINDS}
-    fps = {"corpus": _corpus_fingerprint(cfg)}
-    runs = []
+    runs = stage.extra["runs"] = []
     for phase, train_ids in phases.items():
-        t1 = time.perf_counter()
-        train_recs = [by_id[i] for i in train_ids]
-        for kind in NET_KINDS:
-            net = _train_one(cfg, kind, train_recs, val_recs, inputs,
-                             _model_fingerprint(cfg, kind, train_ids, split.val_ids))
-            wp = rt_dir / f"{kind}_{phase}_weights.bin"
-            save_net(net, wp)
-            outputs.append(wp)
-            preds = {r.flight_id: predict_series(net, r) for r in eval_recs}
-            report = dataclasses.replace(
-                score_model(kind, preds, eval_recs, cfg.features.target),
-                fingerprint=_eval_fingerprint(cfg, net.fingerprint, eval_ids))
-            rp = rt_dir / f"eval_{phase}_{kind}.txt"
-            save_report(report, rp)
-            outputs.append(rp)
-            fps[wp.relative_to(cfg.out_dir).as_posix()] = net.fingerprint
-            fps[rp.relative_to(cfg.out_dir).as_posix()] = report.fingerprint
-            scores[kind][phase] = report.overall_rmae
-            print(f"{phase} {kind}: overall rMAE {report.overall_rmae * 100:.2f}%")
-        runs.append({"phase": phase, "train_flights": train_ids})
-        timings[phase] = time.perf_counter() - t1
+        with stage.timed(phase):
+            train_recs = [by_id[i] for i in train_ids]
+            for kind in NET_KINDS:
+                net = _train_one(cfg, kind, train_recs, val_recs, inputs,
+                                 _model_fingerprint(cfg, kind, train_ids, split.val_ids))
+                wp = rt_dir / f"{kind}_{phase}_weights.bin"
+                save_net(net, wp)
+                preds = {r.flight_id: predict_series(net, r) for r in eval_recs}
+                report = dataclasses.replace(
+                    score_model(kind, preds, eval_recs, cfg.features.target),
+                    fingerprint=_eval_fingerprint(cfg, net.fingerprint, eval_ids))
+                rp = rt_dir / f"eval_{phase}_{kind}.txt"
+                save_report(report, rp)
+                stage.outputs += [wp, rp]
+                stage.stamp(wp, net.fingerprint)
+                stage.stamp(rp, report.fingerprint)
+                scores[kind][phase] = report.overall_rmae
+                print(f"{phase} {kind}: overall rMAE {report.overall_rmae * 100:.2f}%")
+            runs.append({"phase": phase, "train_flights": train_ids})
 
     lines = ["tssid retrain report v1",
              "augment_flights: " + ",".join(cfg.retrain_augment_ids),
@@ -800,19 +792,16 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
                   f"improvement_percent: {improvement:.2f}"]
     report_path = rt_dir / "retrain_report.txt"
     _write_text(report_path, "\n".join(lines) + "\n")
-    outputs.append(report_path)
-    timings["total"] = time.perf_counter() - t0
-    _finish(cfg, "retrain-experiment", cfg.out_dir, outputs, timings,
-            extra={"runs": runs}, inputs=corpus_files, fingerprints=fps)
+    stage.outputs.append(report_path)
+    stage.finish()
     print(f"wrote {report_path}")
     return 0
 
 
 def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
-    t0 = time.perf_counter()
+    stage = _Stage(cfg, "report")
     test_ids = _split_of(cfg).test_ids
     reports = []
-    fps = {}
     for model_id in model_ids:
         path = cfg.out_dir / f"eval_{model_id}.txt"
         if not path.exists():
@@ -820,7 +809,7 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
         report = load_report(path)
         expected = _eval_fingerprint(cfg, _fresh_fingerprint(cfg, model_id), test_ids)
         check_fingerprint(path, report.fingerprint, expected, "evaluate")
-        fps[path.name] = report.fingerprint
+        stage.stamp(path, report.fingerprint)
         reports.append(report)
     table = compare_models(reports)
     cp = cfg.out_dir / "comparison.csv"
@@ -838,8 +827,8 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     rp = cfg.out_dir / "report.txt"
     _write_text(rp, text)
     print(text, end="")
-    timings = {"total": time.perf_counter() - t0}
-    _finish(cfg, "report", cfg.out_dir, [cp, rp], timings, fingerprints=fps)
+    stage.outputs += [cp, rp]
+    stage.finish()
     return 0
 
 

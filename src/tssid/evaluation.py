@@ -30,7 +30,7 @@ from .errors import (
     MissingPrediction,
     NonPositiveFlightMean,
 )
-from .flightdata import FlightRecord, atomic_open, write_float_csv
+from .flightdata import FlightRecord, ManeuverSegment, atomic_open, write_float_csv
 
 
 def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -91,6 +91,18 @@ class EvalReport:
         raise MissingPrediction(f"report has no flight {flight_id!r}")
 
 
+def check_finite_prediction(model_id: str, flight_id: str, seg: ManeuverSegment,
+                            seg_pred: np.ndarray) -> None:
+    """Refuse a prediction inside a scoring segment that is not finite (a diverged
+    simulation) with a :class:`ComputationError` naming the model, flight and maneuver."""
+    if not np.isfinite(seg_pred).all():
+        raise ComputationError(
+            f"model {model_id!r}: prediction for flight {flight_id!r}, "
+            f"maneuver {seg.label!r} (samples {seg.start_index}-{seg.end_index}) "
+            "is not finite"
+        )
+
+
 def score_model(model_id: str, predictions: Mapping[str, np.ndarray],
                 records: Sequence[FlightRecord], target: str = "TRQ") -> EvalReport:
     """Score full-length prediction series against the actual target.
@@ -124,12 +136,7 @@ def score_model(model_id: str, predictions: Mapping[str, np.ndarray],
         scores = []
         for seg in rec.scoring_segments():
             seg_pred = pred[seg.start_index:seg.end_index]
-            if not np.isfinite(seg_pred).all():
-                raise ComputationError(
-                    f"model {model_id!r}: prediction for flight {rec.flight_id!r}, "
-                    f"maneuver {seg.label!r} (samples {seg.start_index}-{seg.end_index}) "
-                    "is not finite"
-                )
+            check_finite_prediction(model_id, rec.flight_id, seg, seg_pred)
             seg_mae = mae(seg_pred, actual[seg.start_index:seg.end_index])
             scores.append(ManeuverScore(seg.label, seg.start_index, seg.end_index,
                                         seg_mae, seg_mae / mean_trq))

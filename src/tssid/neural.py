@@ -486,11 +486,27 @@ _NET_MAGIC = b"TSSIDNET v1\n"
 _MODEL_TYPES = {cls.header_type: cls for cls in (MLPConfig, LSTMConfig)}
 
 
+# the JSON values save_net writes, by the annotation of their config field
+# (``type`` and not ``isinstance``, since a bool is an int)
+_HEADER_VALUE_TYPES = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "tuple[int, ...]": lambda v: type(v) is list and all(type(h) is int for h in v),
+}
+
+
 def _config_from(config_type, block):
-    """The config a header block describes; the block's keys must be its fields."""
-    names = {f.name for f in fields(config_type)}
-    if set(block) != names:
-        raise KeyError(f"{config_type.__name__} takes {sorted(names)}, got {sorted(block)}")
+    """The config a header block describes; the block's keys must be its
+    fields, and each value of its field's type."""
+    types = {f.name: f.type for f in fields(config_type)}
+    if set(block) != set(types):
+        raise KeyError(f"{config_type.__name__} takes {sorted(types)}, got {sorted(block)}")
+    for name, value in block.items():
+        if not _HEADER_VALUE_TYPES[types[name]](value):
+            raise TypeError(f"{config_type.__name__}.{name} must be {types[name]}, "
+                            f"got {value!r}")
     return config_type(**block)
 
 
@@ -555,13 +571,19 @@ def load_net(path: str | Path) -> TrainedNet:
                 or len(names) not in (0, mc.input_dim)):
             raise ValueError(f"feature_names {names} and target_name {target!r} do not "
                              f"name a model of {mc.input_dim} inputs")
+        tc = _config_from(TrainConfig, header["train"])
+        train_mse = np.array([float(v) for v in header.get("train_mse", [])])
+        val_mse = np.array([float("nan") if v is None else float(v)
+                            for v in header.get("val_mse", [])])
+        if len(train_mse) != tc.epochs or len(val_mse) != tc.epochs:
+            raise ValueError(f"train_mse and val_mse hold {len(train_mse)} and "
+                             f"{len(val_mse)} entries, not train.epochs {tc.epochs}")
         described = dict(
             kind=kind,
             model_config=mc,
-            train_config=_config_from(TrainConfig, header["train"]),
-            train_mse=np.array([float(v) for v in header.get("train_mse", [])]),
-            val_mse=np.array([float("nan") if v is None else float(v)
-                              for v in header.get("val_mse", [])]),
+            train_config=tc,
+            train_mse=train_mse,
+            val_mse=val_mse,
             feature_names=names,
             target_name=target,
             scaler_bounds={k: (float(lo), float(hi)) for k, (lo, hi)

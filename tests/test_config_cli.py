@@ -258,6 +258,9 @@ def test_every_manifest_lists_existing_outputs(smoke_run):
         assert bool(man.fingerprints) == (man.command != "split"), mpath.name
         for fp in man.fingerprints.values():
             assert len(fp) == 64
+        # every stamp but the corpus's is keyed by the artifact's path
+        for key in man.fingerprints.keys() - {"corpus"}:
+            assert (base / key).exists(), f"{mpath.name} stamps missing {key}"
         assert "total" in man.timings
 
 
@@ -726,6 +729,12 @@ def _one_value_bounds(header: dict) -> dict:
         ("_train_key_extra", lambda h: _set(h, ("train", "momentum"), 0.9)),
         ("_kind_lstm", lambda h: _set(h, ("kind",), "lstm")),
         ("_feature_names_short", lambda h: _set(h, ("feature_names",), h["feature_names"][:1])),
+        # values of the wrong type, which used to load as given or truncated
+        ("_hidden_layer_fraction", lambda h: _set(h, ("model", "hidden_layers"), [8.5, 8])),
+        ("_batch_size_fraction", lambda h: _set(h, ("train", "batch_size"), 2.5)),
+        ("_seed_string", lambda h: _set(h, ("train", "seed"), "x")),
+        ("_shuffle_int", lambda h: _set(h, ("train", "shuffle"), 1)),
+        ("_train_mse_one_of_three_epochs", lambda h: _set(h, ("train_mse",), h["train_mse"][:1])),
     )),
 ])
 def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, argv, name):
@@ -745,15 +754,28 @@ def test_exit_code_4_diverged_simulation_writes_no_score(tmp_path, capsys, smoke
     shutil.copytree(smoke_run["out"], tmp_path / "out")
     _edit_sindy1_model("_huge_coefficient", r"\t.*", "\t1e308")(tmp_path)
     good = {name: (tmp_path / "out" / name).read_bytes()
-            for name in ("eval_sindy1.txt", "comparison.csv")}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
-        assert run_cli("evaluate", "--model", "sindy1", "--config",
-                       make_run(tmp_path, "smoke")) == 4
+            for name in ("eval_sindy1.txt", "comparison.csv", "manifest_evaluate.json")}
+    assert run_cli("evaluate", "--model", "sindy1", "--config",
+                   make_run(tmp_path, "smoke")) == 4
     err = capsys.readouterr().err
     assert "'sindy1'" in err and "'smk04'" in err and "not finite" in err
     assert "Traceback" not in err
     assert good == {name: (tmp_path / "out" / name).read_bytes() for name in good}
+
+
+def test_exit_code_4_diverged_simulate_writes_no_sim(tmp_path, capsys, smoke_run):
+    shutil.copytree(smoke_run["data"], tmp_path / "data")
+    shutil.copytree(smoke_run["out"], tmp_path / "out")
+    _edit_sindy1_model("_huge_coefficient", r"\t.*", "\t1e308")(tmp_path)
+    out = tmp_path / "out"
+    kept = sorted(out.glob("sim_sindy1/*.csv")) + [out / "manifest_simulate.json"]
+    good = {path: path.read_bytes() for path in kept}
+    assert len(good) > 1
+    assert run_cli(*_SIMULATE_1, "--config", make_run(tmp_path, "smoke")) == 4
+    err = capsys.readouterr().err
+    assert "'sindy1'" in err and "'smk04'" in err and "not finite" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert good == {path: path.read_bytes() for path in kept}
 
 
 @pytest.mark.parametrize("path, value, key", [

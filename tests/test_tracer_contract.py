@@ -7,7 +7,10 @@ those functions would break ``perfbench/run.py --trace 1``; the first test
 fails first.  The tracer also reads call details, such as the epochs of
 ``train``'s second positional argument and the ``kind`` of its result; the
 second test runs the smoke preset's ``generate`` and ``train`` through the
-tracer script, as ``perfbench/run.py --trace 1`` does, and checks them.
+tracer script, as ``perfbench/run.py --trace 1`` does, and checks them.  It
+also checks that each run records its command as exactly one ``cli.cmd_*``
+span: the tracer replaces the module attributes, so a command reached
+other than by its module-global name would read 0 s in every run.
 The tracer file is used as it is and not changed.
 """
 
@@ -44,12 +47,14 @@ def test_traced_smoke_train_records_each_nets_epochs_and_kind(tmp_path):
     cfg = make_run(tmp_path, "smoke")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     for stage in ("generate", "train"):
+        spans_path = tmp_path / f"{stage}.spans.json"
         proc = subprocess.run(
             [sys.executable, str(REPO / "perfbench" / "tracer.py"),
-             str(tmp_path / f"{stage}.spans.json"), stage, "--config", str(cfg)],
+             str(spans_path), stage, "--config", str(cfg)],
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-    spans = json.loads((tmp_path / "train.spans.json").read_text(encoding="utf-8"))["spans"]
+        spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+        assert [s[0] for s in spans if s[0].startswith("cli.")] == [f"cli.cmd_{stage}"]
     # smoke trains the FFNN for 3 epochs and the LSTM for 2
     assert sorted((s[4], s[5]) for s in spans if s[0] == "neural.train") == [
         (2, "lstm"), (3, "ffnn")]
