@@ -197,6 +197,58 @@ def test_fingerprint_hashes_resolved_values_and_the_tool_version(monkeypatch):
         fingerprint(Path("data"))
 
 
+_PINNED_FINGERPRINTS = {
+    "cascade": {
+        "corpus": "07b81886cef79902f8aa89a320cc8be82e3b88bc07306fd3f05cefb0754d4306",
+        "sindy1": "03704cd81927359eb6d9d79b63a29033be2171e40077dc1bea6d58a77ad7bc5d",
+        "sindy2": "ed965230a958831991635969b6ca7b49b8fbb5a6ef104447cfae54539cdb16ce",
+        "ffnn": "902df45642a252810be7773391effaaaeb820bde2264c5e7f2c92ffda571910e",
+        "lstm": "6eb5188f8ad963a68bf372811931898589099f4e056dae2f476b9d2beb2e1ac7",
+    },
+    "miso": {
+        "corpus": "e09a3dc177e0912bcac40f55acefe6c3774e0a66c3c5546f3ba4a76d2779a3a1",
+        "sindy1": "8165a7a13e7d2f701e3ad304f6672ae04c25ab53d8bac955035bf2bfc9bb1757",
+        "sindy2": "9a922570fde38135e958a432564874e2c54e8fd4745cb9318be8d15cddd2dc35",
+        "ffnn": "33f474f8327d819a38a6804aa47f6d0182dbc567f10a14b24223aa29cb1585da",
+        "lstm": "02f583958808a95b57fbeaa1099e6a11acbb0844578f8fd1991fae5533a0fd61",
+    },
+    "recovery": {
+        "corpus": "0a6f72b7aa6f4da4143489c87484de05680b99d00d9ef14ff0efd68c5ac8f313",
+        "sindy1": "7de288ab70af9bc985b64fa9569ab435b7b80bcce9a3660e40c842eb57f330de",
+        "sindy2": "07715f4672c1855011e184bb9eb70f6d7f88e781357370a2b2bdeead941841ba",
+        "ffnn": "9b848d18b0b9056cb94a10d990d0a6d3db2ca1ab3d1d6c427facce498930701f",
+        "lstm": "cbda26046e8ce379c4f6f60af3c4e1bd10db16817128c81fb1d0ad2389c9afb1",
+    },
+    "shifted": {
+        "corpus": "36edd4c7bcff23cd4914cef0726a1413b915690e0b179a71f89880930400dff9",
+        "sindy1": "b26b214bf59fad9aef60a21e6223dc260a7e27a2fee0e4229187daef15186cba",
+        "sindy2": "51293b6021a3cf67a93d6c6a973e42e08b51c73eabd3ea1fc574ae2d592b3317",
+        "ffnn": "7b8f8644b8b118af5b9f3d86ad8bdf8302ef0d3cc41bf15e479c815152a979f7",
+        "lstm": "7d5fec48603ebd00eded489761fc37ecc709243f321bb84f97e29f5db11ddab7",
+    },
+    "smoke": {
+        "corpus": "8fc44beb76611f4c741d7780cd737c2888d2459838e3de4ee865cf783c4b7887",
+        "sindy1": "c4fbb1e62429244ff0ed066e1522093cc692b182e85e69032af58956b6683647",
+        "sindy2": "8749fbaff671753168046224818ac2742869344d678430189e6ab2c14e0504cb",
+        "ffnn": "59d4afb91298dc63f71b7672ec017f8ba2f69fee90ef8eab630d34b190d3cced",
+        "lstm": "6d3db8b74da10d718837e7e32369860c79d458f9cced4a30ff2e31cde2c1ffbc",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PINNED_FINGERPRINTS))
+def test_preset_fingerprints_are_pinned(preset):
+    # Each preset's resolved configuration, seen through the stamps its
+    # artifacts carry.  A reader change that resolves any setting differently
+    # (a default, a coercion, the shape of the hashed net settings) moves a
+    # digest; so does a new tool version, which is meant to.
+    cfg = load_config(CONFIGS / f"{preset}.yaml")
+    got = {"corpus": cli._corpus_fingerprint(cfg)}
+    for model_id in MODEL_IDS:
+        got[model_id] = cli._model_fingerprint(cfg, model_id, ("t1", "t2"), ("v1",))
+    assert got == _PINNED_FINGERPRINTS[preset]
+
+
 def test_sindy_config_accessor():
     cfg = load_config(CONFIGS / "smoke.yaml")
     assert cfg.sindy_config(1) is cfg.sindy_first
