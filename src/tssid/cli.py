@@ -63,6 +63,7 @@ from .evaluation import (
 from .flightdata import (
     DEFAULT_FEATURES,
     DatasetSplit,
+    FeatureRules,
     FlightRecord,
     atomic_open,
     correlation_matrix,
@@ -128,7 +129,7 @@ class _Stage:
 
     def __init__(self, cfg: RunConfig, command: str, base_dir: Path | None = None):
         self.cfg, self.command = cfg, command
-        self.base_dir = cfg.out_dir if base_dir is None else base_dir
+        self.base_dir = cfg.paths.out_dir if base_dir is None else base_dir
         self.inputs: dict[str, str] = {}
         self.fingerprints: dict[str, str] = {}
         self.outputs: list[Path] = []
@@ -204,10 +205,8 @@ def _corpus_fingerprint(cfg: RunConfig) -> str:
 
 
 def _net_settings(cfg: RunConfig, kind: str) -> tuple:
-    n = cfg.neural
-    if kind == "ffnn":
-        return n.ffnn_hidden, n.ffnn_train
-    return n.lstm_hidden_size, n.lstm_num_layers, n.lstm_lookback, n.lstm_stride, n.lstm_train
+    section = cfg.ffnn if kind == "ffnn" else cfg.lstm
+    return tuple(getattr(section, f.name) for f in dataclasses.fields(section))
 
 
 def _model_fingerprint(cfg: RunConfig, model_id: str, train_ids: Sequence[str],
@@ -248,11 +247,11 @@ def _load_records(cfg: RunConfig,
     data_dir with the sha256 of their bytes, for the stage's manifest.
     """
     corpus = _corpus_cfg(cfg)
-    flights_dir = cfg.data_dir / "flights"
-    man_path = cfg.data_dir / "maneuvers.csv"
+    flights_dir = cfg.paths.data_dir / "flights"
+    man_path = cfg.paths.data_dir / "maneuvers.csv"
     if not flights_dir.is_dir():
         raise IoError(f"no corpus at {flights_dir}; run `tssid generate` first")
-    stamp_path = manifest_path(cfg.data_dir, "generate")
+    stamp_path = manifest_path(cfg.paths.data_dir, "generate")
     recorded = (load_manifest(stamp_path).fingerprints.get("corpus", "")
                 if stamp_path.exists() else "")
     check_fingerprint(stamp_path, recorded, _corpus_fingerprint(cfg), "generate")
@@ -263,22 +262,22 @@ def _load_records(cfg: RunConfig,
         if not path.exists():
             raise IoError(f"missing flight file {path}; run `tssid generate` first")
         rec, files[f"flights/{fid}.csv"] = ingest_cached(
-            path, corpus.sample_rate_hz, fid, cfg.out_dir / "cache")
+            path, corpus.sample_rate_hz, fid, cfg.paths.out_dir / "cache")
         records.append(rec)
     if man_path.exists():
         segments = load_maneuvers(man_path, corpus.flight_ids,
                                   {rec.flight_id: rec.n_samples for rec in records})
         files[man_path.name] = file_sha256(man_path)
         records = [rec.with_maneuvers(segments.get(rec.flight_id, ())) for rec in records]
-    return [filter_maneuvers(rec, cfg.exclude_labels) for rec in records], files
+    return [filter_maneuvers(rec, cfg.maneuvers.exclude_labels) for rec in records], files
 
 
 def _split_of(cfg: RunConfig) -> DatasetSplit:
     """The train/val/test split of the corpus flight ids; reads no flight."""
     ids = list(_corpus_cfg(cfg).flight_ids)
-    if cfg.split_explicit is not None:
-        return split_dataset(ids, explicit=cfg.split_explicit)
-    fractions = cfg.split_fractions or (0.8, 0.1, 0.1)
+    if cfg.split.explicit is not None:
+        return split_dataset(ids, explicit=cfg.split.explicit)
+    fractions = cfg.split.fractions or (0.8, 0.1, 0.1)
     return split_dataset(ids, fractions=fractions, seed=derive_seed(cfg.seed, "split"))
 
 
@@ -286,10 +285,8 @@ def _resolve_features(cfg: RunConfig, records: Sequence[FlightRecord]) -> tuple[
     feats = cfg.features
     if feats.inputs:
         return feats.inputs
-    rules = feats.rules
-    if rules.exclude or rules.min_abs_corr is not None or rules.max_abs_corr is not None:
-        corr = correlation_matrix(records)
-        return select_features(corr, feats.target, rules)
+    if feats.rules != FeatureRules():
+        return select_features(correlation_matrix(records), feats.target, feats.rules)
     return DEFAULT_FEATURES
 
 
@@ -322,12 +319,11 @@ def _train_one(cfg: RunConfig, kind: str, train_recs: Sequence[FlightRecord],
                fp: str) -> TrainedNet:
     target = cfg.features.target
     scaler = fit_minmax(train_recs, tuple(inputs) + (target,))
-    n = cfg.neural
     if kind == "ffnn":
-        model_config, train_config, windows = cfg.mlp_config(len(inputs)), n.ffnn_train, None
+        model_config, train_config, windows = cfg.mlp_config(len(inputs)), cfg.ffnn.train, None
     else:
-        model_config, train_config = cfg.lstm_config(len(inputs)), n.lstm_train
-        windows = (n.lstm_lookback, n.lstm_stride)
+        model_config, train_config = cfg.lstm_config(len(inputs)), cfg.lstm.train
+        windows = (cfg.lstm.lookback, cfg.lstm.stride)
     train_data, val_data = (_net_data(recs, inputs, target, scaler, windows)
                             for recs in (train_recs, val_recs))
     log.info("training %s on %d flights (%d samples/windows)",
@@ -354,7 +350,7 @@ def _loss_csv(net: TrainedNet) -> str:
 def _model_path(cfg: RunConfig, model_id: str) -> Path:
     """``{ffnn,lstm}_weights.bin`` or ``sindy<k>_model.txt``."""
     suffix = "weights.bin" if model_id in NET_KINDS else "model.txt"
-    return cfg.out_dir / f"{model_id}_{suffix}"
+    return cfg.paths.out_dir / f"{model_id}_{suffix}"
 
 
 def _simulate_flights(model: SparseModel,
@@ -393,7 +389,7 @@ def _read_simulation(cfg: RunConfig, model_id: str, records: Sequence[FlightReco
     the values read back are bitwise the ones integrated.
     """
     try:
-        man = load_manifest(manifest_path(cfg.out_dir, "simulate"))
+        man = load_manifest(manifest_path(cfg.paths.out_dir, "simulate"))
     except IoError:
         return None
     sim_dir = Path(f"sim_{model_id}")
@@ -403,7 +399,7 @@ def _read_simulation(cfg: RunConfig, model_id: str, records: Sequence[FlightReco
     preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
     for rec, seg, rel in _segment_files(records, sim_dir):
         try:
-            blob = (cfg.out_dir / rel).read_bytes()
+            blob = (cfg.paths.out_dir / rel).read_bytes()
             if hashlib.sha256(blob).hexdigest() != digests.get(rel.as_posix()):
                 return None
             values = [float(row.rpartition(",")[2])
@@ -428,7 +424,7 @@ def _predictions_for(stage: _Stage, model_id: str, records: Sequence[FlightRecor
     preds = _read_simulation(stage.cfg, model_id, records, sim_fp)
     if preds is None:
         return _simulate_flights(model, records), model.fingerprint
-    stage.stamp(stage.cfg.out_dir / f"sim_{model_id}", sim_fp)
+    stage.stamp(stage.cfg.paths.out_dir / f"sim_{model_id}", sim_fp)
     return preds, model.fingerprint
 
 
@@ -564,18 +560,18 @@ def cmd_generate(cfg: RunConfig) -> int:
     run; only the order of ``TSSID_LOG=INFO`` lines may interleave.
     """
     corpus = _corpus_cfg(cfg)
-    stage = _Stage(cfg, "generate", cfg.data_dir)
+    stage = _Stage(cfg, "generate", cfg.paths.data_dir)
     specs = corpus.build_specs()
     segments = {spec.flight_id: flight_segments(spec) for spec in specs}
-    flights_dir = cfg.data_dir / "flights"
+    flights_dir = cfg.paths.data_dir / "flights"
     _generate_flights(specs, [segs[-1].end_index for segs in segments.values()],
                       flights_dir)
-    man_path = cfg.data_dir / "maneuvers.csv"
+    man_path = cfg.paths.data_dir / "maneuvers.csv"
     save_maneuvers(segments, man_path)
     stage.outputs += [flights_dir / f"{spec.flight_id}.csv" for spec in specs] + [man_path]
     stage.fingerprints["corpus"] = _corpus_fingerprint(cfg)
     manifest = stage.finish()
-    print(f"generated {len(specs)} flights in {cfg.data_dir} ({manifest.name})")
+    print(f"generated {len(specs)} flights in {cfg.paths.data_dir} ({manifest.name})")
     return 0
 
 
@@ -587,7 +583,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
         n_exc = sum(1 for seg in rec.maneuvers if seg.excluded)
         lines.append(f"{rec.flight_id},{rec.n_samples},{rec.duration_s!r},"
                      f"{len(rec.maneuvers)},{n_exc}")
-    out = cfg.out_dir / "ingest_summary.csv"
+    out = cfg.paths.out_dir / "ingest_summary.csv"
     _write_text(out, "\n".join(lines) + "\n")
     stage.outputs.append(out)
     stage.finish()
@@ -602,7 +598,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
     lines = ["channel," + ",".join(corr.names)]
     for i, nm in enumerate(corr.names):
         lines.append(nm + "," + ",".join(repr(float(v)) for v in corr.values[i]))
-    out = cfg.out_dir / "correlation_matrix.csv"
+    out = cfg.paths.out_dir / "correlation_matrix.csv"
     _write_text(out, "\n".join(lines) + "\n")
     stage.outputs.append(out)
     stage.finish()
@@ -621,7 +617,7 @@ def cmd_split(cfg: RunConfig) -> int:
     split = _split_of(cfg)
     payload = {"train": list(split.train_ids), "val": list(split.val_ids),
                "test": list(split.test_ids)}
-    out = cfg.out_dir / "split.yaml"
+    out = cfg.paths.out_dir / "split.yaml"
     _write_text(out, yaml.safe_dump(payload, sort_keys=True))
     stage.outputs.append(out)
     stage.finish()
@@ -642,7 +638,7 @@ def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
             save_model(dataclasses.replace(model, fingerprint=fp), mp)
             eq_text = format_equations(model)
             resid = ", ".join(f"{r:.6g}" for r in model.residual_rmse)
-            ep = cfg.out_dir / f"sindy{order}_equations.txt"
+            ep = cfg.paths.out_dir / f"sindy{order}_equations.txt"
             _write_text(ep, eq_text + f"\nresidual_rmse: {resid}\n")
             stage.outputs += [mp, ep]
             stage.stamp(mp, fp)
@@ -665,7 +661,7 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
             fp = _model_fingerprint(cfg, kind, split.train_ids, split.val_ids)
             net = _train_one(cfg, kind, train_recs, val_recs, inputs, fp)
             save_net(net, wp)
-            lp = cfg.out_dir / f"{kind}_loss.csv"
+            lp = cfg.paths.out_dir / f"{kind}_loss.csv"
             _write_text(lp, _loss_csv(net))
             stage.outputs += [wp, lp]
             stage.stamp(wp, fp)
@@ -684,7 +680,7 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
     for order in orders:
         model_id = f"sindy{order}"
         model = stage.model(model_id)
-        sim_dir = cfg.out_dir / f"sim_{model_id}"
+        sim_dir = cfg.paths.out_dir / f"sim_{model_id}"
         stage.stamp(sim_dir, _sim_fingerprint(stage, model_id, model, test_ids))
         preds = _simulate_flights(model, test_recs)
         for rec, seg, path in _segment_files(test_recs, sim_dir):
@@ -709,19 +705,19 @@ def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
         preds, model_fp = _predictions_for(stage, model_id, test_recs, test_ids)
         report = dataclasses.replace(score_model(model_id, preds, test_recs, target),
                                      fingerprint=_eval_fingerprint(cfg, model_fp, test_ids))
-        rp = cfg.out_dir / f"eval_{model_id}.txt"
+        rp = cfg.paths.out_dir / f"eval_{model_id}.txt"
         save_report(report, rp)
         stage.outputs.append(rp)
         stage.stamp(rp, report.fingerprint)
         reports.append(report)
-        for rec, seg, path in _segment_files(test_recs, cfg.out_dir / "overlays" / model_id):
+        for rec, seg, path in _segment_files(test_recs, cfg.paths.out_dir / "overlays" / model_id):
             s, e = seg.start_index, seg.end_index
             write_overlay_csv(path, np.arange(s, e) * rec.dt, rec.values(target)[s:e],
                               preds[rec.flight_id][s:e])
             stage.outputs.append(path)
         print(f"{model_id}: overall rMAE {report.overall_rmae * 100:.2f}%")
     table = compare_models(reports)
-    cp = cfg.out_dir / "comparison.csv"
+    cp = cfg.paths.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
     stage.outputs.append(cp)
     stage.finish()
@@ -731,15 +727,15 @@ def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
 
 def cmd_retrain_experiment(cfg: RunConfig) -> int:
     stage = _Stage(cfg, "retrain-experiment")
-    if not cfg.retrain_augment_ids:
+    if not cfg.retrain.augment_ids:
         raise ConfigError("retrain-experiment needs retrain.augment_ids in the config")
     split = _split_of(cfg)
-    missing = [i for i in cfg.retrain_augment_ids if i not in split.test_ids]
+    missing = [i for i in cfg.retrain.augment_ids if i not in split.test_ids]
     if missing:
         raise ConfigError(
             f"retrain.augment_ids must be test flights; not in test set: {missing}"
         )
-    eval_ids = [i for i in split.test_ids if i not in cfg.retrain_augment_ids]
+    eval_ids = [i for i in split.test_ids if i not in cfg.retrain.augment_ids]
     if not eval_ids:
         raise ConfigError("augmentation would consume the whole test set; "
                           "leave at least one flight for evaluation")
@@ -751,10 +747,10 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
     val_recs = [by_id[i] for i in split.val_ids]
     inputs = _resolve_features(cfg, [by_id[i] for i in split.train_ids])
 
-    rt_dir = cfg.out_dir / "retrain"
+    rt_dir = cfg.paths.out_dir / "retrain"
     phases = {
         "baseline": list(split.train_ids),
-        "retrained": list(split.train_ids) + list(cfg.retrain_augment_ids),
+        "retrained": list(split.train_ids) + list(cfg.retrain.augment_ids),
     }
     scores: dict[str, dict[str, float]] = {k: {} for k in NET_KINDS}
     runs = stage.extra["runs"] = []
@@ -780,7 +776,7 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
             runs.append({"phase": phase, "train_flights": train_ids})
 
     lines = ["tssid retrain report v1",
-             "augment_flights: " + ",".join(cfg.retrain_augment_ids),
+             "augment_flights: " + ",".join(cfg.retrain.augment_ids),
              "eval_flights: " + ",".join(eval_ids)]
     for kind in NET_KINDS:
         pre = scores[kind]["baseline"]
@@ -803,7 +799,7 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     test_ids = _split_of(cfg).test_ids
     reports = []
     for model_id in model_ids:
-        path = cfg.out_dir / f"eval_{model_id}.txt"
+        path = cfg.paths.out_dir / f"eval_{model_id}.txt"
         if not path.exists():
             raise MissingArtifact(f"no evaluation at {path}; run `tssid evaluate` first")
         report = load_report(path)
@@ -812,7 +808,7 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
         stage.stamp(path, report.fingerprint)
         reports.append(report)
     table = compare_models(reports)
-    cp = cfg.out_dir / "comparison.csv"
+    cp = cfg.paths.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
 
     width = max(len(f) for f in table.flight_ids + ("overall",)) + 2
@@ -824,7 +820,7 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     rows.append("overall".ljust(width)
                 + "".join(f"{v * 100:11.2f}%" for v in table.overall))
     text = "\n".join(rows) + "\n"
-    rp = cfg.out_dir / "report.txt"
+    rp = cfg.paths.out_dir / "report.txt"
     _write_text(rp, text)
     print(text, end="")
     stage.outputs += [cp, rp]
@@ -891,11 +887,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         orders = (args.order,) if args.order else (1, 2)
         return cmd_simulate(cfg, orders)
     if command == "evaluate":
-        return cmd_evaluate(cfg, tuple(args.models) if args.models else cfg.evaluate_models)
+        return cmd_evaluate(cfg, tuple(args.models) if args.models else cfg.evaluate.models)
     if command == "retrain-experiment":
         return cmd_retrain_experiment(cfg)
     if command == "report":
-        return cmd_report(cfg, tuple(args.models) if args.models else cfg.evaluate_models)
+        return cmd_report(cfg, tuple(args.models) if args.models else cfg.evaluate.models)
     raise ConfigError(f"unknown command {command!r}")
 
 

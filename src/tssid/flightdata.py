@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +29,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from .errors import (
+    ConfigError,
     DegenerateChannel,
     EmptyDataset,
     IncompleteSplit,
@@ -42,6 +43,7 @@ from .errors import (
     UnknownChannel,
     ZeroVariance,
 )
+from .settings import check, setting
 
 TIME_COLUMN = "time_s"
 MANEUVER_COLUMNS = ("flight_id", "label", "start_index", "end_index", "excluded")
@@ -720,9 +722,10 @@ class DatasetSplit:
     test_ids: tuple[str, ...]
 
     def __post_init__(self):
-        groups = (set(self.train_ids), set(self.val_ids), set(self.test_ids))
-        if (groups[0] & groups[1]) or (groups[0] & groups[2]) or (groups[1] & groups[2]):
-            raise OverlappingIds("train/val/test memberships intersect")
+        ids = self.all_ids  # an id twice in one list or in two lists
+        if len(set(ids)) != len(ids):
+            twice = sorted({i for i in ids if ids.count(i) > 1})
+            raise OverlappingIds(f"train/val/test list these flight ids twice: {twice}")
 
     @property
     def all_ids(self) -> tuple[str, ...]:
@@ -784,8 +787,14 @@ class FeatureRules:
     """Rules applied to a correlation matrix to pick model inputs."""
 
     exclude: tuple[str, ...] = ()
-    min_abs_corr: float | None = None
-    max_abs_corr: float | None = None
+    min_abs_corr: float | None = setting(None, lo=0, hi=1)
+    max_abs_corr: float | None = setting(None, lo=0, hi=1)
+
+    def __post_init__(self):
+        check(self, ConfigError)
+        lo, hi = self.min_abs_corr, self.max_abs_corr
+        if lo is not None and hi is not None and lo > hi:
+            raise ConfigError(f"min_abs_corr: must be <= max_abs_corr {hi}, got {lo}")
 
 
 def select_features(corr: CorrelationMatrix, target: str,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import ClassVar, Mapping, Sequence
@@ -44,6 +44,7 @@ from .errors import (
 from .flightdata import (FlightRecord, ManeuverSegment, ScalerParams, atomic_open, scale_series,
                          unscale_series)
 from .seeding import derive_seed
+from .settings import JSON, MAX_EPOCHS, MAX_LAYERS, MAX_LOOKBACK, MAX_WIDTH, check, read, setting
 
 OPTIMIZERS = ("rmsprop", "adam")
 
@@ -53,16 +54,13 @@ class MLPConfig:
     """Feedforward architecture: ReLU hidden layers, linear scalar head."""
 
     header_type: ClassVar[str] = "mlp"  # ``model.type`` in a weights header
-    input_dim: int
-    hidden_layers: tuple[int, ...] = (24, 24, 24, 24)
-    output_dim: int = 1
+    input_dim: int = setting(lo=1, hi=MAX_WIDTH)
+    hidden_layers: tuple[int, ...] = setting((24, 24, 24, 24), lo=1, hi=MAX_WIDTH)
+    output_dim: int = setting(1, lo=1, hi=MAX_WIDTH)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise DimensionMismatch("input_dim and output_dim must be >= 1")
-        if any(h < 1 for h in self.hidden_layers):
-            raise DimensionMismatch("hidden layer widths must be >= 1")
+        check(self, DimensionMismatch)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -80,14 +78,13 @@ class LSTMConfig:
     """Stacked LSTM architecture with a per-step scalar linear head."""
 
     header_type: ClassVar[str] = "lstm"
-    input_dim: int
-    hidden_size: int = 6
-    num_layers: int = 3
-    lookback: int = 20
+    input_dim: int = setting(lo=1, hi=MAX_WIDTH)
+    hidden_size: int = setting(6, lo=1, hi=MAX_WIDTH)
+    num_layers: int = setting(3, lo=1, hi=MAX_LAYERS)
+    lookback: int = setting(20, lo=1, hi=MAX_LOOKBACK)
 
     def __post_init__(self):
-        if min(self.input_dim, self.hidden_size, self.num_layers, self.lookback) < 1:
-            raise DimensionMismatch("all LSTM dimensions must be >= 1")
+        check(self, DimensionMismatch)
 
     @property
     def n_params(self) -> int:
@@ -331,18 +328,15 @@ def step_adam(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "rmsprop"
-    learning_rate: float = 1e-4
-    batch_size: int = 64
-    epochs: int = 100
+    optimizer: str = setting("rmsprop", choices=OPTIMIZERS)
+    learning_rate: float = setting(1e-4, above=0)
+    batch_size: int = setting(64, lo=1)
+    epochs: int = setting(100, lo=1, hi=MAX_EPOCHS)
     seed: int = 0
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise LengthMismatch(f"optimizer must be one of {OPTIMIZERS}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise LengthMismatch("learning_rate, batch_size and epochs must be positive")
+        check(self, LengthMismatch)
 
 
 @dataclass(frozen=True)
@@ -486,30 +480,6 @@ _NET_MAGIC = b"TSSIDNET v1\n"
 _MODEL_TYPES = {cls.header_type: cls for cls in (MLPConfig, LSTMConfig)}
 
 
-# the JSON values save_net writes, by the annotation of their config field
-# (``type`` and not ``isinstance``, since a bool is an int)
-_HEADER_VALUE_TYPES = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
-    "bool": lambda v: type(v) is bool,
-    "str": lambda v: type(v) is str,
-    "tuple[int, ...]": lambda v: type(v) is list and all(type(h) is int for h in v),
-}
-
-
-def _config_from(config_type, block):
-    """The config a header block describes; the block's keys must be its
-    fields, and each value of its field's type."""
-    types = {f.name: f.type for f in fields(config_type)}
-    if set(block) != set(types):
-        raise KeyError(f"{config_type.__name__} takes {sorted(types)}, got {sorted(block)}")
-    for name, value in block.items():
-        if not _HEADER_VALUE_TYPES[types[name]](value):
-            raise TypeError(f"{config_type.__name__}.{name} must be {types[name]}, "
-                            f"got {value!r}")
-    return config_type(**block)
-
-
 def save_net(net: TrainedNet, path: str | Path) -> None:
     """Binary weights file: magic, JSON header, raw little-endian float64.
 
@@ -561,7 +531,7 @@ def load_net(path: str | Path) -> TrainedNet:
     try:
         header = json.loads(raw[off:off + hlen].decode("utf-8"))
         model = dict(header["model"])
-        mc = _config_from(_MODEL_TYPES[model.pop("type")], model)
+        mc = read(_MODEL_TYPES[model.pop("type")], model, "model", JSON)
         kind = _architecture(mc)[0]
         if header.get("kind", kind) != kind:
             raise ValueError(f"kind {header['kind']!r} does not match the model type")
@@ -571,7 +541,7 @@ def load_net(path: str | Path) -> TrainedNet:
                 or len(names) not in (0, mc.input_dim)):
             raise ValueError(f"feature_names {names} and target_name {target!r} do not "
                              f"name a model of {mc.input_dim} inputs")
-        tc = _config_from(TrainConfig, header["train"])
+        tc = read(TrainConfig, header["train"], "train", JSON)
         train_mse = np.array([float(v) for v in header.get("train_mse", [])])
         val_mse = np.array([float("nan") if v is None else float(v)
                             for v in header.get("val_mse", [])])

@@ -35,7 +35,7 @@ differentiates the data as its fit did.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Sequence
@@ -54,8 +54,10 @@ from .errors import (
     NoActiveTerms,
     RankDeficient,
     SeriesTooShort,
+    TssidError,
 )
 from .flightdata import FlightRecord, atomic_open
+from .settings import TEXT, check, read, setting
 
 DERIVATIVE_METHODS = ("central", "smoothed_central")
 
@@ -69,38 +71,27 @@ class LibrarySpec:
     ``cross_terms``), then sin/cos of each variable when ``trig``.
     """
 
-    degree: int = 2
+    degree: int = setting(2, lo=1, hi=5)
     cross_terms: bool = True
     trig: bool = False
     bias: bool = True
 
     def __post_init__(self):
-        if not (1 <= self.degree <= 5):
-            raise DegreeTooHigh(f"library degree must be in [1, 5], got {self.degree}")
+        check(self, DegreeTooHigh)
 
 
 @dataclass(frozen=True)
 class SINDyConfig:
     """Knobs of the STLSQ fit."""
 
-    threshold: float = 0.05
-    max_iterations: int = 20
-    ridge_lambda: float = 1e-12
-    derivative_method: str = "smoothed_central"
+    threshold: float = setting(0.05, lo=0)
+    max_iterations: int = setting(20, lo=1)
+    ridge_lambda: float = setting(1e-12, lo=0)
+    derivative_method: str = setting("smoothed_central", choices=DERIVATIVE_METHODS)
     library: LibrarySpec = field(default_factory=LibrarySpec)
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise LengthMismatch(f"threshold must be >= 0, got {self.threshold}")
-        if self.max_iterations < 1:
-            raise LengthMismatch("max_iterations must be >= 1")
-        if self.ridge_lambda < 0:
-            raise LengthMismatch("ridge_lambda must be >= 0")
-        if self.derivative_method not in DERIVATIVE_METHODS:
-            raise LengthMismatch(
-                f"derivative_method must be one of {DERIVATIVE_METHODS}, "
-                f"got {self.derivative_method!r}"
-            )
+        check(self, LengthMismatch)
 
 
 def build_term_encoding(state_names: Sequence[str], input_names: Sequence[str],
@@ -628,20 +619,12 @@ def load_model(path: str | Path) -> SparseModel:
         order = int(header["order"])
         state_names = tuple(header["states"].split(","))
         input_names = tuple(header["inputs"].split(","))
-        config = SINDyConfig(
-            threshold=float(header["threshold"]),
-            max_iterations=int(header["max_iterations"]),
-            ridge_lambda=float(header["ridge_lambda"]),
-            derivative_method=header["derivative_method"],
-            library=LibrarySpec(
-                degree=int(header["library_degree"]),
-                cross_terms=bool(int(header["library_cross_terms"])),
-                trig=bool(int(header["library_trig"])),
-                bias=bool(int(header["library_bias"])),
-            ),
-        )
+        fit = {f.name: header[f.name] for f in fields(SINDyConfig) if f.name in header}
+        fit["library"] = {k.removeprefix("library_"): v for k, v in header.items()
+                          if k.startswith("library_")}
+        config = read(SINDyConfig, fit, "header", TEXT)
         rmse = tuple(float(x) for x in header["residual_rmse"].split(","))
-    except (KeyError, ValueError, LengthMismatch, DegreeTooHigh) as exc:
+    except (KeyError, ValueError, TssidError) as exc:
         raise IoError(f"{path}: malformed model header: {exc}") from exc
     if order not in (1, 2) or len(state_names) != order:
         raise IoError(f"{path}: order {order} does not match the states "

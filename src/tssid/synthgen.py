@@ -20,7 +20,7 @@ of generation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .flightdata import CHANNEL_UNITS, Channel, FlightRecord, ManeuverSegment
 from .seeding import derive_seed
+from .settings import MAX_FLIGHTS, check, setting
 
 PROFILE_KINDS = ("hold", "ramp", "step", "chirp")
 ODE_ORDERS = ("first", "second")
@@ -54,33 +55,26 @@ class GroundTruthParams:
     zero noise.  ``seed`` is the root of all generator randomness.
     """
 
-    order: str = "first"
+    order: str = setting("first", choices=ODE_ORDERS)
     a: float = 10.0
     b: float = 0.5
     c: float = 0.2
     mu: float = 0.4
     tau1: float = 0.6
     tau2: float = 0.15
-    noise_sigma: Mapping[str, float] = field(default_factory=dict)
+    noise_sigma: Mapping[str, float] = setting(factory=dict, lo=0)
     seed: int = 0
 
     def __post_init__(self):
-        if self.order not in ODE_ORDERS:
-            raise UnstableParameters(f"unknown ODE order {self.order!r}")
+        object.__setattr__(self, "noise_sigma",
+                           {str(k): float(v) for k, v in dict(self.noise_sigma).items()})
+        check(self, UnstableParameters)
         if self.order == "first" and self.b <= 0:
-            raise UnstableParameters(f"first-order plant needs b > 0, got b={self.b}")
-        if self.order == "second" and (self.tau1 <= 0 or self.tau2 <= 0 or self.mu <= 0):
-            raise UnstableParameters(
-                f"second-order plant needs mu, tau1, tau2 > 0, got "
-                f"mu={self.mu}, tau1={self.tau1}, tau2={self.tau2}"
-            )
-        object.__setattr__(
-            self, "noise_sigma",
-            {str(k): float(v) for k, v in dict(self.noise_sigma).items()},
-        )
-        for k, v in self.noise_sigma.items():
-            if v < 0:
-                raise UnstableParameters(f"noise sigma for {k!r} must be >= 0")
+            raise UnstableParameters(f"b: first-order plant needs b > 0, got b={self.b}")
+        bad = [name for name in ("mu", "tau1", "tau2") if getattr(self, name) <= 0]
+        if self.order == "second" and bad:
+            raise UnstableParameters(f"{bad[0]}: second-order plant needs mu, tau1, tau2 > 0, "
+                                     f"got mu={self.mu}, tau1={self.tau1}, tau2={self.tau2}")
 
     def sigma(self, channel: str) -> float:
         return self.noise_sigma.get(channel, 0.0)
@@ -103,8 +97,8 @@ class ManeuverProfile:
                frequency sweeping linearly from ``f0_hz`` to ``f1_hz``
     """
 
-    kind: str
-    duration_s: float
+    kind: str = setting(choices=PROFILE_KINDS)
+    duration_s: float = setting(above=0)
     label: str = ""
     level: float = 0.0
     start: float = 0.0
@@ -115,18 +109,25 @@ class ManeuverProfile:
     f1_hz: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise LengthMismatch(f"unknown maneuver kind {self.kind!r}")
-        if self.duration_s <= 0:
-            raise LengthMismatch(f"maneuver duration must be positive, got {self.duration_s}")
+        check(self, LengthMismatch)
+        if any(c in self.label for c in ',"\t\r\n'):
+            # maneuvers.csv and the eval reports hold a label unquoted
+            raise LengthMismatch(f"label: {self.label!r} holds a comma, quote, tab or line break")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
 
 
-def _profile_samples(p: ManeuverProfile, fs: float) -> np.ndarray:
+def _sample_count(p: ManeuverProfile, fs: float) -> int:
+    """The samples of maneuver ``p`` at ``fs`` Hz; at least one, or SeriesTooShort."""
     n = int(round(p.duration_s * fs))
     if n < 1:
-        raise SeriesTooShort(f"maneuver {p.label!r} shorter than one sample at {fs} Hz")
+        raise SeriesTooShort(f"maneuver {p.label!r} ({p.duration_s:g} s) is shorter than "
+                             f"one sample at {fs} Hz")
+    return n
+
+
+def _profile_samples(p: ManeuverProfile, fs: float) -> np.ndarray:
+    n = _sample_count(p, fs)
     t = np.arange(n) / fs
     if p.kind == "hold":
         return np.full(n, float(p.level))
@@ -162,7 +163,7 @@ def profile_segments(profiles: Sequence[ManeuverProfile],
     segs = []
     pos = 0
     for p in profiles:
-        n = int(round(p.duration_s * sample_rate_hz))
+        n = _sample_count(p, sample_rate_hz)
         segs.append(ManeuverSegment(p.label, pos, pos + n))
         pos += n
     return tuple(segs)
@@ -294,28 +295,27 @@ class FlightTemplate:
     (when a chirp band is given) a closing collective frequency sweep.
     """
 
-    count: int
+    count: int = setting(lo=1, hi=MAX_FLIGHTS)
     id_prefix: str
     duration_s: float
     wf_low: float
     wf_high: float
-    taxi_s: float = 0.0
+    taxi_s: float = setting(0.0, lo=0)
     taxi_level: float | None = None
-    chirp_s: float = 0.0
+    chirp_s: float = setting(0.0, lo=0)
     chirp_f0_hz: float = 0.08
     chirp_f1_hz: float = 0.4
     chirp_amplitude: float | None = None
     seed_salt: str = ""
 
     def __post_init__(self):
-        if self.count < 1:
-            raise LengthMismatch("template count must be >= 1")
+        check(self, LengthMismatch)
         if not (self.wf_low < self.wf_high):
-            raise LengthMismatch("template needs wf_low < wf_high")
+            raise LengthMismatch(f"wf_high: template needs wf_low < wf_high, got "
+                                 f"{self.wf_low} and {self.wf_high}")
         if self.duration_s - self.taxi_s - self.chirp_s <= 4.0:
-            raise LengthMismatch(
-                f"template {self.id_prefix!r}: duration too short for taxi/chirp budget"
-            )
+            raise LengthMismatch(f"duration_s: {self.duration_s} s is too short for the "
+                                 f"taxi/chirp budget of template {self.id_prefix!r}")
 
     @property
     def flight_ids(self) -> tuple[str, ...]:

@@ -39,25 +39,25 @@ def test_every_shipped_preset_parses():
 def test_smoke_preset_resolved_values():
     cfg = load_config(CONFIGS / "smoke.yaml")
     assert cfg.seed == 4404
-    assert cfg.data_dir == REPO / "runs" / "smoke" / "data"
+    assert cfg.paths.data_dir == REPO / "runs" / "smoke" / "data"
     assert cfg.corpus is not None
     assert cfg.corpus.sample_rate_hz == 20.0
     assert cfg.corpus.flight_ids == ("smk01", "smk02", "smk03", "smk04", "smk05")
-    assert cfg.exclude_labels == ("taxiing",)
-    assert cfg.split_explicit == {"train": ("smk01", "smk02"), "val": ("smk03",),
+    assert cfg.maneuvers.exclude_labels == ("taxiing",)
+    assert cfg.split.explicit == {"train": ("smk01", "smk02"), "val": ("smk03",),
                                   "test": ("smk04", "smk05")}
     assert cfg.features.target == "TRQ"
     assert cfg.features.inputs == ("COL", "T1", "P0", "NR", "AIRSPEED")
-    assert cfg.sindy_first.threshold == 0.05
-    assert cfg.sindy_second.threshold == 2.0  # per-order override
-    assert cfg.neural.ffnn_hidden == (8, 8)
-    assert cfg.neural.ffnn_train.epochs == 3
-    assert cfg.neural.ffnn_train.optimizer == "rmsprop"
-    assert cfg.neural.lstm_lookback == 5
-    assert cfg.neural.lstm_stride == 2
-    assert cfg.neural.lstm_train.optimizer == "adam"
-    assert cfg.retrain_augment_ids == ("smk04",)
-    assert cfg.evaluate_models == MODEL_IDS
+    assert cfg.sindy_config(1).threshold == 0.05
+    assert cfg.sindy_config(2).threshold == 2.0  # per-order override
+    assert cfg.ffnn.hidden_layers == (8, 8)
+    assert cfg.ffnn.train.epochs == 3
+    assert cfg.ffnn.train.optimizer == "rmsprop"
+    assert cfg.lstm.lookback == 5
+    assert cfg.lstm.stride == 2
+    assert cfg.lstm.train.optimizer == "adam"
+    assert cfg.retrain.augment_ids == ("smk04",)
+    assert cfg.evaluate.models == MODEL_IDS
 
 
 def test_defaults_for_minimal_config(tmp_path):
@@ -65,22 +65,22 @@ def test_defaults_for_minimal_config(tmp_path):
     p.write_text("seed: 7\n", encoding="utf-8")
     cfg = load_config(p)
     assert cfg.corpus is None
-    assert cfg.neural.ffnn_hidden == (24, 24, 24, 24)
-    tr = cfg.neural.ffnn_train
+    assert cfg.ffnn.hidden_layers == (24, 24, 24, 24)
+    tr = cfg.ffnn.train
     assert (tr.optimizer, tr.learning_rate, tr.batch_size, tr.epochs) \
         == ("rmsprop", 1e-4, 64, 500)
-    lt = cfg.neural.lstm_train
+    lt = cfg.lstm.train
     assert (lt.optimizer, lt.learning_rate, lt.batch_size, lt.epochs) \
         == ("adam", 5e-4, 64, 100)
-    assert cfg.neural.lstm_hidden_size == 6
-    assert cfg.neural.lstm_num_layers == 3
-    assert cfg.neural.lstm_lookback == 20
-    assert cfg.neural.lstm_stride == 10  # lookback // 2
-    assert cfg.sindy_first.threshold == 0.05
-    assert cfg.sindy_first == cfg.sindy_second
-    assert cfg.evaluate_models == MODEL_IDS
-    assert cfg.data_dir == tmp_path / "data"
-    assert cfg.out_dir == tmp_path / "out"
+    assert cfg.lstm.hidden_size == 6
+    assert cfg.lstm.num_layers == 3
+    assert cfg.lstm.lookback == 20
+    assert cfg.lstm.stride == 10  # lookback // 2
+    assert cfg.sindy_config(1).threshold == 0.05
+    assert cfg.sindy_config(1) == cfg.sindy_config(2)
+    assert cfg.evaluate.models == MODEL_IDS
+    assert cfg.paths.data_dir == tmp_path / "data"
+    assert cfg.paths.out_dir == tmp_path / "out"
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -164,7 +164,7 @@ def test_fingerprint_semantics(tmp_path):
     changed = _artifact_fingerprints(reseeded)
     assert all(changed[k] != base[k] for k in base)
     moved = load_config(CONFIGS / "smoke.yaml", out_override=tmp_path / "elsewhere")
-    assert moved.out_dir == tmp_path / "elsewhere"
+    assert moved.paths.out_dir == tmp_path / "elsewhere"
     assert _artifact_fingerprints(moved) == base
     # a copy that differs only in its paths section keeps every fingerprint
     copy = make_run(tmp_path, "smoke")
@@ -251,8 +251,8 @@ def test_preset_fingerprints_are_pinned(preset):
 
 def test_sindy_config_accessor():
     cfg = load_config(CONFIGS / "smoke.yaml")
-    assert cfg.sindy_config(1) is cfg.sindy_first
-    assert cfg.sindy_config(2) is cfg.sindy_second
+    assert cfg.sindy_config(1) is cfg.sindy[0]
+    assert cfg.sindy_config(2) is cfg.sindy[1]
     with pytest.raises(ConfigError):
         cfg.sindy_config(3)
     assert cfg.mlp_config(5).hidden_layers == (8, 8)
@@ -909,8 +909,51 @@ def test_exit_code_2_maneuver_label_a_csv_row_cannot_hold(tmp_path, capsys, labe
 def test_whole_numbers_and_yaml_booleans_are_accepted(tmp_path):
     cfg = load_config(make_run(tmp_path, "smoke", lstm={"lookback": 6.0},
                                ffnn={"train": {**_SMOKE["ffnn"]["train"], "shuffle": False}}))
-    assert cfg.neural.lstm_lookback == 6 and type(cfg.neural.lstm_lookback) is int
-    assert cfg.neural.ffnn_train.shuffle is False
+    assert cfg.lstm.lookback == 6 and type(cfg.lstm.lookback) is int
+    assert cfg.ffnn.train.shuffle is False
+
+
+@pytest.mark.parametrize("path, value, key", [
+    # ranges, which used to refuse without naming the key or section
+    (("sindy", "max_iterations"), 0, "sindy.max_iterations"),
+    (("sindy", "threshold"), -1, "sindy.threshold"),
+    (("sindy", "second", "threshold"), -1, "sindy.second.threshold"),
+    (("ffnn", "train", "batch_size"), 0, "ffnn.train.batch_size"),
+    (("ffnn", "train", "learning_rate"), 0, "ffnn.train.learning_rate"),
+    (("ffnn", "hidden_layers"), [0], "ffnn.hidden_layers[0]"),
+    (("lstm", "num_layers"), 0, "lstm.num_layers"),
+    (("lstm", "lookback"), 0, "lstm.lookback"),
+    (("sindy", "library"), {"degree": 9}, "sindy.library.degree"),
+    (("corpus", "ground_truth", "tau1"), -1, "corpus.ground_truth.tau1"),
+    # sizes no array can have, which used to end `train` with exit 1
+    (("ffnn", "train", "epochs"), 1e20, "ffnn.train.epochs"),
+    (("lstm", "hidden_size"), 1e12, "lstm.hidden_size"),
+    # settings that only a later stage, or no stage, used to refuse
+    (("features", "inputs"), ["TRQ"], "features.inputs"),
+    (("split",), {"fractions": [0.5, 0.5, 0.5]}, "split.fractions"),
+    (("features", "exclude"), ["TRQ"], "features.inputs"),
+    (("features", "max_abs_corr"), -1.0, "features.max_abs_corr"),
+    (("features", "min_abs_corr"), 2.0, "features.min_abs_corr"),
+    (("features",), {"min_abs_corr": 0.6, "max_abs_corr": 0.4}, "features.min_abs_corr"),
+    # a name twice in a list of names, which used to run
+    (("split", "train"), ["smk01", "smk01", "smk02"], "split.train"),
+    (("evaluate", "models"), ["sindy1", "sindy1"], "evaluate.models"),
+    (("features", "inputs"), ["COL", "COL"], "features.inputs"),
+])
+def test_exit_code_2_setting_out_of_range_names_the_key(tmp_path, capsys, path, value, key):
+    assert run_cli("split", "--config", _smoke_with(tmp_path, path, value)) == 2
+    err = capsys.readouterr().err
+    assert f"{key}:" in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_2_maneuver_shorter_than_one_sample(tmp_path, capsys):
+    cfg = _smoke_with(tmp_path, ("corpus", "sample_rate_hz"), 0.5)
+    assert run_cli("generate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"maneuver '\w+' \([0-9.]+ s\) is shorter than one sample at 0.5 Hz",
+                     err), err
+    assert "Traceback" not in err
 
 
 def test_exit_code_2_split_fractions_beside_explicit_lists(tmp_path, capsys):

@@ -33,6 +33,7 @@ from tssid.flightdata import (
     CHANNEL_UNITS,
     Channel,
     CorrelationMatrix,
+    DatasetSplit,
     FeatureRules,
     FlightRecord,
     ManeuverSegment,
@@ -674,6 +675,8 @@ def test_split_rejects_overlap_and_duplicates():
         split_dataset(["a", "b"], explicit={"train": ["a", "b"], "val": ["a"], "test": []})
     with pytest.raises(OverlappingIds):
         split_dataset(["a", "a"], fractions=(1.0, 0.0, 0.0))
+    with pytest.raises(OverlappingIds, match=r"\['a'\]"):
+        DatasetSplit(("a", "b", "a"), (), ())
 
 
 def test_split_rejects_bad_fractions():

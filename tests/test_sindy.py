@@ -335,8 +335,8 @@ def _smoke_train_flights():
     # the smoke preset's training flights, taxiing excluded as the CLI does
     cfg = load_config(CONFIGS / "smoke.yaml")
     specs = {spec.flight_id: spec for spec in cfg.corpus.build_specs()}
-    return [filter_maneuvers(generate_flight(specs[fid]), cfg.exclude_labels)
-            for fid in cfg.split_explicit["train"]]
+    return [filter_maneuvers(generate_flight(specs[fid]), cfg.maneuvers.exclude_labels)
+            for fid in cfg.split.explicit["train"]]
 
 
 def _bits(model: SparseModel) -> tuple:
@@ -540,4 +540,22 @@ def test_load_model_rejects_bad_files(tmp_path):
                                                     "threshold: soup")
     p.write_text(mangled, encoding="utf-8")
     with pytest.raises(IoError, match="malformed"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("threshold: 0.05", "threshold: nan"),
+    ("max_iterations: 20", "max_iterations: 2.5"),
+    ("library_bias: 1", "library_bias: 2"),
+    ("library_degree: 1", "library_degree: 0"),
+])
+def test_load_model_refuses_fit_settings_no_config_accepts(tmp_path, line, bad):
+    # the header is read by the same rules as a config's sindy section
+    p = tmp_path / "model.txt"
+    save_model(_manual_first_order_model(), p)
+    text = p.read_text(encoding="utf-8")
+    assert line in text
+    p.write_text(text.replace(line, bad), encoding="utf-8")
+    key = bad.split(":")[0].replace("library_", "library.")
+    with pytest.raises(IoError, match=f"malformed model header: header.{key}: "):
         load_model(p)

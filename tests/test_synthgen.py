@@ -155,6 +155,8 @@ def test_empty_or_degenerate_profiles_rejected():
         generate_wf_profile([], 10.0)
     with pytest.raises(SeriesTooShort):
         generate_wf_profile([ManeuverProfile("hold", 0.01, level=1.0)], 10.0)
+    with pytest.raises(SeriesTooShort, match="'blip' .* shorter than one sample at 10.0 Hz"):
+        profile_segments([ManeuverProfile("hold", 0.01, "blip")], 10.0)
     with pytest.raises(LengthMismatch):
         ManeuverProfile("wiggle", 1.0)
 
