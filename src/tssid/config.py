@@ -146,12 +146,13 @@ class FeaturesConfig:
 
     def __post_init__(self):
         check(self, ConfigError)
-        if self.target in self.inputs:
-            raise ConfigError(f"inputs: {self.target!r} is the prediction target")
         given = [f.name for f in fields(FeatureRules) if getattr(self.rules, f.name) != f.default]
         if self.inputs and given:
             raise ConfigError(f"inputs: give either inputs or the {'/'.join(given)} rules, "
                               "not both")
+        if self.target in self.inputs or self.target in self.rules.exclude:
+            key = "inputs" if self.target in self.inputs else "exclude"
+            raise ConfigError(f"{key}: {self.target!r} is the prediction target")
 
 
 _FFNN_TRAIN = TrainConfig("rmsprop", 1e-4, 64, 500)

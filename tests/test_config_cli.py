@@ -83,6 +83,12 @@ def test_defaults_for_minimal_config(tmp_path):
     assert cfg.paths.out_dir == tmp_path / "out"
 
 
+def test_lstm_stride_defaults_to_half_the_lookback_given(tmp_path):
+    p = tmp_path / "stride.yaml"
+    p.write_text("seed: 7\nlstm: {lookback: 7}\n", encoding="utf-8")
+    assert load_config(p).lstm.stride == 3
+
+
 def test_unknown_keys_rejected(tmp_path):
     corpus = "seed: 1\ncorpus: {sample_rate_hz: 10, ground_truth: {order: first}, "
     template = "{count: 1, id_prefix: t, duration_s: 20, wf_low: 1, wf_high: 2"
@@ -932,6 +938,7 @@ def test_whole_numbers_and_yaml_booleans_are_accepted(tmp_path):
     (("features", "inputs"), ["TRQ"], "features.inputs"),
     (("split",), {"fractions": [0.5, 0.5, 0.5]}, "split.fractions"),
     (("features", "exclude"), ["TRQ"], "features.inputs"),
+    (("features",), {"exclude": ["TRQ"]}, "features.exclude"),
     (("features", "max_abs_corr"), -1.0, "features.max_abs_corr"),
     (("features", "min_abs_corr"), 2.0, "features.min_abs_corr"),
     (("features",), {"min_abs_corr": 0.6, "max_abs_corr": 0.4}, "features.min_abs_corr"),
