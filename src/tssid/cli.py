@@ -28,6 +28,13 @@ in their headers.  A stage refuses a stale or unstamped one with exit 4.
 sha256 of every sim CSV in ``manifest_simulate.json``; ``evaluate`` scores
 those CSVs when both still hold, and integrates the model itself when not.
 
+``generate``, ``simulate``, ``evaluate`` and ``retrain-experiment`` run their
+independent units (a flight, a sparse model, a test flight, one net of one
+phase) on every CPU in the process's affinity mask, one forked process per
+share of units (see ``_fork_units``).  Their stdout, artifacts and
+manifests' stable payloads, and on failure their exit code and message,
+are those of a serial run, which ``taskset -c 0`` forces.
+
 Set ``TSSID_LOG=INFO`` (or ``DEBUG``) for progress logging; the variable
 only changes verbosity, never results.
 """
@@ -36,14 +43,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
+import gc
 import hashlib
 import logging
 import os
+import pickle
 import sys
 import time
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -144,15 +154,9 @@ class _Stage:
         return records
 
     def model(self, model_id: str) -> SparseModel | TrainedNet:
-        """The fitted or trained model, refused unless its stamp is fresh."""
-        path = _model_path(self.cfg, model_id)
-        producer = "train" if model_id in NET_KINDS else "fit-sindy"
-        if not path.exists():
-            raise MissingArtifact(f"no {model_id} model at {path}; run `tssid {producer}` first")
-        model = load_net(path) if model_id in NET_KINDS else load_model(path)
-        check_fingerprint(path, model.fingerprint, _fresh_fingerprint(self.cfg, model_id),
-                          producer)
-        self.stamp(path, model.fingerprint)
+        """The fresh model (see :func:`_load_model`), recorded as checked."""
+        model = _load_model(self.cfg, model_id)
+        self.stamp(_model_path(self.cfg, model_id), model.fingerprint)
         return model
 
     def rel(self, path: Path) -> str:
@@ -176,6 +180,17 @@ class _Stage:
         return write_manifest(self.base_dir, RunManifest(
             command=self.command, seed=self.cfg.seed, outputs=outputs, inputs=inputs,
             fingerprints=self.fingerprints, timings=self.timings, extra=self.extra))
+
+
+def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
+    """The fitted or trained model, refused unless its stamp is fresh."""
+    path = _model_path(cfg, model_id)
+    producer = "train" if model_id in NET_KINDS else "fit-sindy"
+    if not path.exists():
+        raise MissingArtifact(f"no {model_id} model at {path}; run `tssid {producer}` first")
+    model = load_net(path) if model_id in NET_KINDS else load_model(path)
+    check_fingerprint(path, model.fingerprint, _fresh_fingerprint(cfg, model_id), producer)
+    return model
 
 
 def _corpus_cfg(cfg: RunConfig):
@@ -410,22 +425,25 @@ def _read_simulation(cfg: RunConfig, model_id: str, records: Sequence[FlightReco
     return preds
 
 
-def _predictions_for(stage: _Stage, model_id: str, records: Sequence[FlightRecord],
-                     test_ids: Sequence[str]) -> tuple[dict[str, np.ndarray], str]:
-    """Each record's prediction by the fresh model, and the model's fingerprint.
+def _sparse_predictions(stage: _Stage, model_id: str, model: SparseModel,
+                        records: Sequence[FlightRecord],
+                        test_ids: Sequence[str]) -> dict[str, np.ndarray]:
+    """Each record's prediction by the sparse model.
 
-    A sparse model's predictions are read from a fresh simulation, whose
-    stamp the stage then records, or else integrated.
+    They are read from a fresh simulation, whose stamp the stage then
+    records, or else integrated.
     """
-    model = stage.model(model_id)
-    if model_id in NET_KINDS:
-        return {r.flight_id: predict_series(model, r) for r in records}, model.fingerprint
     sim_fp = _sim_fingerprint(stage, model_id, model, test_ids)
     preds = _read_simulation(stage.cfg, model_id, records, sim_fp)
     if preds is None:
-        return _simulate_flights(model, records), model.fingerprint
+        return _simulate_flights(model, records)
     stage.stamp(stage.cfg.paths.out_dir / f"sim_{model_id}", sim_fp)
-    return preds, model.fingerprint
+    return preds
+
+
+def _staged(path: Path) -> Path:
+    """Where a unit writes ``path`` before the parent lets it replace the old file."""
+    return path.with_name(path.name + ".staged")
 
 
 def _segment_files(records: Sequence[FlightRecord], directory: Path):
@@ -436,7 +454,7 @@ def _segment_files(records: Sequence[FlightRecord], directory: Path):
             yield rec, seg, directory / f"{rec.flight_id}__{i:02d}_{safe}.csv"
 
 
-# --- commands ---------------------------------------------------------------
+# --- independent units of work on every CPU -------------------------------------
 
 def _usable_cpus() -> int:
     """CPUs in this process's affinity mask; 1 where fork or the mask is unavailable."""
@@ -460,7 +478,7 @@ def _start_on_cpu(k: int) -> None:
         os.sched_setaffinity(0, mask)
 
 
-def _balanced_shares(sizes: Sequence[int], n_shares: int) -> list[list[int]]:
+def _balanced_shares(sizes: Sequence[float], n_shares: int) -> list[list[int]]:
     """Split the indices of ``sizes`` into ``n_shares`` shares of near-equal total size.
 
     Largest first, each to the lightest share so far; ties go to the lower
@@ -476,96 +494,190 @@ def _balanced_shares(sizes: Sequence[int], n_shares: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _write_flights(specs: Sequence[SyntheticFlightSpec], share: Sequence[int],
-                   flights_dir: Path) -> tuple[int, Exception] | None:
-    """Generate and write the flights of the spec indices in ``share``; the first failure, or None.
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """The thread-count getter and setter of the OpenBLAS this process has loaded, or None.
 
-    A failure is the failing spec's index with the :class:`TssidError` or
-    ``OSError`` it raised, and ends the share as it ends a serial run.
+    numpy offers no thread control, so the library is found among the
+    process's mappings (Linux) and its ``openblas_{get,set}_num_threads``
+    are called under the symbol prefix and suffix of the build.
     """
-    for i in share:
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
         try:
-            rec = generate_flight(specs[i])
-            emit_csv(rec, flights_dir / f"{rec.flight_id}.csv")
-        except (TssidError, OSError) as exc:
-            return i, exc
-        log.info("generated %s: %.1f s, %d samples", rec.flight_id,
-                 rec.duration_s, rec.n_samples)
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
-def _run_child(k: int, specs: Sequence[SyntheticFlightSpec], share: Sequence[int],
-               flights_dir: Path) -> NoReturn:
-    """The whole life of forked child ``k``: write its share, exit 0 only if all of it was written.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block, and every process forked in it, with one OpenBLAS thread.
 
-    It leaves by ``os._exit``, so it prints nothing and runs no exit
-    handler or buffer flush of the parent's.
+    Processes that share the CPUs lose to BLAS threads, which spin while
+    they wait: on a 2-CPU VM the ``shifted`` preset's ``retrain-experiment``
+    took 37.6 s forked with two OpenBLAS threads per process, 19.7 s with
+    one, and 33.7 s serial.
     """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _run_share(fn: Callable, args: Sequence, share: Sequence[int],
+               done: dict[int, tuple]) -> tuple[int, Exception] | None:
+    """Run ``fn`` on the units of ``share`` in order; the first failure, or None.
+
+    Each result goes into ``done`` with its wall time.  A failure is the
+    unit's index with the :class:`TssidError` or ``OSError`` it raised, and
+    ends the share as it ends a serial run.
+    """
+    for i in share:
+        t0 = time.perf_counter()
+        try:
+            result = fn(args[i])
+        except (TssidError, OSError) as exc:
+            return i, exc
+        done[i] = result, time.perf_counter() - t0
+    return None
+
+
+def _fork_child(k: int, fn: Callable, args: Sequence,
+                share: Sequence[int]) -> tuple[int, int] | None:
+    """Fork child ``k`` to run ``share``: its pid and the read end of its pipe, or None.
+
+    The child sends its results down the pipe and exits 0 only if every
+    unit succeeded.  It leaves by ``os._exit``, so it prints nothing and
+    runs no exit handler or buffer flush of the parent's.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
     code = 1
     try:
+        os.close(r)
         _start_on_cpu(k)
-        if _write_flights(specs, share, flights_dir) is None:
+        done: dict[int, tuple] = {}
+        if _run_share(fn, args, share, done) is None:
+            with open(w, "wb") as pipe:
+                pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
     finally:
         os._exit(code)
 
 
-def _generate_flights(specs: Sequence[SyntheticFlightSpec], sizes: Sequence[int],
-                      flights_dir: Path) -> None:
-    """Write every spec's flight CSV, one share of flights per usable CPU.
+def _fork_units(fn: Callable, units: Mapping[str, object], costs: Sequence[float],
+                timings: dict[str, float]) -> Iterator:
+    """Yield ``fn(unit)`` for each of the named ``units``, in order, computed on every usable CPU.
 
-    The shares balance ``sizes`` (sample counts).  The parent writes the
-    first share and forks a child per other share, each process starting
-    on a CPU of its own (:func:`_start_on_cpu`); each file is a pure
-    function of its spec, so the files equal a serial run's.  Every child
-    is reaped, on success and on error.  A child that exits non-zero, or
-    cannot be forked, has its share written again here, so a failure
-    raises what a serial run raises: the error of the first failing flight
-    in spec order.  ``os.fork`` rather than a process pool: nothing is sent
-    to a child, and the only other thread at this point is OpenBLAS's pool,
-    which shuts itself down across a fork.
+    The units are split into one share per usable CPU, balanced by
+    ``costs``.  The parent runs the first share and forks a child per other
+    share (:func:`_fork_child`), each process starting on a CPU of its own
+    and using one BLAS thread; a child's results come back pickled through
+    a pipe.  Every child is reaped, on success and on error.  Each unit's
+    wall time goes into ``timings`` under its name.
+
+    ``fn`` must leave the caller's state alone: what a unit adds to the
+    stage travels in its result, which the caller merges as it iterates.
+    A unit's files are a pure function of the unit, so they equal a serial
+    run's.  A child that fails, or cannot be forked, has its share run
+    again here, so the results are yielded up to the first failing unit and
+    then its :class:`TssidError` or ``OSError`` is raised, as in a serial
+    run; units after it may have written their files.  ``os.fork`` rather
+    than a process pool: nothing is sent to a child, and the only other
+    thread is OpenBLAS's pool, which shuts itself down across a fork.
     """
-    shares = _balanced_shares(sizes, max(1, min(_usable_cpus(), len(specs))))
-    children: dict[int, list[int]] = {}
+    names, args = list(units), list(units.values())
+    shares = _balanced_shares(costs, max(1, min(_usable_cpus(), len(args))))
+    done: dict[int, tuple] = {}
+    children: dict[int, tuple[list[int], int]] = {}
     redo: list[list[int]] = []
-    try:
-        if len(shares) > 1:
-            _start_on_cpu(0)
-        for k, share in enumerate(shares[1:], start=1):
-            try:
-                pid = os.fork()
-            except OSError:
-                redo.append(share)
-                continue
-            if pid == 0:
-                _run_child(k, specs, share, flights_dir)
-            children[pid] = share
-        failures = [_write_flights(specs, shares[0], flights_dir)]
-    finally:
-        for pid, share in children.items():
-            _, status = os.waitpid(pid, 0)
-            if os.waitstatus_to_exitcode(status) != 0:
-                redo.append(share)
-    failures += [_write_flights(specs, share, flights_dir) for share in redo]
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    forking = len(shares) > 1
+    with _one_blas_thread() if forking else contextlib.nullcontext():
+        try:
+            if forking:
+                _start_on_cpu(0)
+            for k, share in enumerate(shares[1:], start=1):
+                child = _fork_child(k, fn, args, share)
+                if child is None:
+                    redo.append(share)
+                else:
+                    children[child[0]] = share, child[1]
+            failures = [_run_share(fn, args, shares[0], done)]
+        finally:
+            for pid, (share, fd) in children.items():
+                with open(fd, "rb") as pipe:  # to the end first: a full pipe blocks the child
+                    blob = pipe.read()
+                _, status = os.waitpid(pid, 0)
+                if os.waitstatus_to_exitcode(status) == 0:
+                    done.update(pickle.loads(blob))
+                else:
+                    redo.append(share)
+    failures += [_run_share(fn, args, share, done) for share in redo]
+    first = min((f for f in failures if f is not None), key=lambda f: f[0], default=None)
+    for i in range(len(args) if first is None else first[0]):
+        result, timings[names[i]] = done[i]
+        yield result
+    if first is not None:
+        raise first[1]
 
+
+# --- commands ---------------------------------------------------------------
 
 def cmd_generate(cfg: RunConfig) -> int:
     """Synthesize the corpus: one CSV per flight, ``maneuvers.csv`` and the manifest.
 
-    Flights are generated on every CPU in the process's affinity mask (see
-    :func:`_generate_flights`).  The files are byte-identical to a serial
-    run; only the order of ``TSSID_LOG=INFO`` lines may interleave.
+    Each flight is one unit of :func:`_fork_units`, costed by its sample
+    count, so flights are generated on every CPU in the process's affinity
+    mask.  Each file is a pure function of its spec, so the files are
+    byte-identical to a serial run; only the order of ``TSSID_LOG=INFO``
+    lines may interleave.
     """
     corpus = _corpus_cfg(cfg)
     stage = _Stage(cfg, "generate", cfg.paths.data_dir)
     specs = corpus.build_specs()
     segments = {spec.flight_id: flight_segments(spec) for spec in specs}
     flights_dir = cfg.paths.data_dir / "flights"
-    _generate_flights(specs, [segs[-1].end_index for segs in segments.values()],
-                      flights_dir)
+
+    def write_flight(spec: SyntheticFlightSpec) -> None:
+        rec = generate_flight(spec)
+        emit_csv(rec, flights_dir / f"{rec.flight_id}.csv")
+        log.info("generated %s: %.1f s, %d samples", rec.flight_id,
+                 rec.duration_s, rec.n_samples)
+
+    for _ in _fork_units(write_flight, {spec.flight_id: spec for spec in specs},
+                         [segs[-1].end_index for segs in segments.values()], stage.timings):
+        pass
     man_path = cfg.paths.data_dir / "maneuvers.csv"
     save_maneuvers(segments, man_path)
     stage.outputs += [flights_dir / f"{spec.flight_id}.csv" for spec in specs] + [man_path]
@@ -673,49 +785,102 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
+    """Integrate each sparse model over the test flights and write one CSV per segment.
+
+    Each model is one unit of :func:`_fork_units`, since ``rk4_sparse``
+    batches a model's segments across flights.
+    """
     stage = _Stage(cfg, "simulate")
     test_ids = _split_of(cfg).test_ids
     test_recs = stage.records(test_ids)
-    digests = stage.extra["output_sha256"] = {}
-    for order in orders:
-        model_id = f"sindy{order}"
-        model = stage.model(model_id)
+
+    def simulate_model(model_id: str):
+        model = _load_model(cfg, model_id)
         sim_dir = cfg.paths.out_dir / f"sim_{model_id}"
-        stage.stamp(sim_dir, _sim_fingerprint(stage, model_id, model, test_ids))
+        stamps = {_model_path(cfg, model_id): model.fingerprint,
+                  sim_dir: _sim_fingerprint(stage, model_id, model, test_ids)}
         preds = _simulate_flights(model, test_recs)
+        outputs = []
         for rec, seg, path in _segment_files(test_recs, sim_dir):
             s, e = seg.start_index, seg.end_index
             write_float_csv(path, ("time_s", "WF", "TRQ_actual", "TRQ_pred"),
                             (np.arange(s, e) * rec.dt, rec.values(model.input_names[0])[s:e],
                              rec.values(model.state_names[0])[s:e], preds[rec.flight_id][s:e]))
+            outputs.append((path, file_sha256(path)))
+        return model_id, stamps, outputs
+
+    digests = stage.extra["output_sha256"] = {}
+    model_ids = {f"sindy{order}": f"sindy{order}" for order in orders}
+    for model_id, stamps, outputs in _fork_units(simulate_model, model_ids, [1] * len(orders),
+                                                 stage.timings):
+        for path, fp in stamps.items():
+            stage.stamp(path, fp)
+        for path, sha in outputs:
             stage.outputs.append(path)
-            digests[stage.rel(path)] = file_sha256(path)
-        print(f"simulated {model_id} over {len(test_recs)} test flights -> {sim_dir}")
+            digests[stage.rel(path)] = sha
+        print(f"simulated {model_id} over {len(test_recs)} test flights "
+              f"-> {cfg.paths.out_dir / f'sim_{model_id}'}")
     stage.finish()
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
+    """Score each model on the test flights and write its report and overlay CSVs.
+
+    Each test flight is one unit of :func:`_fork_units`: it makes every
+    net's prediction for the flight and writes the flight's overlays of
+    every model as ``.staged`` files.  A model's overlays replace the old
+    ones only once its report is written, so a model that fails to score
+    leaves its old report and overlays in place.
+    """
     stage = _Stage(cfg, "evaluate")
     test_ids = _split_of(cfg).test_ids
     test_recs = stage.records(test_ids)
     target = cfg.features.target
+    models = {model_id: stage.model(model_id) for model_id in model_ids}
+    preds = {model_id: {} if model_id in NET_KINDS
+             else _sparse_predictions(stage, model_id, model, test_recs, test_ids)
+             for model_id, model in models.items()}
+    overlay_dir = cfg.paths.out_dir / "overlays"
+    overlays = {model_id: [path for *_, path in _segment_files(test_recs, overlay_dir / model_id)]
+                for model_id in model_ids}
+
+    def predict_flight(rec: FlightRecord):
+        net_preds = {model_id: predict_series(net, rec) for model_id, net in models.items()
+                     if model_id in NET_KINDS}
+        for model_id in model_ids:
+            pred = net_preds[model_id] if model_id in NET_KINDS else preds[model_id][rec.flight_id]
+            for _, seg, path in _segment_files([rec], overlay_dir / model_id):
+                s, e = seg.start_index, seg.end_index
+                write_overlay_csv(_staged(path), np.arange(s, e) * rec.dt,
+                                  rec.values(target)[s:e], pred[s:e])
+        return rec.flight_id, net_preds
+
     reports = []
-    for model_id in model_ids:
-        preds, model_fp = _predictions_for(stage, model_id, test_recs, test_ids)
-        report = dataclasses.replace(score_model(model_id, preds, test_recs, target),
-                                     fingerprint=_eval_fingerprint(cfg, model_fp, test_ids))
-        rp = cfg.paths.out_dir / f"eval_{model_id}.txt"
-        save_report(report, rp)
-        stage.outputs.append(rp)
-        stage.stamp(rp, report.fingerprint)
-        reports.append(report)
-        for rec, seg, path in _segment_files(test_recs, cfg.paths.out_dir / "overlays" / model_id):
-            s, e = seg.start_index, seg.end_index
-            write_overlay_csv(path, np.arange(s, e) * rec.dt, rec.values(target)[s:e],
-                              preds[rec.flight_id][s:e])
-            stage.outputs.append(path)
-        print(f"{model_id}: overall rMAE {report.overall_rmae * 100:.2f}%")
+    try:
+        for flight_id, net_preds in _fork_units(predict_flight,
+                                                {rec.flight_id: rec for rec in test_recs},
+                                                [rec.n_samples for rec in test_recs],
+                                                stage.timings):
+            for model_id, pred in net_preds.items():
+                preds[model_id][flight_id] = pred
+        for model_id, model in models.items():
+            report = dataclasses.replace(
+                score_model(model_id, preds[model_id], test_recs, target),
+                fingerprint=_eval_fingerprint(cfg, model.fingerprint, test_ids))
+            rp = cfg.paths.out_dir / f"eval_{model_id}.txt"
+            save_report(report, rp)
+            stage.outputs.append(rp)
+            stage.stamp(rp, report.fingerprint)
+            reports.append(report)
+            for path in overlays[model_id]:
+                _staged(path).replace(path)
+            stage.outputs += overlays[model_id]
+            print(f"{model_id}: overall rMAE {report.overall_rmae * 100:.2f}%")
+    finally:
+        for paths in overlays.values():
+            for path in paths:
+                _staged(path).unlink(missing_ok=True)
     table = compare_models(reports)
     cp = cfg.paths.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
@@ -726,6 +891,10 @@ def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
 
 
 def cmd_retrain_experiment(cfg: RunConfig) -> int:
+    """Train and score each net without and with ``retrain.augment_ids`` among its flights.
+
+    Each (phase, net) pair is one unit of :func:`_fork_units`.
+    """
     stage = _Stage(cfg, "retrain-experiment")
     if not cfg.retrain.augment_ids:
         raise ConfigError("retrain-experiment needs retrain.augment_ids in the config")
@@ -752,28 +921,35 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
         "baseline": list(split.train_ids),
         "retrained": list(split.train_ids) + list(cfg.retrain.augment_ids),
     }
+
+    def train_and_score(unit: tuple[str, str]):
+        phase, kind = unit
+        net = _train_one(cfg, kind, [by_id[i] for i in phases[phase]], val_recs, inputs,
+                         _model_fingerprint(cfg, kind, phases[phase], split.val_ids))
+        wp = rt_dir / f"{kind}_{phase}_weights.bin"
+        save_net(net, wp)
+        preds = {r.flight_id: predict_series(net, r) for r in eval_recs}
+        report = dataclasses.replace(
+            score_model(kind, preds, eval_recs, cfg.features.target),
+            fingerprint=_eval_fingerprint(cfg, net.fingerprint, eval_ids))
+        rp = rt_dir / f"eval_{phase}_{kind}.txt"
+        save_report(report, rp)
+        return phase, kind, {wp: net.fingerprint, rp: report.fingerprint}, report.overall_rmae
+
+    units = {f"{phase}_{kind}": (phase, kind) for phase in phases for kind in NET_KINDS}
+    # a net's training work grows with its epochs and with its training samples
+    epochs = {"ffnn": cfg.ffnn.train.epochs, "lstm": cfg.lstm.train.epochs}
+    costs = [epochs[kind] * sum(by_id[i].n_samples for i in phases[phase])
+             for phase, kind in units.values()]
     scores: dict[str, dict[str, float]] = {k: {} for k in NET_KINDS}
-    runs = stage.extra["runs"] = []
-    for phase, train_ids in phases.items():
-        with stage.timed(phase):
-            train_recs = [by_id[i] for i in train_ids]
-            for kind in NET_KINDS:
-                net = _train_one(cfg, kind, train_recs, val_recs, inputs,
-                                 _model_fingerprint(cfg, kind, train_ids, split.val_ids))
-                wp = rt_dir / f"{kind}_{phase}_weights.bin"
-                save_net(net, wp)
-                preds = {r.flight_id: predict_series(net, r) for r in eval_recs}
-                report = dataclasses.replace(
-                    score_model(kind, preds, eval_recs, cfg.features.target),
-                    fingerprint=_eval_fingerprint(cfg, net.fingerprint, eval_ids))
-                rp = rt_dir / f"eval_{phase}_{kind}.txt"
-                save_report(report, rp)
-                stage.outputs += [wp, rp]
-                stage.stamp(wp, net.fingerprint)
-                stage.stamp(rp, report.fingerprint)
-                scores[kind][phase] = report.overall_rmae
-                print(f"{phase} {kind}: overall rMAE {report.overall_rmae * 100:.2f}%")
-            runs.append({"phase": phase, "train_flights": train_ids})
+    for phase, kind, stamps, rmae in _fork_units(train_and_score, units, costs, stage.timings):
+        for path, fp in stamps.items():
+            stage.outputs.append(path)
+            stage.stamp(path, fp)
+        scores[kind][phase] = rmae
+        print(f"{phase} {kind}: overall rMAE {rmae * 100:.2f}%")
+    stage.extra["runs"] = [{"phase": phase, "train_flights": train_ids}
+                           for phase, train_ids in phases.items()]
 
     lines = ["tssid retrain report v1",
              "augment_flights: " + ",".join(cfg.retrain.augment_ids),
@@ -912,4 +1088,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # A stage process's import-time objects live until it exits: frozen, they
+    # are walked by no later collection, nor by the final one at exit.
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)

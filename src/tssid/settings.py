@@ -30,6 +30,7 @@ MAX_WIDTH = 4096
 MAX_LAYERS = 64
 MAX_LOOKBACK = 10_000
 MAX_FLIGHTS = 10_000
+MAX_FLIGHT_SAMPLES = 10_000_000  # 56 h at 50 Hz; 1.1 GB of float64 over 14 channels
 
 
 def setting(default=MISSING, *, factory=MISSING, lo=None, above=None, hi=None, choices=(),

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .flightdata import CHANNEL_UNITS, Channel, FlightRecord, ManeuverSegment
 from .seeding import derive_seed
-from .settings import MAX_FLIGHTS, check, setting
+from .settings import MAX_FLIGHT_SAMPLES, MAX_FLIGHTS, check, setting
 
 PROFILE_KINDS = ("hold", "ramp", "step", "chirp")
 ODE_ORDERS = ("first", "second")
@@ -118,7 +118,11 @@ class ManeuverProfile:
 
 
 def _sample_count(p: ManeuverProfile, fs: float) -> int:
-    """The samples of maneuver ``p`` at ``fs`` Hz; at least one, or SeriesTooShort."""
+    """The samples of maneuver ``p`` at ``fs`` Hz: at least one, at most a flight's bound."""
+    if not p.duration_s * fs <= MAX_FLIGHT_SAMPLES:  # tested before rounding: inf has no int
+        raise LengthMismatch(f"duration_s: maneuver {p.label!r} ({p.duration_s:g} s) holds more "
+                             f"than {MAX_FLIGHT_SAMPLES} samples at {fs} Hz, the most a flight "
+                             "may hold")
     n = int(round(p.duration_s * fs))
     if n < 1:
         raise SeriesTooShort(f"maneuver {p.label!r} ({p.duration_s:g} s) is shorter than "
@@ -249,9 +253,14 @@ def flight_segments(spec: SyntheticFlightSpec) -> tuple[ManeuverSegment, ...]:
     """The maneuver annotations of ``spec``'s flight, excluded labels marked.
 
     Draws nothing, so the annotations (and the flight's sample count, the
-    last segment's end) are known without generating the flight.
+    last segment's end) are known without generating the flight.  A flight
+    of more than ``MAX_FLIGHT_SAMPLES`` samples is refused.
     """
     segs = profile_segments(spec.profiles, spec.sample_rate_hz)
+    if segs[-1].end_index > MAX_FLIGHT_SAMPLES:
+        raise LengthMismatch(f"duration_s: flight {spec.flight_id!r} holds {segs[-1].end_index} "
+                             f"samples at {spec.sample_rate_hz} Hz, more than the "
+                             f"{MAX_FLIGHT_SAMPLES} a flight may hold")
     if not spec.excluded_labels:
         return segs
     ex = set(spec.excluded_labels)
@@ -264,6 +273,7 @@ def generate_flight(spec: SyntheticFlightSpec) -> FlightRecord:
     fs = spec.sample_rate_hz
     dt = 1.0 / fs
     params = spec.params
+    segments = flight_segments(spec)  # refuses a flight too long to allocate
     wf_clean = generate_wf_profile(spec.profiles, fs)
     trq_clean = simulate_engine(params, wf_clean, dt, spec.initial_trq)
 
@@ -281,7 +291,7 @@ def generate_flight(spec: SyntheticFlightSpec) -> FlightRecord:
             base = AUX_CHANNEL_MAPS[name].apply(wf_clean)
         channels.append(Channel(name, CHANNEL_UNITS[name], noisy(name, base)))
 
-    return FlightRecord(spec.flight_id, fs, tuple(channels), flight_segments(spec))
+    return FlightRecord(spec.flight_id, fs, tuple(channels), segments)
 
 
 # --- corpus templates ---------------------------------------------------------

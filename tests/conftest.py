@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,36 @@ from tssid.flightdata import Channel, FlightRecord, ManeuverSegment
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+#: the CPU affinity mask the test process started with; a forked run must leave it so
+CPU_MASK = os.sched_getaffinity(0)
+_REAL_FORK = os.fork
 
 
 def run_cli(*args) -> int:
     """Invoke the CLI in-process; returns the exit code."""
     return cli.main([str(a) for a in args])
+
+
+@contextlib.contextmanager
+def usable_cpus(cpus: int):
+    """Run the CLI as if ``cpus`` CPUs were usable; yields the list of the children forked."""
+    forks = []
+
+    def counting_fork():
+        pid = _REAL_FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_usable_cpus", lambda: cpus)
+        m.setattr(os, "fork", counting_fork)
+        yield forks
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_run(tmp_dir: Path, preset: str, **overrides) -> Path:

@@ -440,9 +440,12 @@ def test_report_artifacts(smoke_run, capsys):
 
 
 def _count_rk4_calls(monkeypatch) -> list:
+    """The calls of ``rk4_sparse`` from now on.  The list sees this process's calls only, so
+    the stages run serially, as on one CPU."""
     calls = []
     real = kernels.rk4_sparse
     monkeypatch.setattr(kernels, "rk4_sparse", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     return calls
 
 
@@ -961,6 +964,17 @@ def test_exit_code_2_maneuver_shorter_than_one_sample(tmp_path, capsys):
     assert re.search(r"maneuver '\w+' \([0-9.]+ s\) is shorter than one sample at 0.5 Hz",
                      err), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("duration_s", [1e15, 1e308])
+def test_exit_code_2_flight_longer_than_the_sample_bound(tmp_path, capsys, duration_s):
+    cfg = _smoke_with(tmp_path, ("corpus", "templates", 0, "duration_s"), duration_s)
+    assert run_cli("generate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "duration_s: maneuver 'hover'" in err
+    assert "more than 10000000 samples at 20.0 Hz" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "data" / "flights").exists()
 
 
 def test_exit_code_2_split_fractions_beside_explicit_lists(tmp_path, capsys):

@@ -9,14 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import REPO, make_run, run_cli
+from conftest import CPU_MASK, REPO, assert_no_child_left, make_run, run_cli, usable_cpus
 from tssid import cli
 from tssid.config import load_config
 from tssid.errors import ComputationError
 from tssid.manifest import load_manifest
 from tssid.synthgen import flight_segments
-
-_REAL_FORK = os.fork
 
 
 def _corpus_files(data: Path) -> dict[str, bytes]:
@@ -31,36 +29,20 @@ def _generate(tmp: Path, cpus: int) -> tuple[int, int]:
 
     Returns the exit code and the number of children forked.
     """
-    forks = []
-
-    def counting_fork():
-        pid = _REAL_FORK()
-        if pid:
-            forks.append(pid)
-        return pid
-
     tmp.mkdir(parents=True, exist_ok=True)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "_usable_cpus", lambda: cpus)
-        m.setattr(os, "fork", counting_fork)
+    with usable_cpus(cpus) as forks:
         code = run_cli("generate", "--config", make_run(tmp, "smoke"))
     return code, len(forks)
-
-
-def _assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cpus, forks", [(2, 1), (16, 4)])
 def test_forked_shares_write_the_serial_bytes(tmp_path, cpus, forks):
     serial, forked = tmp_path / "serial", tmp_path / "forked"
-    mask = os.sched_getaffinity(0)
     assert _generate(serial, 1) == (0, 0)
     # the smoke corpus has five flights, so sixteen CPUs make five shares
     assert _generate(forked, cpus) == (0, forks)
-    _assert_no_child_left()
-    assert os.sched_getaffinity(0) == mask  # the placement hint is undone
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == CPU_MASK  # the placement hint is undone
     assert _corpus_files(forked / "data") == _corpus_files(serial / "data")
     assert len(_corpus_files(serial / "data")) == 6
     assert (load_manifest(forked / "data" / "manifest_generate.json").stable_payload()
@@ -112,7 +94,7 @@ def test_a_failing_share_fails_as_a_serial_run(tmp_path, monkeypatch, capsys, vi
         captured = capsys.readouterr()
         runs[cpus] = (code, captured.out, captured.err)
         assert not (tmp / "data" / "manifest_generate.json").exists()
-    _assert_no_child_left()
+    assert_no_child_left()
     assert runs[2] == runs[1]
     code, _, err = runs[1]
     assert code == ComputationError.exit_code
@@ -125,7 +107,7 @@ def test_a_child_failure_the_parent_does_not_repeat_is_written_again(tmp_path,
     parent = os.getpid()
     _failing_generate(monkeypatch, lambda spec: os.getpid() != parent)
     assert _generate(tmp_path / "forked", 2) == (0, 1)
-    _assert_no_child_left()
+    assert_no_child_left()
     monkeypatch.undo()
     assert _generate(tmp_path / "serial", 1) == (0, 0)
     assert _corpus_files(tmp_path / "forked" / "data") \

@@ -12,6 +12,7 @@ from tssid.errors import (
     UnstableParameters,
 )
 from tssid.flightdata import CHANNEL_UNITS
+from tssid.settings import MAX_FLIGHT_SAMPLES
 from tssid.synthgen import (
     AUX_CHANNEL_MAPS,
     AffineMap,
@@ -21,6 +22,7 @@ from tssid.synthgen import (
     SyntheticFlightSpec,
     add_noise,
     expand_template,
+    flight_segments,
     generate_flight,
     generate_wf_profile,
     profile_segments,
@@ -286,3 +288,16 @@ def test_template_validation():
     with pytest.raises(LengthMismatch, match="taxi/chirp budget"):
         FlightTemplate(count=1, id_prefix="x", duration_s=5.0,
                        wf_low=1.0, wf_high=2.0, taxi_s=3.0, chirp_s=2.0)
+
+
+def test_a_flight_longer_than_the_sample_bound_is_refused_before_it_is_drawn():
+    # each maneuver fits in a flight, the eleven of them do not
+    hold = ManeuverProfile("hold", MAX_FLIGHT_SAMPLES / 10 / 20.0, level=300.0)
+    spec = SyntheticFlightSpec("long01", 20.0, (hold,) * 11, GroundTruthParams())
+    with pytest.raises(LengthMismatch, match="flight 'long01' holds 11000000 samples"):
+        flight_segments(spec)
+    with pytest.raises(LengthMismatch, match="flight 'long01'"):
+        generate_flight(spec)
+    assert flight_segments(SyntheticFlightSpec("long01", 20.0, (hold,) * 10,
+                                               GroundTruthParams()))[-1].end_index \
+        == MAX_FLIGHT_SAMPLES
