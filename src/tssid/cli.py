@@ -1,24 +1,13 @@
 """``tssid`` command line interface.
 
-Pipeline commands, in the order they are normally run::
-
-    generate            synthesize the flight corpus into data_dir
-    ingest              read the corpus back and summarize it
-    correlate           Pearson correlation matrix of the channels
-    split               assign flights to train/val/test
-    fit-sindy           fit sparse ODE models (--order 1|2, default both)
-    train               train neural predictors (--model ffnn|lstm, default both)
-    simulate            integrate fitted ODE models over the test flights
-    evaluate            score models on the test flights (--model ..., repeatable)
-    retrain-experiment  distribution-shift retraining study
-    report              render a comparison table from saved evaluations
-
-Every command takes ``--config <path>`` plus optional ``--seed N`` and
-``--out <dir>`` overrides, writes its artifacts and a
-``manifest_<command>.json`` receipt listing them, and exits 0.  Exit codes
-are stable for scripting: 2 for configuration problems, 3 for I/O
-problems, 4 for computation failures.  Identical config and seed produce
-byte-identical artifacts on re-run (manifest timing entries aside).
+The pipeline's commands are the keys of ``COMMANDS``, in the order they
+are normally run.  Every command takes ``--config <path>`` plus optional
+``--seed N`` and ``--out <dir>`` overrides and writes its artifacts; once
+it returns, the dispatcher writes the ``manifest_<command>.json`` receipt
+listing them and exits 0.  Exit codes are stable for scripting: 2 for
+configuration problems, 3 for I/O problems, 4 for computation failures.
+Identical config and seed produce byte-identical artifacts on re-run
+(manifest timing entries aside).
 
 Every artifact a later stage reads carries a fingerprint of what produced
 it (see ``Artifact fingerprints`` below): the corpus in
@@ -53,7 +42,7 @@ import pickle
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -122,24 +111,20 @@ log = logging.getLogger("tssid")
 NET_KINDS = ("ffnn", "lstm")
 
 
-# --- small helpers -----------------------------------------------------------
-
-def _write_text(path: Path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
-
+# --- the stage receipt ---------------------------------------------------------
 
 class _Stage:
     """One command's receipt: the files it read, wrote and checked, and its timings.
 
-    A command creates it first and calls :meth:`finish`, the only writer of
-    a manifest, last; a command that fails leaves the previous manifest in
-    place.  ``fingerprints`` are keyed by paths relative to ``base_dir``.
+    :func:`_dispatch` creates it before the command runs and calls
+    :meth:`finish`, the only writer of a manifest, once it returns; a
+    command that fails leaves the previous manifest in place.  The command
+    records each file it writes with :meth:`write_text` or :meth:`wrote`.
+    ``fingerprints`` are keyed by paths relative to ``base_dir``.
     """
 
-    def __init__(self, cfg: RunConfig, command: str, base_dir: Path | None = None):
-        self.cfg, self.command = cfg, command
-        self.base_dir = cfg.paths.out_dir if base_dir is None else base_dir
+    def __init__(self, cfg: RunConfig, command: str, base_dir: Path):
+        self.cfg, self.command, self.base_dir = cfg, command, base_dir
         self.inputs: dict[str, str] = {}
         self.fingerprints: dict[str, str] = {}
         self.outputs: list[Path] = []
@@ -165,6 +150,18 @@ class _Stage:
     def stamp(self, path: Path, fp: str) -> None:
         """Record the fingerprint of the artifact written or checked at ``path``."""
         self.fingerprints[self.rel(path)] = fp
+
+    def wrote(self, path: Path, fp: str | None = None) -> None:
+        """Record ``path`` as an output, stamped with ``fp`` when it carries one."""
+        self.outputs.append(path)
+        if fp is not None:
+            self.stamp(path, fp)
+
+    def write_text(self, path: Path, text: str) -> None:
+        """Replace ``path`` with ``text`` atomically and record it as an output."""
+        with atomic_open(path) as fh:
+            fh.write(text)
+        self.wrote(path)
 
     @contextlib.contextmanager
     def timed(self, name: str):
@@ -654,7 +651,7 @@ def _fork_units(fn: Callable, units: Mapping[str, object], costs: Sequence[float
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(stage: _Stage) -> None:
     """Synthesize the corpus: one CSV per flight, ``maneuvers.csv`` and the manifest.
 
     Each flight is one unit of :func:`_fork_units`, costed by its sample
@@ -663,9 +660,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     byte-identical to a serial run; only the order of ``TSSID_LOG=INFO``
     lines may interleave.
     """
-    corpus = _corpus_cfg(cfg)
-    stage = _Stage(cfg, "generate", cfg.paths.data_dir)
-    specs = corpus.build_specs()
+    cfg = stage.cfg
+    specs = _corpus_cfg(cfg).build_specs()
     segments = {spec.flight_id: flight_segments(spec) for spec in specs}
     flights_dir = cfg.paths.data_dir / "flights"
 
@@ -680,40 +676,35 @@ def cmd_generate(cfg: RunConfig) -> int:
         pass
     man_path = cfg.paths.data_dir / "maneuvers.csv"
     save_maneuvers(segments, man_path)
-    stage.outputs += [flights_dir / f"{spec.flight_id}.csv" for spec in specs] + [man_path]
+    for spec in specs:
+        stage.wrote(flights_dir / f"{spec.flight_id}.csv")
+    stage.wrote(man_path)
     stage.fingerprints["corpus"] = _corpus_fingerprint(cfg)
-    manifest = stage.finish()
-    print(f"generated {len(specs)} flights in {cfg.paths.data_dir} ({manifest.name})")
-    return 0
+    print(f"generated {len(specs)} flights in {cfg.paths.data_dir} "
+          f"({manifest_path(stage.base_dir, stage.command).name})")
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    stage = _Stage(cfg, "ingest")
-    records = stage.records(_corpus_cfg(cfg).flight_ids)
+def cmd_ingest(stage: _Stage) -> None:
+    records = stage.records(_corpus_cfg(stage.cfg).flight_ids)
     lines = ["flight_id,n_samples,duration_s,n_maneuvers,n_excluded"]
     for rec in records:
         n_exc = sum(1 for seg in rec.maneuvers if seg.excluded)
         lines.append(f"{rec.flight_id},{rec.n_samples},{rec.duration_s!r},"
                      f"{len(rec.maneuvers)},{n_exc}")
-    out = cfg.paths.out_dir / "ingest_summary.csv"
-    _write_text(out, "\n".join(lines) + "\n")
-    stage.outputs.append(out)
-    stage.finish()
+    out = stage.cfg.paths.out_dir / "ingest_summary.csv"
+    stage.write_text(out, "\n".join(lines) + "\n")
     total = sum(r.n_samples for r in records)
     print(f"ingested {len(records)} flights, {total} samples -> {out}")
-    return 0
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    stage = _Stage(cfg, "correlate")
+def cmd_correlate(stage: _Stage) -> None:
+    cfg = stage.cfg
     corr = correlation_matrix(stage.records(_corpus_cfg(cfg).flight_ids))
     lines = ["channel," + ",".join(corr.names)]
     for i, nm in enumerate(corr.names):
         lines.append(nm + "," + ",".join(repr(float(v)) for v in corr.values[i]))
     out = cfg.paths.out_dir / "correlation_matrix.csv"
-    _write_text(out, "\n".join(lines) + "\n")
-    stage.outputs.append(out)
-    stage.finish()
+    stage.write_text(out, "\n".join(lines) + "\n")
     target = cfg.features.target
     if target in corr.names:
         pairs = sorted(((abs(corr.corr(nm, target)), nm) for nm in corr.names
@@ -721,25 +712,21 @@ def cmd_correlate(cfg: RunConfig) -> int:
         top = ", ".join(f"{nm} ({v:.3f})" for v, nm in pairs[:5])
         print(f"correlations with {target}: {top}")
     print(f"wrote {out}")
-    return 0
 
 
-def cmd_split(cfg: RunConfig) -> int:
-    stage = _Stage(cfg, "split")
+def cmd_split(stage: _Stage) -> None:
+    cfg = stage.cfg
     split = _split_of(cfg)
     payload = {"train": list(split.train_ids), "val": list(split.val_ids),
                "test": list(split.test_ids)}
     out = cfg.paths.out_dir / "split.yaml"
-    _write_text(out, yaml.safe_dump(payload, sort_keys=True))
-    stage.outputs.append(out)
-    stage.finish()
+    stage.write_text(out, yaml.safe_dump(payload, sort_keys=True))
     print(f"split {len(_corpus_cfg(cfg).flight_ids)} flights: {len(split.train_ids)} train / "
           f"{len(split.val_ids)} val / {len(split.test_ids)} test -> {out}")
-    return 0
 
 
-def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
-    stage = _Stage(cfg, "fit-sindy")
+def cmd_fit_sindy(stage: _Stage, orders: Sequence[int]) -> None:
+    cfg = stage.cfg
     split = _split_of(cfg)
     train_recs = stage.records(split.train_ids)
     for order in orders:
@@ -748,20 +735,17 @@ def cmd_fit_sindy(cfg: RunConfig, orders: Sequence[int]) -> int:
             mp = _model_path(cfg, f"sindy{order}")
             fp = _model_fingerprint(cfg, f"sindy{order}", split.train_ids, split.val_ids)
             save_model(dataclasses.replace(model, fingerprint=fp), mp)
+            stage.wrote(mp, fp)
             eq_text = format_equations(model)
             resid = ", ".join(f"{r:.6g}" for r in model.residual_rmse)
-            ep = cfg.paths.out_dir / f"sindy{order}_equations.txt"
-            _write_text(ep, eq_text + f"\nresidual_rmse: {resid}\n")
-            stage.outputs += [mp, ep]
-            stage.stamp(mp, fp)
+            stage.write_text(cfg.paths.out_dir / f"sindy{order}_equations.txt",
+                             eq_text + f"\nresidual_rmse: {resid}\n")
             print(f"sindy order {order}:")
             print("  " + eq_text.replace("\n", "\n  "))
-    stage.finish()
-    return 0
 
 
-def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
-    stage = _Stage(cfg, "train")
+def cmd_train(stage: _Stage, kinds: Sequence[str]) -> None:
+    cfg = stage.cfg
     split = _split_of(cfg)
     records = stage.records(split.train_ids + split.val_ids)
     train_recs = records[:len(split.train_ids)]
@@ -773,24 +757,20 @@ def cmd_train(cfg: RunConfig, kinds: Sequence[str]) -> int:
             fp = _model_fingerprint(cfg, kind, split.train_ids, split.val_ids)
             net = _train_one(cfg, kind, train_recs, val_recs, inputs, fp)
             save_net(net, wp)
-            lp = cfg.paths.out_dir / f"{kind}_loss.csv"
-            _write_text(lp, _loss_csv(net))
-            stage.outputs += [wp, lp]
-            stage.stamp(wp, fp)
+            stage.wrote(wp, fp)
+            stage.write_text(cfg.paths.out_dir / f"{kind}_loss.csv", _loss_csv(net))
         final_val = net.val_mse[-1] if len(net.val_mse) else float("nan")
         print(f"trained {kind}: {len(net.train_mse)} epochs, "
               f"final train mse {net.train_mse[-1]:.3e}, val mse {final_val:.3e}")
-    stage.finish()
-    return 0
 
 
-def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
+def cmd_simulate(stage: _Stage, orders: Sequence[int]) -> None:
     """Integrate each sparse model over the test flights and write one CSV per segment.
 
     Each model is one unit of :func:`_fork_units`, since ``rk4_sparse``
     batches a model's segments across flights.
     """
-    stage = _Stage(cfg, "simulate")
+    cfg = stage.cfg
     test_ids = _split_of(cfg).test_ids
     test_recs = stage.records(test_ids)
 
@@ -816,15 +796,13 @@ def cmd_simulate(cfg: RunConfig, orders: Sequence[int]) -> int:
         for path, fp in stamps.items():
             stage.stamp(path, fp)
         for path, sha in outputs:
-            stage.outputs.append(path)
+            stage.wrote(path)
             digests[stage.rel(path)] = sha
         print(f"simulated {model_id} over {len(test_recs)} test flights "
               f"-> {cfg.paths.out_dir / f'sim_{model_id}'}")
-    stage.finish()
-    return 0
 
 
-def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
+def cmd_evaluate(stage: _Stage, model_ids: Sequence[str]) -> None:
     """Score each model on the test flights and write its report and overlay CSVs.
 
     Each test flight is one unit of :func:`_fork_units`: it makes every
@@ -833,7 +811,7 @@ def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     ones only once its report is written, so a model that fails to score
     leaves its old report and overlays in place.
     """
-    stage = _Stage(cfg, "evaluate")
+    cfg = stage.cfg
     test_ids = _split_of(cfg).test_ids
     test_recs = stage.records(test_ids)
     target = cfg.features.target
@@ -870,32 +848,28 @@ def cmd_evaluate(cfg: RunConfig, model_ids: Sequence[str]) -> int:
                 fingerprint=_eval_fingerprint(cfg, model.fingerprint, test_ids))
             rp = cfg.paths.out_dir / f"eval_{model_id}.txt"
             save_report(report, rp)
-            stage.outputs.append(rp)
-            stage.stamp(rp, report.fingerprint)
+            stage.wrote(rp, report.fingerprint)
             reports.append(report)
             for path in overlays[model_id]:
                 _staged(path).replace(path)
-            stage.outputs += overlays[model_id]
+                stage.wrote(path)
             print(f"{model_id}: overall rMAE {report.overall_rmae * 100:.2f}%")
     finally:
         for paths in overlays.values():
             for path in paths:
                 _staged(path).unlink(missing_ok=True)
-    table = compare_models(reports)
     cp = cfg.paths.out_dir / "comparison.csv"
-    write_comparison_csv(table, cp)
-    stage.outputs.append(cp)
-    stage.finish()
+    write_comparison_csv(compare_models(reports), cp)
+    stage.wrote(cp)
     print(f"wrote {cp}")
-    return 0
 
 
-def cmd_retrain_experiment(cfg: RunConfig) -> int:
+def cmd_retrain_experiment(stage: _Stage) -> None:
     """Train and score each net without and with ``retrain.augment_ids`` among its flights.
 
     Each (phase, net) pair is one unit of :func:`_fork_units`.
     """
-    stage = _Stage(cfg, "retrain-experiment")
+    cfg = stage.cfg
     if not cfg.retrain.augment_ids:
         raise ConfigError("retrain-experiment needs retrain.augment_ids in the config")
     split = _split_of(cfg)
@@ -944,8 +918,7 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
     scores: dict[str, dict[str, float]] = {k: {} for k in NET_KINDS}
     for phase, kind, stamps, rmae in _fork_units(train_and_score, units, costs, stage.timings):
         for path, fp in stamps.items():
-            stage.outputs.append(path)
-            stage.stamp(path, fp)
+            stage.wrote(path, fp)
         scores[kind][phase] = rmae
         print(f"{phase} {kind}: overall rMAE {rmae * 100:.2f}%")
     stage.extra["runs"] = [{"phase": phase, "train_flights": train_ids}
@@ -963,15 +936,12 @@ def cmd_retrain_experiment(cfg: RunConfig) -> int:
                   f"retrained_rmae: {post!r}",
                   f"improvement_percent: {improvement:.2f}"]
     report_path = rt_dir / "retrain_report.txt"
-    _write_text(report_path, "\n".join(lines) + "\n")
-    stage.outputs.append(report_path)
-    stage.finish()
+    stage.write_text(report_path, "\n".join(lines) + "\n")
     print(f"wrote {report_path}")
-    return 0
 
 
-def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
-    stage = _Stage(cfg, "report")
+def cmd_report(stage: _Stage, model_ids: Sequence[str]) -> None:
+    cfg = stage.cfg
     test_ids = _split_of(cfg).test_ids
     reports = []
     for model_id in model_ids:
@@ -986,6 +956,7 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     table = compare_models(reports)
     cp = cfg.paths.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
+    stage.wrote(cp)
 
     width = max(len(f) for f in table.flight_ids + ("overall",)) + 2
     header = "flight".ljust(width) + "".join(m.rjust(12) for m in table.model_ids)
@@ -996,15 +967,39 @@ def cmd_report(cfg: RunConfig, model_ids: Sequence[str]) -> int:
     rows.append("overall".ljust(width)
                 + "".join(f"{v * 100:11.2f}%" for v in table.overall))
     text = "\n".join(rows) + "\n"
-    rp = cfg.paths.out_dir / "report.txt"
-    _write_text(rp, text)
+    stage.write_text(cfg.paths.out_dir / "report.txt", text)
     print(text, end="")
-    stage.outputs += [cp, rp]
-    stage.finish()
-    return 0
 
 
-# --- argument parsing --------------------------------------------------------
+# --- the subcommands and their arguments ---------------------------------------
+
+class _Pick(NamedTuple):
+    """``--order`` names one of ``choices``, ``--model`` any, each once; else ``default(cfg)``."""
+
+    flag: str
+    choices: tuple
+    default: Callable[[RunConfig], tuple]
+
+
+_ORDERS = _Pick("--order", (1, 2), lambda cfg: (1, 2))
+_NETS = _Pick("--model", NET_KINDS, lambda cfg: NET_KINDS)
+_MODELS = _Pick("--model", MODEL_IDS, lambda cfg: cfg.evaluate.models)
+
+#: Every subcommand, in pipeline order: its help text, its selection flag, and
+#: the ``paths`` entry its receipt is based in.  ``x-y`` runs as ``cmd_x_y``.
+COMMANDS: dict[str, tuple[str, _Pick | None, str]] = {
+    "generate": ("synthesize the flight corpus", None, "data_dir"),
+    "ingest": ("read the corpus and summarize it", None, "out_dir"),
+    "correlate": ("channel correlation matrix", None, "out_dir"),
+    "split": ("assign flights to train/val/test", None, "out_dir"),
+    "fit-sindy": ("fit sparse ODE models", _ORDERS, "out_dir"),
+    "train": ("train neural predictors", _NETS, "out_dir"),
+    "simulate": ("integrate fitted ODE models over test flights", _ORDERS, "out_dir"),
+    "evaluate": ("score models on the test flights", _MODELS, "out_dir"),
+    "retrain-experiment": ("distribution-shift retraining study", None, "out_dir"),
+    "report": ("comparison table from saved evaluations", _MODELS, "out_dir"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -1014,61 +1009,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tssid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, order_flag=False, models: Sequence[str] = ()):
+    for name, (help_text, pick, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's global seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        if order_flag:
-            p.add_argument("--order", type=int, choices=(1, 2), default=None,
+        if pick is _ORDERS:
+            p.add_argument("--order", type=int, choices=pick.choices, dest="picked",
                            help="model order (default: both)")
-        if models:
-            p.add_argument("--model", action="append", dest="models", default=None,
-                           choices=models, metavar="MODEL",
-                           help=f"one of {', '.join(models)} (repeatable)")
-        return p
-
-    add("generate", "synthesize the flight corpus")
-    add("ingest", "read the corpus and summarize it")
-    add("correlate", "channel correlation matrix")
-    add("split", "assign flights to train/val/test")
-    add("fit-sindy", "fit sparse ODE models", order_flag=True)
-    add("train", "train neural predictors", models=NET_KINDS)
-    add("simulate", "integrate fitted ODE models over test flights", order_flag=True)
-    add("evaluate", "score models on the test flights", models=MODEL_IDS)
-    add("retrain-experiment", "distribution-shift retraining study")
-    add("report", "comparison table from saved evaluations", models=MODEL_IDS)
+        elif pick is not None:
+            p.add_argument("--model", action="append", dest="picked", choices=pick.choices,
+                           metavar="MODEL",
+                           help=f"one of {', '.join(pick.choices)} (repeatable, each once)")
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    """Run the named command under a new stage receipt, then write the receipt's manifest.
+
+    ``cmd_<name>`` is looked up by its module-global name on every call, so
+    a wrapper that replaces it there (perfbench's tracer) is what runs.
+    """
+    _, pick, base = COMMANDS[args.command]
+    picked = getattr(args, "picked", None)
+    if isinstance(picked, int):  # --order names one order
+        picked = [picked]
+    for i, choice in enumerate(picked or ()):
+        if choice in picked[:i]:
+            raise ConfigError(f"{pick.flag}: {choice!r} is listed twice")
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    command = args.command
-    if command == "generate":
-        return cmd_generate(cfg)
-    if command == "ingest":
-        return cmd_ingest(cfg)
-    if command == "correlate":
-        return cmd_correlate(cfg)
-    if command == "split":
-        return cmd_split(cfg)
-    if command == "fit-sindy":
-        orders = (args.order,) if args.order else (1, 2)
-        return cmd_fit_sindy(cfg, orders)
-    if command == "train":
-        return cmd_train(cfg, tuple(args.models) if args.models else NET_KINDS)
-    if command == "simulate":
-        orders = (args.order,) if args.order else (1, 2)
-        return cmd_simulate(cfg, orders)
-    if command == "evaluate":
-        return cmd_evaluate(cfg, tuple(args.models) if args.models else cfg.evaluate.models)
-    if command == "retrain-experiment":
-        return cmd_retrain_experiment(cfg)
-    if command == "report":
-        return cmd_report(cfg, tuple(args.models) if args.models else cfg.evaluate.models)
-    raise ConfigError(f"unknown command {command!r}")
+    stage = _Stage(cfg, args.command, getattr(cfg.paths, base))
+    run = globals()["cmd_" + args.command.replace("-", "_")]
+    if pick is None:
+        run(stage)
+    else:
+        run(stage, tuple(picked) if picked else pick.default(cfg))
+    stage.finish()
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

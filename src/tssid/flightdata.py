@@ -6,9 +6,10 @@ maneuver segments.  CSV layout for a flight:
     time_s,TRQ,WF,...          header: time column first, then channels
     0.0,312.5,260.1,...        one row per sample
 
-``time_s`` is implied by the sample rate and is regenerated on emit; it is
-validated on ingest but not stored as a channel.  Maneuver annotations
-live in a separate CSV with columns
+``time_s`` is implied by the sample rate and is regenerated on emit.
+Ingest only requires it to be the first column with finite cells, then
+drops it: its values are not compared with the sample rate.  Maneuver
+annotations live in a separate CSV with columns
 ``flight_id,label,start_index,end_index,excluded`` where ``end_index`` is
 exclusive and ``excluded`` is 0 or 1.
 """

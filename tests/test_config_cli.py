@@ -269,25 +269,22 @@ def test_sindy_config_accessor():
 # --- the full pipeline over the smoke preset -----------------------------------------
 
 
+#: every subcommand, in the order the pipeline runs them
+SUBCOMMANDS = ("generate", "ingest", "correlate", "split", "fit-sindy", "train", "simulate",
+               "evaluate", "retrain-experiment", "report")
+
+
+def _run_smoke_pipeline(tmp: Path) -> dict:
+    """Run every subcommand once over a copy of the smoke preset in ``tmp``."""
+    cfg_path = make_run(tmp, "smoke")
+    for name in SUBCOMMANDS:
+        assert run_cli(name, "--config", cfg_path) == 0, f"{name} failed"
+    return {"cfg": cfg_path, "data": tmp / "data", "out": tmp / "out"}
+
+
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
-    """Run every subcommand once over a tmp copy of the smoke preset."""
-    tmp = tmp_path_factory.mktemp("smoke")
-    cfg_path = make_run(tmp, "smoke")
-    for argv in (
-        ("generate", "--config", cfg_path),
-        ("ingest", "--config", cfg_path),
-        ("correlate", "--config", cfg_path),
-        ("split", "--config", cfg_path),
-        ("fit-sindy", "--config", cfg_path),
-        ("train", "--config", cfg_path),
-        ("simulate", "--config", cfg_path),
-        ("evaluate", "--config", cfg_path),
-        ("retrain-experiment", "--config", cfg_path),
-        ("report", "--config", cfg_path),
-    ):
-        assert run_cli(*argv) == 0, f"{argv[0]} failed"
-    return {"cfg": cfg_path, "data": tmp / "data", "out": tmp / "out"}
+    return _run_smoke_pipeline(tmp_path_factory.mktemp("smoke"))
 
 
 def test_generate_outputs(smoke_run):
@@ -320,6 +317,52 @@ def test_every_manifest_lists_existing_outputs(smoke_run):
         for key in man.fingerprints.keys() - {"corpus"}:
             assert (base / key).exists(), f"{mpath.name} stamps missing {key}"
         assert "total" in man.timings
+
+
+def test_every_written_file_is_listed_once_in_a_manifest(tmp_path):
+    """The converse of the test above, on a run of its own: every file the pipeline leaves
+    under data_dir and out_dir, the parsed-flight cache and the manifests aside, is an
+    output of some manifest, and no manifest lists a path twice."""
+    run = _run_smoke_pipeline(tmp_path)
+    listed = set()
+    for base in (run["data"], run["out"]):
+        for mpath in base.glob("manifest_*.json"):
+            outputs = load_manifest(mpath).outputs
+            assert len(set(outputs)) == len(outputs), f"{mpath.name} lists a path twice"
+            listed |= {base / rel for rel in outputs}
+    written = {p for base in (run["data"], run["out"]) for p in base.rglob("*")
+               if p.is_file() and not p.name.startswith("manifest_")
+               and run["out"] / "cache" not in p.parents}
+    assert len(written) > 30
+    assert sorted(written - listed) == []
+
+
+def test_each_subcommand_runs_its_command_by_its_module_global_name(tmp_path, monkeypatch):
+    """``_dispatch`` finds ``cmd_<name>`` in the module at call time, as a wrapper put there
+    (perfbench's tracer) requires, hands it a receipt of its own command, and writes that
+    receipt's manifest once the command returns."""
+    cfg_path = make_run(tmp_path, "smoke")
+    cfg = load_config(cfg_path)
+    calls = {}
+
+    def recorder(name):
+        return lambda stage, *selection: calls.setdefault(name, []).append((stage, selection))
+
+    for name in SUBCOMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), recorder(name))
+    assert sorted(a for a in vars(cli) if a.startswith("cmd_")) == sorted(
+        "cmd_" + name.replace("-", "_") for name in SUBCOMMANDS)
+    for name in SUBCOMMANDS:
+        assert run_cli(name, "--config", cfg_path) == 0
+        [(stage, _)] = calls[name]
+        assert isinstance(stage, cli._Stage) and stage.command == name
+        base = cfg.paths.data_dir if name == "generate" else cfg.paths.out_dir
+        assert stage.base_dir == base
+        assert load_manifest(manifest.manifest_path(base, name)).command == name
+    selections = {name: sel for name, [(_, sel)] in calls.items() if sel}
+    assert selections == {"fit-sindy": ((1, 2),), "train": (("ffnn", "lstm"),),
+                          "simulate": ((1, 2),), "evaluate": (cfg.evaluate.models,),
+                          "report": (cfg.evaluate.models,)}
 
 
 def test_manifests_record_each_corpus_file_read_by_sha256(smoke_run):
@@ -1040,6 +1083,23 @@ def test_exit_code_2_unknown_model_flag(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "forest" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("train", "--model", "ffnn", "--model", "ffnn"),
+                                  ("report", "--model", "sindy1", "--model", "sindy1")])
+def test_exit_code_2_repeated_model_flag_writes_nothing(tmp_path, capsys, smoke_run, argv):
+    cfg = _copy_smoke_run(smoke_run, tmp_path)
+
+    def files():
+        return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    assert run_cli(*argv, "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"--model: {argv[-1]!r}" in err
+    assert "Traceback" not in err
+    assert files() == before
 
 
 def test_cli_rejects_unknown_subcommand():
