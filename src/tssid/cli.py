@@ -974,7 +974,7 @@ def cmd_report(stage: _Stage, model_ids: Sequence[str]) -> None:
 # --- the subcommands and their arguments ---------------------------------------
 
 class _Pick(NamedTuple):
-    """``--order`` names one of ``choices``, ``--model`` any, each once; else ``default(cfg)``."""
+    """``flag`` names any of ``choices``, each once; else ``default(cfg)``."""
 
     flag: str
     choices: tuple
@@ -1015,13 +1015,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's global seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        if pick is _ORDERS:
-            p.add_argument("--order", type=int, choices=pick.choices, dest="picked",
-                           help="model order (default: both)")
-        elif pick is not None:
-            p.add_argument("--model", action="append", dest="picked", choices=pick.choices,
-                           metavar="MODEL",
-                           help=f"one of {', '.join(pick.choices)} (repeatable, each once)")
+        if pick is not None:
+            p.add_argument(pick.flag, action="append", dest="picked", choices=pick.choices,
+                           type=type(pick.choices[0]), metavar=pick.flag[2:].upper(),
+                           help=f"one of {', '.join(map(str, pick.choices))} "
+                                f"(repeatable, each once)")
     return parser
 
 
@@ -1033,8 +1031,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     """
     _, pick, base = COMMANDS[args.command]
     picked = getattr(args, "picked", None)
-    if isinstance(picked, int):  # --order names one order
-        picked = [picked]
     for i, choice in enumerate(picked or ()):
         if choice in picked[:i]:
             raise ConfigError(f"{pick.flag}: {choice!r} is listed twice")

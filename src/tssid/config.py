@@ -39,6 +39,23 @@ from .synthgen import (
 MODEL_IDS = ("sindy1", "sindy2", "ffnn", "lstm")
 
 
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader (libyaml's when built with it) that refuses a key
+    given twice in one mapping instead of keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     """Synthetic corpus description (templates and/or explicit flights)."""
@@ -267,7 +284,7 @@ def load_config(path: str | Path, seed_override: int | None = None,
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YamlLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     raw = as_mapping(raw, str(path), [f.name for f in fields(RunConfig)])

@@ -1,7 +1,8 @@
 """Flight records: ingestion, maneuver annotation, scaling, splits, features.
 
-A flight is a set of equally-sampled channels plus an ordered list of
-maneuver segments.  CSV layout for a flight:
+A flight is one read-only float64 block, a row per equally-sampled channel
+(:class:`FlightRecord`), plus an ordered list of maneuver segments; ingest,
+the parsed-flight cache and :func:`emit_csv` move the block whole.  CSV layout:
 
     time_s,TRQ,WF,...          header: time column first, then channels
     0.0,312.5,260.1,...        one row per sample
@@ -17,6 +18,7 @@ exclusive and ``excluded`` is 0 or 1.
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import hashlib
 import itertools
@@ -73,30 +75,6 @@ CHANNEL_ORDER: tuple[str, ...] = tuple(CHANNEL_UNITS)
 DEFAULT_FEATURES: tuple[str, ...] = ("COL", "T1", "P0", "NR", "AIRSPEED")
 
 
-def _as_locked_f64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class Channel:
-    """One named, unit-tagged sample series.  Samples are immutable."""
-
-    name: str
-    unit: str
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_locked_f64(self.samples))
-        if not np.all(np.isfinite(self.samples)):
-            bad = int(np.flatnonzero(~np.isfinite(self.samples))[0])
-            raise NonNumericCell(bad + 1, self.name, "non-finite")
-
-    def __len__(self) -> int:
-        return int(self.samples.shape[0])
-
-
 @dataclass(frozen=True)
 class ManeuverSegment:
     """Half-open sample range [start_index, end_index) with a label."""
@@ -119,40 +97,58 @@ class ManeuverSegment:
 
 @dataclass(frozen=True)
 class FlightRecord:
-    """All channels of one flight at a fixed sample rate."""
+    """All channels of one flight at a fixed sample rate, as one block.
+
+    ``samples`` is a read-only, C-order float64 array of finite cells, one
+    row per channel of ``channel_names``; :meth:`values` returns a row view.
+    The record owns it: any input is copied once, except a read-only
+    C-order float64 array that owns its memory, which is kept as it is.
+    :meth:`with_maneuvers` shares the block and does not check it again.
+    """
 
     flight_id: str
     sample_rate_hz: float
-    channels: tuple[Channel, ...]
+    channel_names: tuple[str, ...]
+    samples: np.ndarray
     maneuvers: tuple[ManeuverSegment, ...] = ()
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise LengthMismatch(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if not self.channels:
+        names = tuple(self.channel_names)
+        if not names:
             raise MissingChannel(f"flight {self.flight_id!r} has no channels")
-        n = len(self.channels[0])
-        for ch in self.channels:
-            if len(ch) != n:
-                raise LengthMismatch(
-                    f"flight {self.flight_id!r}: channel {ch.name!r} has "
-                    f"{len(ch)} samples, expected {n}"
-                )
-        seen = set()
-        for ch in self.channels:
-            if ch.name in seen:
-                raise UnknownChannel(f"duplicate channel {ch.name!r}")
-            seen.add(ch.name)
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise UnknownChannel(f"duplicate channel {name!r}")
+        block = self.samples
+        if not (type(block) is np.ndarray and block.dtype == np.float64 and block.flags.owndata
+                and block.flags.c_contiguous and not block.flags.writeable):
+            try:
+                block = np.array(block, dtype=np.float64, order="C")
+            except ValueError as exc:  # ragged rows
+                raise LengthMismatch(f"flight {self.flight_id!r}: {exc}") from None
+            block.setflags(write=False)
+        if block.ndim != 2 or len(block) != len(names):
+            raise LengthMismatch(f"flight {self.flight_id!r}: samples of shape "
+                                 f"{block.shape} for {len(names)} channels")
+        if block.size and not np.isfinite([block.min(), block.max()]).all():  # NaN propagates
+            row, col = np.argwhere(~np.isfinite(block))[0]
+            raise NonNumericCell(int(col) + 1, names[row], "non-finite")
+        object.__setattr__(self, "channel_names", names)
+        object.__setattr__(self, "samples", block)
+        self._check_maneuvers()
+
+    def _check_maneuvers(self) -> None:
+        n = self.n_samples
         for seg in self.maneuvers:
             if seg.end_index > n:
-                raise LengthMismatch(
-                    f"flight {self.flight_id!r}: maneuver {seg.label!r} ends at "
-                    f"{seg.end_index}, flight has {n} samples"
-                )
+                raise LengthMismatch(f"flight {self.flight_id!r}: maneuver {seg.label!r} ends "
+                                     f"at {seg.end_index}, flight has {n} samples")
 
     @property
     def n_samples(self) -> int:
-        return len(self.channels[0])
+        return int(self.samples.shape[1])
 
     @property
     def duration_s(self) -> float:
@@ -162,21 +158,19 @@ class FlightRecord:
     def dt(self) -> float:
         return 1.0 / self.sample_rate_hz
 
-    @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(ch.name for ch in self.channels)
-
-    def channel(self, name: str) -> Channel:
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        raise MissingChannel(f"flight {self.flight_id!r} has no channel {name!r}")
-
     def values(self, name: str) -> np.ndarray:
-        return self.channel(name).samples
+        """The samples of channel ``name``: a read-only row of the block."""
+        try:
+            return self.samples[self.channel_names.index(name)]
+        except ValueError:
+            raise MissingChannel(f"flight {self.flight_id!r} has no channel {name!r}") from None
 
     def with_maneuvers(self, segments: Iterable[ManeuverSegment]) -> "FlightRecord":
-        return replace(self, maneuvers=tuple(segments))
+        """This flight with other maneuvers; the new record shares the block."""
+        rec = copy.copy(self)
+        object.__setattr__(rec, "maneuvers", tuple(segments))
+        rec._check_maneuvers()
+        return rec
 
     def included_mask(self) -> np.ndarray:
         """Boolean mask of samples inside non-excluded maneuvers.
@@ -225,7 +219,7 @@ def ingest_csv(path: str | Path, sample_rate_hz: float,
         flight_id = path.stem
     parsed = _read_csv_fast(path)
     header, data = parsed if parsed is not None else _read_csv_strict(path)
-    return _record(flight_id, sample_rate_hz, header[1:], data[:, 1:].T)
+    return FlightRecord(flight_id, sample_rate_hz, header[1:], data[:, 1:].T)
 
 
 def ingest_cached(path: str | Path, sample_rate_hz: float, flight_id: str,
@@ -234,21 +228,22 @@ def ingest_cached(path: str | Path, sample_rate_hz: float, flight_id: str,
     sha256 hex digest of the CSV's bytes.
 
     The cache holds at most one entry per flight,
-    ``<cache_dir>/<flight_id>/<sha256>.npy``: the channel samples of the
-    last successful ingest of the flight's CSV, one float64 row per
-    channel, keyed by the digest of the CSV's bytes.  A hit takes the
-    samples from the entry and the channel names from the CSV's first line,
-    so it gives bitwise the record a fresh ingest gives, and any edit to
-    the CSV is a miss.  An entry that cannot be read or does not fit the
-    header counts as a miss; a miss ingests the CSV and, only if that
-    succeeds, replaces the flight's entry.
+    ``<cache_dir>/<flight_id>/<sha256>.npy``: the record's block from the
+    last successful ingest of the flight's CSV, keyed by the digest of the
+    CSV's bytes.  A hit keeps the block it reads from the entry as the
+    record's, without a copy, and takes the channel names from the CSV's
+    first line, so it gives bitwise the record a fresh ingest gives, and
+    any edit to the CSV is a miss.  An entry that cannot be read, does not
+    fit the header or holds a non-finite cell counts as a miss; a miss
+    ingests the CSV and, only if that succeeds, replaces the flight's entry.
     """
     path = Path(path)
     digest = file_sha256(path)
     entry = Path(cache_dir) / flight_id / f"{digest}.npy"
     hit = _load_entry(path, entry)
     if hit is not None:
-        return _record(flight_id, sample_rate_hz, *hit), digest
+        with contextlib.suppress(NonNumericCell):
+            return FlightRecord(flight_id, sample_rate_hz, *hit), digest
     rec = ingest_csv(path, sample_rate_hz, flight_id)
     # a CSV edited during the parse must not be stored under the old digest
     if file_sha256(path) == digest:
@@ -286,13 +281,13 @@ def _load_entry(path: Path, entry: Path) -> tuple[list[str], np.ndarray] | None:
             if (dtype != np.float64 or fortran or len(shape) != 2
                     or shape[0] != len(names) or shape[1] < 1):
                 return None
-            count = shape[0] * shape[1]
-            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * count:
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * shape[0] * shape[1]:
                 return None
-            data = np.fromfile(fh, dtype=np.float64, count=count).reshape(shape)
+            data = np.fromfile(fh, dtype=(np.float64, shape[1]), count=shape[0])
     except (OSError, ValueError, StopIteration, csv.Error):
         return None
-    return (names, data) if np.isfinite(data).all() else None
+    data.setflags(write=False)  # a block that owns its memory: the record keeps it
+    return names, data
 
 
 def _store_entry(entry: Path, rec: FlightRecord) -> None:
@@ -306,8 +301,7 @@ def _store_entry(entry: Path, rec: FlightRecord) -> None:
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, np.stack([ch.samples for ch in rec.channels]),
-                    allow_pickle=False)
+            np.save(fh, rec.samples, allow_pickle=False)
         os.replace(tmp, entry)
         for old in entry.parent.glob("*.npy"):
             if old != entry:
@@ -315,13 +309,6 @@ def _store_entry(entry: Path, rec: FlightRecord) -> None:
     except OSError:
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
-
-
-def _record(flight_id: str, sample_rate_hz: float, names: Sequence[str],
-            columns: Iterable[np.ndarray]) -> FlightRecord:
-    channels = tuple(Channel(name, CHANNEL_UNITS.get(name, ""), col)
-                     for name, col in zip(names, columns))
-    return FlightRecord(flight_id, sample_rate_hz, channels)
 
 
 def _read_csv_fast(path: Path) -> tuple[list[str], np.ndarray] | None:
@@ -427,10 +414,8 @@ def _parse_cells_strict(rows, header, path) -> np.ndarray:
 
 def emit_csv(record: FlightRecord, path: str | Path) -> None:
     """Write a flight CSV that ingests back bit-exact."""
-    names = record.channel_names
     time_s = np.arange(record.n_samples) / record.sample_rate_hz
-    write_float_csv(path, (TIME_COLUMN,) + names,
-                    [time_s] + [record.values(n) for n in names])
+    write_float_csv(path, (TIME_COLUMN,) + record.channel_names, [time_s, *record.samples])
 
 
 @contextlib.contextmanager
@@ -670,12 +655,8 @@ def fit_minmax(records: Sequence[FlightRecord],
         names = records[0].channel_names
     bounds = {}
     for nm in names:
-        lo = np.inf
-        hi = -np.inf
-        for rec in records:
-            col = rec.values(nm)
-            lo = min(lo, float(np.min(col)))
-            hi = max(hi, float(np.max(col)))
+        lo = min(float(rec.values(nm).min()) for rec in records)
+        hi = max(float(rec.values(nm).max()) for rec in records)
         if hi == lo:
             raise DegenerateChannel(f"channel {nm!r} is constant; cannot scale")
         bounds[nm] = (lo, hi)
@@ -688,20 +669,19 @@ def apply_minmax(params: ScalerParams, record: FlightRecord) -> FlightRecord:
     The map is affine and unclamped, so out-of-range values land outside
     [0, 1] rather than being distorted.
     """
-    chans = []
-    for ch in record.channels:
-        lo, hi = params.channel_bounds(ch.name)
-        chans.append(Channel(ch.name, ch.unit, (ch.samples - lo) / (hi - lo)))
-    return replace(record, channels=tuple(chans))
+    lo, hi = _bounds(params, record)
+    return replace(record, samples=(record.samples - lo) / (hi - lo))
 
 
 def invert_minmax(params: ScalerParams, record: FlightRecord) -> FlightRecord:
     """Inverse of :func:`apply_minmax`."""
-    chans = []
-    for ch in record.channels:
-        lo, hi = params.channel_bounds(ch.name)
-        chans.append(Channel(ch.name, ch.unit, ch.samples * (hi - lo) + lo))
-    return replace(record, channels=tuple(chans))
+    lo, hi = _bounds(params, record)
+    return replace(record, samples=record.samples * (hi - lo) + lo)
+
+
+def _bounds(params: ScalerParams, record: FlightRecord) -> np.ndarray:
+    """Each channel's min and max, as two (channels, 1) columns."""
+    return np.array([params.channel_bounds(nm) for nm in record.channel_names]).T[..., None]
 
 
 def scale_series(params: ScalerParams, name: str, values: np.ndarray) -> np.ndarray:

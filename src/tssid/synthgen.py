@@ -32,7 +32,7 @@ from .errors import (
     SeriesTooShort,
     UnstableParameters,
 )
-from .flightdata import CHANNEL_UNITS, Channel, FlightRecord, ManeuverSegment
+from .flightdata import CHANNEL_ORDER, FlightRecord, ManeuverSegment
 from .seeding import derive_seed
 from .settings import MAX_FLIGHT_SAMPLES, MAX_FLIGHTS, check, setting
 
@@ -270,28 +270,17 @@ def flight_segments(spec: SyntheticFlightSpec) -> tuple[ManeuverSegment, ...]:
 
 def generate_flight(spec: SyntheticFlightSpec) -> FlightRecord:
     """Generate the full channel set for one flight."""
-    fs = spec.sample_rate_hz
-    dt = 1.0 / fs
-    params = spec.params
+    fs, params = spec.sample_rate_hz, spec.params
     segments = flight_segments(spec)  # refuses a flight too long to allocate
-    wf_clean = generate_wf_profile(spec.profiles, fs)
-    trq_clean = simulate_engine(params, wf_clean, dt, spec.initial_trq)
-
-    def noisy(name: str, base: np.ndarray) -> np.ndarray:
+    wf = generate_wf_profile(spec.profiles, fs)
+    clean = {"WF": wf, "TRQ": simulate_engine(params, wf, 1.0 / fs, spec.initial_trq)}
+    block = np.empty((len(CHANNEL_ORDER), wf.shape[0]))
+    for name, row in zip(CHANNEL_ORDER, block):
+        base = clean[name] if name in clean else AUX_CHANNEL_MAPS[name].apply(wf)
         seed = derive_seed(params.seed, "noise", spec.flight_id, name)
-        return add_noise(base, params.sigma(name), seed)
-
-    channels = []
-    for name in CHANNEL_UNITS:
-        if name == "TRQ":
-            base = trq_clean
-        elif name == "WF":
-            base = wf_clean
-        else:
-            base = AUX_CHANNEL_MAPS[name].apply(wf_clean)
-        channels.append(Channel(name, CHANNEL_UNITS[name], noisy(name, base)))
-
-    return FlightRecord(spec.flight_id, fs, tuple(channels), segments)
+        row[:] = add_noise(base, params.sigma(name), seed)
+    block.setflags(write=False)  # the record keeps this block without a copy
+    return FlightRecord(spec.flight_id, fs, CHANNEL_ORDER, block, segments)
 
 
 # --- corpus templates ---------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from tssid import cli
-from tssid.flightdata import Channel, FlightRecord, ManeuverSegment
+from tssid.flightdata import FlightRecord, ManeuverSegment
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -72,11 +72,10 @@ def toy_record(flight_id: str = "fl01", n: int = 60, fs: float = 10.0,
     rng = np.random.default_rng(seed)
     trq = 100.0 + 5.0 * np.sin(np.linspace(0.0, 4.0, n)) + rng.normal(0, 0.2, n)
     wf = 300.0 + 20.0 * np.cos(np.linspace(0.0, 3.0, n)) + rng.normal(0, 0.5, n)
-    channels = (Channel("TRQ", "Nm", trq), Channel("WF", "lb/h", wf))
     if segments is None:
         segments = (ManeuverSegment("hover", 0, n // 2),
                     ManeuverSegment("cruise", n // 2, n))
-    return FlightRecord(flight_id, fs, channels, tuple(segments))
+    return FlightRecord(flight_id, fs, ("TRQ", "WF"), (trq, wf), tuple(segments))
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Cell-by-cell reference for :func:`tssid.flightdata.ingest_csv`.
 
 This is the ``csv.reader`` ingest that the C-parsed reader replaced, kept
-verbatim as an oracle: every cell becomes a Python ``str`` before numpy
-parses it.  ``tests/test_flightdata.py`` requires ``ingest_csv`` to return
+as an oracle (only the record it returns follows the record's
+constructor): every cell becomes a Python ``str`` before numpy parses it.  ``tests/test_flightdata.py`` requires ``ingest_csv`` to return
 a bitwise-equal record, or to raise the same exception class with the same
 message, on every generated file.
 """
@@ -19,7 +19,7 @@ from tssid.errors import (
     MissingChannel,
     NonNumericCell,
 )
-from tssid.flightdata import CHANNEL_UNITS, TIME_COLUMN, Channel, FlightRecord
+from tssid.flightdata import TIME_COLUMN, FlightRecord
 
 
 def ingest_csv(path, sample_rate_hz, flight_id=None):
@@ -62,11 +62,7 @@ def ingest_csv(path, sample_rate_hz, flight_id=None):
         col = TIME_COLUMN if c == 0 else names[c - 1]
         raise NonNumericCell(int(r) + 1, col, rows[r][c])
 
-    channels = tuple(
-        Channel(name, CHANNEL_UNITS.get(name, ""), data[:, j + 1])
-        for j, name in enumerate(names)
-    )
-    return FlightRecord(flight_id, sample_rate_hz, channels)
+    return FlightRecord(flight_id, sample_rate_hz, names, data[:, 1:].T)
 
 
 def _parse_cells_strict(rows, header, path) -> np.ndarray:

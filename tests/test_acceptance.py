@@ -28,7 +28,6 @@ from tssid.config import load_config
 from tssid.errors import TssidError
 from tssid.evaluation import score_model
 from tssid.flightdata import (
-    Channel,
     FlightRecord,
     ManeuverSegment,
     apply_minmax,
@@ -364,7 +363,7 @@ def test_criterion_7_kernel_oracles(capsys):
     # min-max scaling round trip
     rng = np.random.default_rng(77)
     vals = rng.uniform(-50.0, 150.0, 400)
-    rec = FlightRecord("f", 10.0, (Channel("TRQ", "Nm", vals),))
+    rec = FlightRecord("f", 10.0, ("TRQ",), [vals])
     params = fit_minmax([rec])
     back = invert_minmax(params, apply_minmax(params, rec))
     scale_err = float(np.max(np.abs(back.values("TRQ") - vals)))
@@ -372,8 +371,7 @@ def test_criterion_7_kernel_oracles(capsys):
     # Pearson correlation vs an independent two-pass computation
     a = rng.normal(size=500)
     b = 0.6 * a + rng.normal(size=500)
-    rec2 = FlightRecord("g", 10.0, (Channel("TRQ", "Nm", a),
-                                    Channel("WF", "lb/h", b)))
+    rec2 = FlightRecord("g", 10.0, ("TRQ", "WF"), (a, b))
     corr = correlation_matrix([rec2]).corr("TRQ", "WF")
     ma, mb = a.mean(), b.mean()
     two_pass = float(np.sum((a - ma) * (b - mb))

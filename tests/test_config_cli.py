@@ -498,6 +498,11 @@ def _copy_smoke_run(smoke_run, base: Path, **overrides) -> Path:
     return make_run(base, "smoke", **overrides)
 
 
+def _files(root: Path) -> dict[Path, tuple[bytes, int]]:
+    """Bytes and mtime of every file under ``root``."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
 _EVAL_SINDY = ("evaluate", "--model", "sindy1", "--model", "sindy2")
 
 
@@ -623,6 +628,24 @@ def test_exit_code_2_bad_yaml(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("seed: [unclosed\n", encoding="utf-8")
     assert run_cli("generate", "--config", p) == 2
+
+
+@pytest.mark.parametrize("where", ["top-level", "nested"])
+def test_exit_code_2_repeated_yaml_key(tmp_path, capsys, where):
+    cfg = make_run(tmp_path, "smoke")
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    if where == "top-level":
+        lines.append("seed: 7")
+        key, line = "seed", len(lines)
+    else:
+        at = lines.index("paths:") + 1
+        lines.insert(at, "  data_dir: elsewhere")
+        key, line = "data_dir", at + 2
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("generate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"duplicate key {key!r}" in err and f"line {line}," in err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "elsewhere").exists()
 
 
 def test_exit_code_2_unknown_model_id(tmp_path):
@@ -1089,17 +1112,23 @@ def test_exit_code_2_unknown_model_flag(tmp_path, capsys, command):
                                   ("report", "--model", "sindy1", "--model", "sindy1")])
 def test_exit_code_2_repeated_model_flag_writes_nothing(tmp_path, capsys, smoke_run, argv):
     cfg = _copy_smoke_run(smoke_run, tmp_path)
-
-    def files():
-        return {p: (p.read_bytes(), p.stat().st_mtime_ns)
-                for p in tmp_path.rglob("*") if p.is_file()}
-
-    before = files()
+    before = _files(tmp_path)
     assert run_cli(*argv, "--config", cfg) == 2
     err = capsys.readouterr().err
     assert f"--model: {argv[-1]!r}" in err
     assert "Traceback" not in err
-    assert files() == before
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["fit-sindy", "simulate"])
+def test_exit_code_2_repeated_order_flag_writes_nothing(tmp_path, capsys, smoke_run, command):
+    cfg = _copy_smoke_run(smoke_run, tmp_path)
+    before = _files(tmp_path)
+    assert run_cli(command, "--config", cfg, "--order", "1", "--order", "1") == 2
+    err = capsys.readouterr().err
+    assert "--order: 1" in err
+    assert "Traceback" not in err
+    assert _files(tmp_path) == before
 
 
 def test_cli_rejects_unknown_subcommand():

@@ -33,7 +33,7 @@ from tssid.evaluation import (
     write_comparison_csv,
     write_overlay_csv,
 )
-from tssid.flightdata import Channel, FlightRecord, ManeuverSegment, filter_maneuvers
+from tssid.flightdata import FlightRecord, ManeuverSegment, filter_maneuvers
 
 # --- primitive metrics -----------------------------------------------------------
 
@@ -56,7 +56,7 @@ def test_flight_mean_trq_respects_exclusions():
     n = 40
     trq = np.concatenate([np.full(20, 100.0), np.full(20, 200.0)])
     rec = FlightRecord(
-        "f", 10.0, (Channel("TRQ", "Nm", trq),),
+        "f", 10.0, ("TRQ",), [trq],
         (ManeuverSegment("a", 0, 20, excluded=True), ManeuverSegment("b", 20, n)),
     )
     assert flight_mean_trq(rec) == 200.0  # only the non-excluded half counts
@@ -73,12 +73,12 @@ def _constant_offset_case():
     """Two flights with known means and a +delta prediction offset."""
     trq_a = np.concatenate([np.full(30, 100.0), np.full(30, 300.0)])
     rec_a = FlightRecord(
-        "fa", 10.0, (Channel("TRQ", "Nm", trq_a),),
+        "fa", 10.0, ("TRQ",), [trq_a],
         (ManeuverSegment("hover", 0, 30), ManeuverSegment("cruise", 30, 60)),
     )
     trq_b = np.full(50, 250.0)
     rec_b = FlightRecord(
-        "fb", 10.0, (Channel("TRQ", "Nm", trq_b),),
+        "fb", 10.0, ("TRQ",), [trq_b],
         (ManeuverSegment("taxiing", 0, 10, excluded=True),
          ManeuverSegment("cruise", 10, 50)),
     )
@@ -121,11 +121,11 @@ def test_score_model_errors():
 def test_score_model_rejects_non_positive_flight_mean():
     # torque from -5 to -1 has mean -3: an error of 3 would score rMAE -1.0
     trq = np.linspace(-5.0, -1.0, 20)
-    neg = FlightRecord("neg", 10.0, (Channel("TRQ", "Nm", trq),))
+    neg = FlightRecord("neg", 10.0, ("TRQ",), [trq])
     with pytest.raises(NonPositiveFlightMean) as info:
         score_model("m", {"neg": trq + 3.0}, [neg])
     assert info.value.exit_code == 2
-    zero = FlightRecord("zero", 10.0, (Channel("TRQ", "Nm", np.zeros(4)),))
+    zero = FlightRecord("zero", 10.0, ("TRQ",), [np.zeros(4)])
     with pytest.raises(NonPositiveFlightMean):
         score_model("m", {"zero": np.ones(4)}, [zero])
 

@@ -31,7 +31,6 @@ from tssid.errors import (
 from tssid import flightdata
 from tssid.flightdata import (
     CHANNEL_UNITS,
-    Channel,
     CorrelationMatrix,
     DatasetSplit,
     FeatureRules,
@@ -65,24 +64,60 @@ def test_channel_samples_locked(record):
 
 def test_channel_rejects_non_finite():
     with pytest.raises(NonNumericCell):
-        Channel("TRQ", "Nm", [1.0, np.nan, 3.0])
+        FlightRecord("f", 10.0, ("TRQ",), [[1.0, np.nan, 3.0]])
 
 
 def test_record_rejects_unequal_channel_lengths():
     with pytest.raises(LengthMismatch):
-        FlightRecord("f", 10.0, (Channel("A", "", [1.0, 2.0]),
-                                 Channel("B", "", [1.0, 2.0, 3.0])))
+        FlightRecord("f", 10.0, ("A", "B"), [[1.0, 2.0], [1.0, 2.0, 3.0]])
 
 
 def test_record_rejects_duplicate_channel_names():
     with pytest.raises(UnknownChannel):
-        FlightRecord("f", 10.0, (Channel("A", "", [1.0]),
-                                 Channel("A", "", [2.0])))
+        FlightRecord("f", 10.0, ("A", "A"), [[1.0], [2.0]])
 
 
 def test_record_rejects_maneuver_past_end():
     with pytest.raises(LengthMismatch):
         toy_record(n=10, segments=(ManeuverSegment("x", 0, 11),))
+
+
+def test_record_block_and_its_rows_are_read_only(record):
+    assert record.samples.shape == (2, 60)
+    assert record.samples.dtype == np.float64 and record.samples.flags.c_contiguous
+    for name in record.channel_names:
+        row = record.values(name)
+        assert np.shares_memory(row, record.samples)
+        with pytest.raises(ValueError):
+            row += 1.0
+    with pytest.raises(ValueError):
+        record.samples[:, 0] = 0.0
+
+
+def test_record_keeps_its_own_copy_of_a_writeable_input():
+    trq = np.arange(5.0)
+    block = np.stack([trq, trq + 10.0])
+    from_rows = FlightRecord("f", 10.0, ("TRQ", "WF"), (trq, trq + 10.0))
+    from_block = FlightRecord("g", 10.0, ("TRQ", "WF"), block)
+    read_only_view = block.view()  # read-only, but its base can still be written
+    read_only_view.setflags(write=False)
+    from_view = FlightRecord("h", 10.0, ("TRQ", "WF"), read_only_view)
+    trq[:] = -1.0
+    block[:] = -1.0
+    for rec in (from_rows, from_block, from_view):
+        assert rec.values("TRQ").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert rec.values("WF").tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("locked", [False, True])
+def test_record_non_finite_cell_names_its_channel_and_sample(bad, locked):
+    samples = np.ones((3, 5))
+    samples[1, 3] = samples[2, 0] = bad
+    samples.setflags(write=not locked)
+    with pytest.raises(NonNumericCell) as err:
+        FlightRecord("f", 10.0, ("TRQ", "WF", "NG"), samples)
+    assert (err.value.row, err.value.col) == (4, "WF")
 
 
 def test_maneuver_rejects_empty_range():
@@ -96,7 +131,7 @@ def test_record_properties(record):
     assert record.duration_s == pytest.approx(6.0)
     assert record.channel_names == ("TRQ", "WF")
     with pytest.raises(MissingChannel):
-        record.channel("NG")
+        record.values("NG")
 
 
 # --- CSV round trip ------------------------------------------------------------
@@ -190,7 +225,7 @@ def _ingest_outcome(ingest, path):
         rec = ingest(path, 10.0)
     except Exception as exc:  # the reference's exception is the expectation
         return type(exc), str(exc)
-    return [(ch.name, ch.unit, ch.samples.tobytes()) for ch in rec.channels]
+    return [(nm, rec.values(nm).tobytes()) for nm in rec.channel_names]
 
 
 @settings(max_examples=300, deadline=None,
@@ -264,7 +299,7 @@ def _cached_flight(tmp_path):
 
 
 def _bits(rec):
-    return [(ch.name, ch.unit, ch.samples.tobytes()) for ch in rec.channels]
+    return [(nm, rec.values(nm).tobytes()) for nm in rec.channel_names]
 
 
 def _entries(cache):
@@ -394,12 +429,36 @@ def test_cache_holds_one_entry_per_flight(tmp_path):
                                      for fid, p in paths.items())
 
 
+def test_cache_hit_keeps_the_entry_block_and_derived_records_share_it(tmp_path):
+    path, cache = tmp_path / "fl.csv", tmp_path / "cache"
+    emit_csv(_corpus_io_flight(), path)
+    ingest_cached(path, 50.0, "fl", cache)  # a miss stores the entry
+    segments = (ManeuverSegment("taxiing", 0, 250), ManeuverSegment("cruise", 250, 6000))
+
+    def hit_and_derive():
+        rec, _ = ingest_cached(path, 50.0, "fl", cache)
+        annotated = rec.with_maneuvers(segments)
+        return rec, annotated, filter_maneuvers(annotated, {"taxiing"})
+
+    hit_and_derive()  # first call imports and caches outside the bound
+    tracemalloc.start()
+    try:
+        rec, annotated, filtered = hit_and_derive()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rec.n_samples * len(rec.channel_names) * 8
+    assert filtered.maneuvers[0].excluded and not annotated.maneuvers[0].excluded
+    for derived in (annotated, filtered):
+        for name in rec.channel_names:
+            assert np.shares_memory(derived.values(name), rec.values(name))
+
+
 def _corpus_io_flight(flight_id="fl", n=6000, seed=0):
     """A flight of the size of the corpus-io workload: 6 000 rows, 14 channels."""
     rng = np.random.default_rng(seed)
-    channels = tuple(Channel(nm, unit, 300.0 + rng.normal(size=n).cumsum())
-                     for nm, unit in CHANNEL_UNITS.items())
-    return FlightRecord(flight_id, 50.0, channels,
+    samples = [300.0 + rng.normal(size=n).cumsum() for _ in CHANNEL_UNITS]
+    return FlightRecord(flight_id, 50.0, tuple(CHANNEL_UNITS), samples,
                         (ManeuverSegment("taxiing", 0, 250, excluded=True),
                          ManeuverSegment("cruise", 250, n)))
 
@@ -418,14 +477,14 @@ def test_ingest_peak_memory_is_a_few_times_the_float_block(tmp_path):
     path = tmp_path / "fl.csv"
     emit_csv(rec, path)
     ingest_csv(path, 50.0)  # first call imports and caches outside the bound
-    block_bytes = rec.n_samples * (1 + len(rec.channels)) * 8
+    block_bytes = rec.n_samples * (1 + len(rec.channel_names)) * 8
     assert _traced_peak(ingest_csv, path, 50.0) <= 3 * block_bytes
 
 
 def test_correlation_peak_memory_is_a_few_flight_blocks():
     recs = [_corpus_io_flight(f"fl{i}", seed=i) for i in range(8)]
     correlation_matrix(recs[:1])
-    block_bytes = recs[0].n_samples * len(recs[0].channels) * 8
+    block_bytes = recs[0].n_samples * len(recs[0].channel_names) * 8
     assert _traced_peak(correlation_matrix, recs) <= 4 * block_bytes
 
 
@@ -538,7 +597,7 @@ def test_correlation_excludes_masked_samples():
     wf = np.where(np.arange(n) < 30, 0.0, 2.0 * base + rng.normal(size=n) * 0.1)
     rec = FlightRecord(
         "f", 10.0,
-        (Channel("TRQ", "Nm", trq), Channel("WF", "lb/h", wf)),
+        ("TRQ", "WF"), (trq, wf),
         (ManeuverSegment("taxiing", 0, 30, excluded=True),
          ManeuverSegment("cruise", 30, 60)),
     )
@@ -556,8 +615,7 @@ def test_correlation_symmetric_unit_diagonal():
 
 
 def test_correlation_zero_variance():
-    rec = FlightRecord("f", 10.0, (Channel("TRQ", "Nm", np.ones(10)),
-                                   Channel("WF", "lb/h", np.arange(10.0))))
+    rec = FlightRecord("f", 10.0, ("TRQ", "WF"), (np.ones(10), np.arange(10.0)))
     with pytest.raises(ZeroVariance, match="TRQ"):
         correlation_matrix([rec])
 
@@ -612,7 +670,7 @@ def test_minmax_pools_across_flights():
 
 
 def test_minmax_degenerate_channel():
-    rec = FlightRecord("f", 10.0, (Channel("TRQ", "Nm", np.full(5, 3.0)),))
+    rec = FlightRecord("f", 10.0, ("TRQ",), [np.full(5, 3.0)])
     with pytest.raises(DegenerateChannel, match="TRQ"):
         fit_minmax([rec])
 
@@ -635,7 +693,7 @@ def test_minmax_round_trip_property(values):
     arr = np.asarray(values)
     if arr.max() == arr.min():
         arr = arr + np.linspace(0.0, 1.0, arr.size)  # avoid degenerate channel
-    rec = FlightRecord("f", 10.0, (Channel("TRQ", "Nm", arr),))
+    rec = FlightRecord("f", 10.0, ("TRQ",), [arr])
     params = fit_minmax([rec])
     back = invert_minmax(params, apply_minmax(params, rec))
     span = params.channel_bounds("TRQ")[1] - params.channel_bounds("TRQ")[0]

@@ -21,7 +21,7 @@ import tracemalloc
 
 import loop_kernels
 from tssid import kernels
-from tssid.flightdata import Channel, FlightRecord, ManeuverSegment, unscale_series
+from tssid.flightdata import FlightRecord, ManeuverSegment, unscale_series
 from tssid.neural import (
     LSTMConfig,
     MLPConfig,
@@ -427,9 +427,9 @@ _MISO_SEGMENTS = (ManeuverSegment("taxiing", 0, 100, excluded=True),
 
 def _miso_flight(n=2400, seed=0):
     rng = np.random.default_rng(seed)
-    chans = tuple(Channel(nm, "", rng.normal(size=n).cumsum())
-                  for nm in _MISO_INPUTS + ("TRQ",))
-    return FlightRecord("msn", 20.0, chans, _MISO_SEGMENTS)
+    names = _MISO_INPUTS + ("TRQ",)
+    return FlightRecord("msn", 20.0, names, [rng.normal(size=n).cumsum() for _ in names],
+                        _MISO_SEGMENTS)
 
 
 def _miso_lstm():

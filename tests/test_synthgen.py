@@ -198,8 +198,6 @@ def test_generate_flight_full_channel_set():
     assert rec.n_samples == 140
     labels = [(s.label, s.excluded) for s in rec.maneuvers]
     assert labels == [("taxiing", True), ("climb", False), ("cruise", False)]
-    for ch in rec.channels:
-        assert ch.unit == CHANNEL_UNITS[ch.name]
 
 
 def test_generate_flight_deterministic():
