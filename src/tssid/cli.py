@@ -51,7 +51,6 @@ from . import __version__
 from .config import MODEL_IDS, RunConfig, load_config
 from .errors import ConfigError, IoError, MissingArtifact, TssidError
 from .evaluation import (
-    check_finite_prediction,
     compare_models,
     load_report,
     save_report,
@@ -102,7 +101,7 @@ from .sindy import (
     format_equations,
     load_model,
     save_model,
-    simulate_observed,
+    simulate_flights,
 )
 from .synthgen import SyntheticFlightSpec, flight_segments, generate_flight
 
@@ -365,32 +364,6 @@ def _model_path(cfg: RunConfig, model_id: str) -> Path:
     return cfg.paths.out_dir / f"{model_id}_{suffix}"
 
 
-def _simulate_flights(model: SparseModel,
-                      records: Sequence[FlightRecord]) -> dict[str, np.ndarray]:
-    """Each flight's full-length prediction; NaN outside its scoring segments.
-
-    The scoring segments of all flights are integrated in one batched pass.
-    The flights share the corpus sample rate, so one step serves them all.
-    A prediction that is not finite inside a segment (a diverged model) is
-    a ``ComputationError``, as it is when scored.
-    """
-    if not records:
-        return {}
-    dt = records[0].dt
-    segs = [(rec, seg) for rec in records for seg in rec.scoring_segments()]
-    xs, us = ([rec.values(nm)[s.start_index:s.end_index] for rec, s in segs]
-              for nm in (model.state_names[0], model.input_names[0]))
-    # a diverging model overflows; the check below reports it, so numpy's
-    # warnings would only be noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        trajs = simulate_observed(model, xs, us, dt)
-    preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
-    for (rec, seg), traj in zip(segs, trajs):
-        check_finite_prediction(f"sindy{model.order}", rec.flight_id, seg, traj.states[:, 0])
-        preds[rec.flight_id][seg.start_index:seg.end_index] = traj.states[:, 0]
-    return preds
-
-
 def _read_simulation(cfg: RunConfig, model_id: str, records: Sequence[FlightRecord],
                      sim_fp: str) -> dict[str, np.ndarray] | None:
     """The predictions ``simulate`` wrote for this model, or None unless fresh.
@@ -433,7 +406,7 @@ def _sparse_predictions(stage: _Stage, model_id: str, model: SparseModel,
     sim_fp = _sim_fingerprint(stage, model_id, model, test_ids)
     preds = _read_simulation(stage.cfg, model_id, records, sim_fp)
     if preds is None:
-        return _simulate_flights(model, records)
+        return simulate_flights(model, records)
     stage.stamp(stage.cfg.paths.out_dir / f"sim_{model_id}", sim_fp)
     return preds
 
@@ -779,7 +752,7 @@ def cmd_simulate(stage: _Stage, orders: Sequence[int]) -> None:
         sim_dir = cfg.paths.out_dir / f"sim_{model_id}"
         stamps = {_model_path(cfg, model_id): model.fingerprint,
                   sim_dir: _sim_fingerprint(stage, model_id, model, test_ids)}
-        preds = _simulate_flights(model, test_recs)
+        preds = simulate_flights(model, test_recs)
         outputs = []
         for rec, seg, path in _segment_files(test_recs, sim_dir):
             s, e = seg.start_index, seg.end_index
@@ -949,6 +922,9 @@ def cmd_report(stage: _Stage, model_ids: Sequence[str]) -> None:
         if not path.exists():
             raise MissingArtifact(f"no evaluation at {path}; run `tssid evaluate` first")
         report = load_report(path)
+        if report.model_id != model_id:
+            raise IoError(f"{path}: holds the report of model {report.model_id!r}, "
+                          f"not {model_id!r}")
         expected = _eval_fingerprint(cfg, _fresh_fingerprint(cfg, model_id), test_ids)
         check_fingerprint(path, report.fingerprint, expected, "evaluate")
         stage.stamp(path, report.fingerprint)

@@ -14,6 +14,7 @@ maneuvers never contribute, at any level.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -144,7 +145,7 @@ def score_model(model_id: str, predictions: Mapping[str, np.ndarray],
     return EvalReport(model_id, tuple(flights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonTable:
     """Per-flight and overall rMAE for several models, aligned by flight."""
 
@@ -208,6 +209,12 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
+    """Read a report written by :func:`save_report` (exact round-trip).
+
+    A report that no scoring could have written is an :class:`IoError`: a
+    malformed line, a flight with no maneuver line, a number that is not
+    finite or is negative, or a flight mean that is not positive.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -222,9 +229,19 @@ def load_report(path: str | Path) -> EvalReport:
     cur_mean = 0.0
     cur_scores: list[ManeuverScore] = []
 
+    def number(part: str, sep: str = "=") -> float:
+        value = float(part.split(sep, 1)[1])
+        if not (math.isfinite(value) and value >= 0.0):
+            raise IoError(f"{path}: {part!r} is not a finite non-negative number")
+        return value
+
     def close_flight():
         nonlocal cur_id, cur_scores
         if cur_id is not None:
+            if not cur_scores:
+                raise IoError(f"{path}: flight {cur_id!r} has no maneuver line")
+            if cur_mean <= 0.0:
+                raise IoError(f"{path}: flight {cur_id!r} has a mean that is not positive")
             flights.append(FlightScore(cur_id, cur_mean, tuple(cur_scores)))
         cur_id, cur_scores = None, []
 
@@ -234,20 +251,19 @@ def load_report(path: str | Path) -> EvalReport:
                 model_id = ln[len("model: "):]
             elif ln.startswith("fingerprint: "):
                 fingerprint = ln[len("fingerprint: "):]
+            elif ln.startswith("overall_rmae: "):
+                number(ln, ": ")
             elif ln.startswith("flight: "):
                 close_flight()
-                fid, mean_part, _ = ln[len("flight: "):].split("\t")
-                cur_id = fid
-                cur_mean = float(mean_part.split("=", 1)[1])
+                cur_id, mean_part, rmae_part = ln[len("flight: "):].split("\t")
+                cur_mean = number(mean_part)
+                number(rmae_part)
             elif ln.strip().startswith("maneuver: "):
                 body = ln.strip()[len("maneuver: "):]
                 label, rng, mae_part, rmae_part = body.split("\t")
                 s, e = rng.strip("[)").split(",")
-                cur_scores.append(ManeuverScore(
-                    label, int(s), int(e),
-                    float(mae_part.split("=", 1)[1]),
-                    float(rmae_part.split("=", 1)[1]),
-                ))
+                cur_scores.append(ManeuverScore(label, int(s), int(e), number(mae_part),
+                                                number(rmae_part)))
         close_flight()
     except (ValueError, IndexError) as exc:
         raise IoError(f"{path}: malformed report line: {exc}") from exc

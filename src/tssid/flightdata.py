@@ -95,7 +95,7 @@ class ManeuverSegment:
         return self.end_index - self.start_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlightRecord:
     """All channels of one flight at a fixed sample rate, as one block.
 
@@ -104,6 +104,8 @@ class FlightRecord:
     The record owns it: any input is copied once, except a read-only
     C-order float64 array that owns its memory, which is kept as it is.
     :meth:`with_maneuvers` shares the block and does not check it again.
+    Records compare and hash by identity, as does every tssid value type
+    that holds an array.
     """
 
     flight_id: str
@@ -424,15 +426,20 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator:
 
     ``mode`` is ``"w"`` (UTF-8 text, ``\\n`` written as given) or ``"wb"``.
     The parent directory is created.  A reader of ``path`` sees the old
-    file or the whole new one, never a partial write.
+    file or the whole new one, never a partial write; a block that raises
+    leaves no ``<path>.tmp`` behind.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
-    with open(tmp, mode, **text) as fh:
-        yield fh
-    tmp.replace(path)
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_float_csv(path: str | Path, header: Sequence[str],
@@ -550,7 +557,7 @@ def filter_maneuvers(record: FlightRecord, exclude_labels: Iterable[str]) -> Fli
 
 # --- correlation -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Pearson correlations over pooled, non-excluded samples."""
 

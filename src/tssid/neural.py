@@ -216,7 +216,7 @@ def lstm_backward(config: LSTMConfig, params: np.ndarray, x: np.ndarray,
 
 # --- datasets -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetData:
     """Net inputs and the targets they predict, ``targets.shape == inputs.shape[:-1]``.
 
@@ -279,7 +279,7 @@ def make_windows(features: np.ndarray, target: np.ndarray, lookback: int,
 
 # --- optimizers -----------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     """Accumulators for RMSprop (v) and Adam (m, v, t)."""
 
@@ -339,7 +339,7 @@ class TrainConfig:
         check(self, LengthMismatch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedNet:
     """A trained predictor plus everything needed to apply it."""
 

@@ -26,10 +26,9 @@ by fixed-step RK4 with linearly interpolated inputs
 (``tssid.kernels.rk4_sparse``), any number of segments in one batched
 pass; the integrator also carries running integrals of every state and
 input so that linear first integrals of the model can be checked to
-machine precision.  :func:`simulate_observed` starts each segment from
-the same derivative stacks of the observed series, by the method stored
-in the model (``model.config.derivative_method``), so a simulation
-differentiates the data as its fit did.
+machine precision.  :func:`simulate_flights` integrates every scoring
+segment of a set of flights in that pass, each from the derivative stacks
+of its observed series by the model's own method, as its fit took them.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from .errors import (
     SeriesTooShort,
     TssidError,
 )
+from .evaluation import check_finite_prediction
 from .flightdata import FlightRecord, atomic_open
 from .settings import TEXT, check, read, setting
 
@@ -143,7 +143,7 @@ def build_term_encoding(state_names: Sequence[str], input_names: Sequence[str],
     return expo, trg, tuple(labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Evaluated candidate library: values (m, p) plus the term encoding."""
 
@@ -307,7 +307,7 @@ def stlsq(theta: np.ndarray, targets: np.ndarray, threshold: float = 0.05,
     return xi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseModel:
     """A fitted sparse ODE model plus everything needed to reuse it."""
 
@@ -395,7 +395,7 @@ def fit_sparse(flights: Sequence[FlightRecord], order: int,
 
 # --- simulation -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrajectory:
     """States plus RK4 quadratures (integrals of states then inputs)."""
 
@@ -403,40 +403,31 @@ class SimTrajectory:
     quad: np.ndarray
 
 
-def _input_matrix(model: SparseModel, u: np.ndarray, dt: float,
-                  u_dot: np.ndarray | None) -> np.ndarray:
+def _input_matrix(model: SparseModel, u: np.ndarray, dt: float) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise LengthMismatch("simulate expects a 1-D control series")
     if u.shape[0] < 2:
         raise SeriesTooShort("simulate needs at least 2 control samples")
-    if model.order == 1 or u_dot is None:
-        return np.column_stack(_derivative_stack(u, dt, model.order - 1,
-                                                 model.config.derivative_method))
-    u_dot = np.asarray(u_dot, dtype=np.float64)
-    if u_dot.shape != u.shape:
-        raise LengthMismatch("u_dot must match the control series length")
-    return np.column_stack([u, u_dot])
+    return np.column_stack(_derivative_stack(u, dt, model.order - 1,
+                                             model.config.derivative_method))
 
 
 def simulate_segments(model: SparseModel, us: Sequence[np.ndarray], dt: float,
-                      x0s: Sequence[float], xdot0s: Sequence[float] | None = None,
-                      u_dots: Sequence[np.ndarray] | None = None) -> list[SimTrajectory]:
+                      x0s: Sequence[float],
+                      xdot0s: Sequence[float] | None = None) -> list[SimTrajectory]:
     """Integrate the fitted model over several segments in one RK4 pass.
 
-    ``us`` holds one control series per segment, of any lengths; ``x0s``
-    (and, for second order, ``xdot0s``) the initial values, and ``u_dots``
-    optional control derivatives, taken by the model's derivative method
-    where not given.  Each segment's trajectory equals the one it gets
-    integrated alone.
+    ``us`` holds one control series per segment, of any lengths, and
+    ``x0s`` (and, for second order, ``xdot0s``) the initial values.  The
+    control derivative is taken by the model's derivative method.  Each
+    segment's trajectory equals the one it gets integrated alone.
     """
     if dt <= 0:
         raise LengthMismatch(f"dt must be positive, got {dt}")
     if not us:
         return []
-    if u_dots is None:
-        u_dots = [None] * len(us)
-    inputs = [_input_matrix(model, u, dt, u_dot) for u, u_dot in zip(us, u_dots)]
+    inputs = [_input_matrix(model, u, dt) for u in us]
     if model.order == 2 and (xdot0s is None or any(v is None for v in xdot0s)):
         raise MissingInitialDerivative(
             "second-order simulation needs the initial state derivative"
@@ -455,39 +446,46 @@ def simulate_segments(model: SparseModel, us: Sequence[np.ndarray], dt: float,
             for b, U in enumerate(inputs)]
 
 
-def simulate_observed(model: SparseModel, xs: Sequence[np.ndarray], us: Sequence[np.ndarray],
-                      dt: float) -> list[SimTrajectory]:
-    """Integrate several segments from their observed starts, in one RK4 pass.
+def simulate_flights(model: SparseModel,
+                     flights: Sequence[FlightRecord]) -> dict[str, np.ndarray]:
+    """Each flight's full-length prediction; NaN outside its scoring segments.
 
-    ``xs`` and ``us`` hold each segment's observed state and control
-    series.  The initial state (x0, plus xdot0 at order 2) and the input
-    columns come from their derivative stacks, taken by the derivative
-    method the model was fitted with, as the fit took them.
+    The scoring segments of all flights are integrated in one RK4 pass; the
+    flights share the corpus sample rate, so one step serves them all.  Each
+    segment starts from the derivative stack of its observed state, taken by
+    the method the model was fitted with, as the fit took it.  A prediction
+    that is not finite inside a segment (a diverged model) is a
+    ``ComputationError``, as it is when scored.
     """
-    k = model.order - 1
-    starts = [[s[0] for s in _derivative_stack(x, dt, k, model.config.derivative_method)]
-              for x in xs]
-    return simulate_segments(model, us, dt, [s[0] for s in starts],
-                             [s[1] for s in starts] if k else None)
-
-
-def simulate_full(model: SparseModel, u: np.ndarray, dt: float, x0: float,
-                  xdot0: float | None = None,
-                  u_dot: np.ndarray | None = None) -> SimTrajectory:
-    """Integrate the fitted model over one segment; returns states and quadratures."""
-    return simulate_segments(model, [u], dt, [x0], None if xdot0 is None else [xdot0],
-                             [u_dot])[0]
+    if not flights:
+        return {}
+    dt, k = flights[0].dt, model.order - 1
+    segs = [(fl, seg) for fl in flights for seg in fl.scoring_segments()]
+    xs, us = ([fl.values(nm)[s.start_index:s.end_index] for fl, s in segs]
+              for nm in (model.state_names[0], model.input_names[0]))
+    # a diverging model overflows; the check below reports it, so numpy's
+    # warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts = [[s[0] for s in _derivative_stack(x, dt, k, model.config.derivative_method)]
+                  for x in xs]
+        trajs = simulate_segments(model, us, dt, [s[0] for s in starts],
+                                  [s[1] for s in starts] if k else None)
+    preds = {fl.flight_id: np.full(fl.n_samples, np.nan) for fl in flights}
+    for (fl, seg), traj in zip(segs, trajs):
+        check_finite_prediction(f"sindy{model.order}", fl.flight_id, seg, traj.states[:, 0])
+        preds[fl.flight_id][seg.start_index:seg.end_index] = traj.states[:, 0]
+    return preds
 
 
 def simulate(model: SparseModel, u: np.ndarray, dt: float, x0: float,
-             xdot0: float | None = None,
-             u_dot: np.ndarray | None = None) -> np.ndarray:
+             xdot0: float | None = None) -> np.ndarray:
     """Predicted state series for one maneuver (first state variable)."""
-    return simulate_full(model, u, dt, x0, xdot0, u_dot).states[:, 0]
+    return simulate_segments(model, [u], dt, [x0],
+                             None if xdot0 is None else [xdot0])[0].states[:, 0]
 
 
 def reduction_residual(model: SparseModel, u: np.ndarray, dt: float, x0: float,
-                       xdot0: float, u_dot: np.ndarray | None = None) -> np.ndarray:
+                       xdot0: float) -> np.ndarray:
     """First-integral residual of a linear second-order model.
 
     For a fitted second equation  x2' = kappa + sum_v coef_v * v  with v
@@ -501,7 +499,7 @@ def reduction_residual(model: SparseModel, u: np.ndarray, dt: float, x0: float,
     """
     if model.order != 2:
         raise LengthMismatch("reduction_residual applies to second-order models")
-    traj = simulate_full(model, u, dt, x0, xdot0, u_dot)
+    traj = simulate_segments(model, [u], dt, [x0], [xdot0])[0]
     n = traj.states.shape[0]
     nv = model.expo.shape[1]
     row = model.xi[1]
@@ -598,8 +596,8 @@ def load_model(path: str | Path) -> SparseModel:
 
     A file that no fit could have written is an :class:`IoError`: a
     malformed header or fit settings no config accepts, an ``order`` other
-    than the number of ``states``, an unknown equation or term, or a
-    coefficient that is not finite.
+    than the number of ``states`` or of ``inputs``, an unknown equation or
+    term, or a coefficient that is not finite.
     """
     path = Path(path)
     try:
@@ -626,9 +624,10 @@ def load_model(path: str | Path) -> SparseModel:
         rmse = tuple(float(x) for x in header["residual_rmse"].split(","))
     except (KeyError, ValueError, TssidError) as exc:
         raise IoError(f"{path}: malformed model header: {exc}") from exc
-    if order not in (1, 2) or len(state_names) != order:
-        raise IoError(f"{path}: order {order} does not match the states "
-                      f"{','.join(state_names)}")
+    for kind, names in (("states", state_names), ("inputs", input_names)):
+        if order not in (1, 2) or len(names) != order:
+            raise IoError(f"{path}: order {order} does not match the {kind} "
+                          f"{','.join(names)}")
     expo, trg, labels = build_term_encoding(state_names, input_names, config.library)
     index = {lb: j for j, lb in enumerate(labels)}
     xi = np.zeros((len(state_names), len(labels)))

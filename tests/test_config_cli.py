@@ -788,19 +788,33 @@ def _garble_corpus_manifest(tmp: Path) -> None:
     (tmp / "data" / "manifest_generate.json").write_text("[1, 2]\n", encoding="utf-8")
 
 
-def _edit_sindy1_model(name: str, pattern: str, repl: str):
-    """Damage ``name`` that replaces the first match of ``pattern`` in the stamped sindy1 model."""
+def _edit_out(file: str, name: str, pattern: str, repl: str, count: int = 1):
+    """Damage ``name`` that replaces the first ``count`` matches of ``pattern`` (every
+    match when 0, ``^`` matching at each line) in the output file ``file``."""
     def damage(tmp: Path) -> None:
-        model = tmp / "out" / "sindy1_model.txt"
-        text, n = re.subn(pattern, repl, model.read_text(encoding="utf-8"), count=1)
-        assert n == 1
-        model.write_text(text, encoding="utf-8")
+        path = tmp / "out" / file
+        text, n = re.subn(pattern, repl, path.read_text(encoding="utf-8"), count=count,
+                          flags=re.M)
+        assert n == count or (count == 0 and n > 0)
+        path.write_text(text, encoding="utf-8")
     damage.__name__ = name
     return damage
 
 
+def _edit_sindy1_model(name: str, pattern: str, repl: str):
+    """Damage ``name`` that replaces the first match of ``pattern`` in the stamped sindy1 model."""
+    return _edit_out("sindy1_model.txt", name, pattern, repl)
+
+
+def _sindy2_inputs_of_order_1(tmp: Path) -> None:
+    # without its WF_dot terms, so that every coefficient names a known term
+    _edit_out("sindy2_model.txt", "", r"^inputs: WF,WF_dot$", "inputs: WF")(tmp)
+    _edit_out("sindy2_model.txt", "", r"^.*WF_dot.*\t.*\n", "", count=0)(tmp)
+
+
 _SIMULATE_1 = ("simulate", "--order", "1")
 _EVALUATE_FFNN = ("evaluate", "--model", "ffnn")
+_REPORT_SINDY1 = ("report", "--model", "sindy1")
 
 
 def _edit_weights_header(name: str, edit):
@@ -862,6 +876,20 @@ def _one_value_bounds(header: dict) -> dict:
         ("_seed_string", lambda h: _set(h, ("train", "seed"), "x")),
         ("_shuffle_int", lambda h: _set(h, ("train", "shuffle"), 1)),
         ("_train_mse_one_of_three_epochs", lambda h: _set(h, ("train_mse",), h["train_mse"][:1])),
+    )),
+    # model inputs that do not fit the order, which used to end in a broadcast traceback
+    (_edit_sindy1_model("_inputs_of_order_2", r"inputs: WF$", "inputs: WF,WF_dot"),
+     _SIMULATE_1, "sindy1_model.txt"),
+    (_sindy2_inputs_of_order_1, ("simulate", "--order", "2"), "sindy2_model.txt"),
+    # eval reports evaluate cannot write, which used to be reported as nan or under
+    # another model's name
+    *((_edit_out("eval_sindy1.txt", *edit), _REPORT_SINDY1, "eval_sindy1.txt") for edit in (
+        ("_no_maneuver_lines", r"^  maneuver: .*\n", "", 0),
+        ("_maneuver_rmae_nan", r"(maneuver: .*\trmae=).*$", r"\1nan"),
+        ("_flight_rmae_inf", r"(flight: .*\trmae=).*$", r"\1inf"),
+        ("_mae_negative", r"\tmae=", "\tmae=-"),
+        ("_mean_trq_zero", r"mean_trq=[^\t]*", "mean_trq=0.0"),
+        ("_model_sindy2", r"^model: sindy1$", "model: sindy2"),
     )),
 ])
 def test_exit_code_3_malformed_artifact(tmp_path, capsys, smoke_run, damage, argv, name):

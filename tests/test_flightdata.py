@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import hashlib
+import importlib
 import io
 import os
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -15,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_record
+import tssid
 from tssid.errors import (
     DegenerateChannel,
     EmptyDataset,
@@ -132,6 +137,29 @@ def test_record_properties(record):
     assert record.channel_names == ("TRQ", "WF")
     with pytest.raises(MissingChannel):
         record.values("NG")
+
+
+def test_array_holding_value_types_compare_and_hash_by_identity():
+    # a generated __eq__ over an array field raises (the truth value of an
+    # array is ambiguous), and its __hash__ raises on the unhashable array
+    checked = []
+    for info in pkgutil.iter_modules(tssid.__path__):
+        module = importlib.import_module(f"tssid.{info.name}")
+        for cls in vars(module).values():
+            if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)
+                    and cls.__module__ == module.__name__):
+                continue
+            fields = dataclasses.fields(cls)
+            if not any("ndarray" in str(f.type) for f in fields):
+                continue
+            assert not cls.__dataclass_params__.eq, cls.__qualname__
+            rec = object.__new__(cls)
+            for f in fields:
+                object.__setattr__(rec, f.name, np.zeros(2) if "ndarray" in str(f.type) else None)
+            assert (rec in [copy.deepcopy(rec)]) is False, cls.__qualname__
+            hash(rec)
+            checked.append(cls.__qualname__)
+    assert {"FlightRecord", "CorrelationMatrix", "SparseModel", "TrainedNet"} <= set(checked)
 
 
 # --- CSV round trip ------------------------------------------------------------
@@ -517,7 +545,7 @@ def test_atomic_open_replaces_the_file_only_when_the_write_completes(tmp_path):
     with pytest.raises(RuntimeError), atomic_open(path) as fh:
         fh.write("two\n")
         raise RuntimeError
-    assert path.read_bytes() == b"one\r\n"
+    assert path.read_bytes() == b"one\r\n" and os.listdir(path.parent) == ["a.txt"]
     with atomic_open(path, "wb") as fh:
         fh.write(b"\x00three")
     assert path.read_bytes() == b"\x00three" and os.listdir(path.parent) == ["a.txt"]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_record
-from tssid import cli, kernels
+from tssid import kernels
 from tssid.flightdata import ManeuverSegment
 from tssid.sindy import (
     LibrarySpec,
@@ -23,6 +23,7 @@ from tssid.sindy import (
     build_term_encoding,
     differentiate,
     simulate,
+    simulate_flights,
 )
 
 
@@ -207,7 +208,7 @@ def test_library_terms_is_the_design_matrix_decoder():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_simulate_record_is_one_call_equal_to_per_segment_simulate(order, monkeypatch):
-    # the CLI integrates all scoring segments of all test flights in one
+    # simulate_flights integrates all scoring segments of all flights in one
     # kernel call, and each segment comes out as sindy.simulate gives it alone
     segments = (ManeuverSegment("a", 0, 5), ManeuverSegment("taxi", 5, 40, excluded=True),
                 ManeuverSegment("b", 40, 46), ManeuverSegment("c", 46, 400))
@@ -227,7 +228,7 @@ def test_simulate_record_is_one_call_equal_to_per_segment_simulate(order, monkey
     calls = []
     real = kernels.rk4_sparse
     monkeypatch.setattr(kernels, "rk4_sparse", lambda *a: calls.append(a) or real(*a))
-    preds = cli._simulate_flights(model, recs)
+    preds = simulate_flights(model, recs)
     assert len(calls) == 1
     assert calls[0][3].shape[1] == 5  # every scoring segment of the three flights
     assert list(preds) == ["fl01", "fl02", "fl03"]
@@ -240,8 +241,7 @@ def test_simulate_record_is_one_call_equal_to_per_segment_simulate(order, monkey
                 expected[s:e] = simulate(model, wf[s:e], dt, trq[s])
             else:
                 expected[s:e] = simulate(model, wf[s:e], dt, trq[s],
-                                         differentiate(trq[s:e], dt, "central")[0],
-                                         differentiate(wf[s:e], dt, "central"))
+                                         differentiate(trq[s:e], dt, "central")[0])
         assert np.array_equal(preds[rec.flight_id], expected, equal_nan=True), rec.flight_id
     pred = preds["fl01"]
     assert np.all(np.isnan(pred[5:40])) and not np.any(np.isnan(pred[40:]))

@@ -23,7 +23,8 @@ from tssid.errors import (
     RankDeficient,
     SeriesTooShort,
 )
-from tssid.flightdata import ManeuverSegment, filter_maneuvers
+from tssid import kernels
+from tssid.flightdata import FlightRecord, ManeuverSegment, filter_maneuvers
 from tssid.sindy import (
     _savgol_smooth,
     LibrarySpec,
@@ -38,8 +39,7 @@ from tssid.sindy import (
     reduction_residual,
     save_model,
     simulate,
-    simulate_full,
-    simulate_observed,
+    simulate_flights,
     simulate_segments,
     stlsq,
 )
@@ -398,11 +398,11 @@ def test_simulate_manual_model_against_closed_form():
     assert np.max(np.abs(x - (1.0 - np.exp(-t)))) <= 1e-6
 
 
-def test_simulate_full_quadrature_is_running_integral():
+def test_simulate_segments_quadrature_is_running_integral():
     model = _manual_first_order_model()
     dt, n = 0.01, 301
     u = np.ones(n)
-    traj = simulate_full(model, u, dt, x0=0.0)
+    (traj,) = simulate_segments(model, [u], dt, [0.0])
     # d(quad_u)/dt = u = 1  =>  quad_u = t exactly (linear in t)
     t = np.arange(n) * dt
     np.testing.assert_allclose(traj.quad[:, 1], t, atol=1e-12)
@@ -446,26 +446,32 @@ def test_second_order_simulation_needs_initial_derivative():
 
 
 def test_second_order_simulation_takes_the_models_derivative_method():
-    # derivatives not given are taken as the fit took them: u_dot in
-    # simulate, xdot0 and u_dot from the observed series in simulate_observed
+    # derivatives are taken as the fit took them: the control derivative in
+    # simulate, and xdot0 and the control derivative in simulate_flights
     dt = 0.05
     t = np.arange(200) * dt
     rng = np.random.default_rng(3)
     u = 300.0 + 40.0 * np.sin(1.3 * t) + rng.normal(0.0, 0.5, t.shape)
     x = 75.0 + 5.0 * np.cos(0.7 * t) + rng.normal(0.0, 0.2, t.shape)
+    rec = FlightRecord("fl01", 1.0 / dt, ("TRQ", "WF"), (x, u), (ManeuverSegment("m", 0, 200),))
     for method in ("central", "smoothed_central"):
         model = replace(_manual_second_order_model({"TRQ": -4.0, "TRQ_dot": -3.0,
                                                     "WF": 1.0, "WF_dot": 0.5}),
                         config=SINDyConfig(derivative_method=method,
                                            library=LibrarySpec(degree=1)))
         got = simulate(model, u, dt, x0=75.0, xdot0=0.0)
-        (observed,) = simulate_observed(model, [x], [u], dt)
+        observed = simulate_flights(model, [rec])["fl01"]
         for other in ("central", "smoothed_central"):
-            u_dot = differentiate(u, dt, other)
-            given = simulate(model, u, dt, 75.0, 0.0, u_dot)
-            assert np.array_equal(got, given) == (other == method), (method, other)
-            given = simulate(model, u, dt, x[0], differentiate(x, dt, other)[0], u_dot)
-            assert np.array_equal(observed.states[:, 0], given) == (other == method)
+            inputs = np.column_stack([u, differentiate(u, dt, other)])[:, None, :]
+
+            def given(x0, xdot0):
+                states, _ = kernels.rk4_sparse(model.xi, model.expo, model.trig, inputs, dt,
+                                               np.array([[x0, xdot0]]), [len(u)])
+                return states[:, 0, 0]
+
+            assert np.array_equal(got, given(75.0, 0.0)) == (other == method), (method, other)
+            assert np.array_equal(observed, given(x[0], differentiate(x, dt, other)[0])) == (
+                other == method), (method, other)
 
 
 def test_simulate_validation():
@@ -491,7 +497,8 @@ def test_simulate_segments_never_integrates_past_a_segment_end():
         short, long = simulate_segments(model, [np.ones(2), np.ones(400)], 0.01,
                                         [1e300, 1e-300])
     assert short.states.shape == (2, 1) and long.states.shape == (400, 1)
-    assert np.array_equal(short.states, simulate_full(model, np.ones(2), 0.01, 1e300).states)
+    assert np.array_equal(short.states,
+                          simulate_segments(model, [np.ones(2)], 0.01, [1e300])[0].states)
     assert np.all(np.isfinite(long.states))
 
 
