@@ -42,7 +42,7 @@ import pickle
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -96,6 +96,7 @@ from .neural import (
 )
 from .seeding import derive_seed
 from .sindy import (
+    SPARSE_CHANNELS,
     SparseModel,
     fit_sparse,
     format_equations,
@@ -131,11 +132,36 @@ class _Stage:
         self.extra: dict = {}
         self._t0 = time.perf_counter()
 
-    def records(self, ids: Sequence[str]) -> list[FlightRecord]:
-        """The corpus flights ``ids`` (see :func:`_load_records`), recorded as read."""
-        records, self.inputs = _load_records(self.cfg, ids)
+    def records(self, ids: Sequence[str],
+                channels: Collection[str] | None = None) -> list[FlightRecord]:
+        """The corpus flights ``ids`` (see :func:`_load_records`), recorded as read.
+
+        ``channels`` names the only channels the stage reads (all when
+        None); ``()`` gives each flight's sample count and maneuvers alone.
+        """
+        records, self.inputs = _load_records(self.cfg, ids, channels)
         self.fingerprints["corpus"] = _corpus_fingerprint(self.cfg)
         return records
+
+    def flights(self, ids: Sequence[str]) -> Iterable[FlightRecord]:
+        """The corpus flights ``ids`` with every channel, recorded as read, one at a time.
+
+        Each CSV is hashed and ``maneuvers.csv`` read once, here.  Every
+        iteration of the result then reads each flight again from the cache
+        entry under the digest recorded here (see :func:`ingest_cached`), so
+        it holds one flight at a time and every pass reads the same bytes.
+        """
+        heads = self.records(ids, channels=())
+        corpus, digests = _corpus_cfg(self.cfg), dict(self.inputs)
+
+        def read(head: FlightRecord) -> FlightRecord:
+            rel = f"flights/{head.flight_id}.csv"
+            rec, _ = ingest_cached(self.cfg.paths.data_dir / rel, corpus.sample_rate_hz,
+                                   head.flight_id, self.cfg.paths.out_dir / "cache",
+                                   digest=digests[rel])
+            return rec.with_maneuvers(head.maneuvers)
+
+        return _Reread(read, heads)
 
     def model(self, model_id: str) -> SparseModel | TrainedNet:
         """The fresh model (see :func:`_load_model`), recorded as checked."""
@@ -176,6 +202,16 @@ class _Stage:
         return write_manifest(self.base_dir, RunManifest(
             command=self.command, seed=self.cfg.seed, outputs=outputs, inputs=inputs,
             fingerprints=self.fingerprints, timings=self.timings, extra=self.extra))
+
+
+class _Reread:
+    """An iterable of ``read(item)`` for each of ``items``, read anew on every pass."""
+
+    def __init__(self, read: Callable, items: Sequence):
+        self.read, self.items = read, items
+
+    def __iter__(self) -> Iterator:
+        return map(self.read, self.items)
 
 
 def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
@@ -248,14 +284,15 @@ def _fresh_fingerprint(cfg: RunConfig, model_id: str) -> str:
     return _model_fingerprint(cfg, model_id, split.train_ids, split.val_ids)
 
 
-def _load_records(cfg: RunConfig,
-                  ids: Sequence[str]) -> tuple[list[FlightRecord], dict[str, str]]:
+def _load_records(cfg: RunConfig, ids: Sequence[str], channels: Collection[str] | None = None
+                  ) -> tuple[list[FlightRecord], dict[str, str]]:
     """Ingest the listed corpus flights from data_dir, with maneuver annotations.
 
     The corpus must carry the current configuration's fingerprint in
     ``manifest_generate.json``.  Flights are parsed through the cache under
-    ``<out_dir>/cache``.  Also returns the files read, as paths relative to
-    data_dir with the sha256 of their bytes, for the stage's manifest.
+    ``<out_dir>/cache`` and projected onto ``channels`` (see
+    :func:`ingest_cached`).  Also returns the files read, as paths relative
+    to data_dir with the sha256 of their bytes, for the stage's manifest.
     """
     corpus = _corpus_cfg(cfg)
     flights_dir = cfg.paths.data_dir / "flights"
@@ -273,7 +310,7 @@ def _load_records(cfg: RunConfig,
         if not path.exists():
             raise IoError(f"missing flight file {path}; run `tssid generate` first")
         rec, files[f"flights/{fid}.csv"] = ingest_cached(
-            path, corpus.sample_rate_hz, fid, cfg.paths.out_dir / "cache")
+            path, corpus.sample_rate_hz, fid, cfg.paths.out_dir / "cache", channels)
         records.append(rec)
     if man_path.exists():
         segments = load_maneuvers(man_path, corpus.flight_ids,
@@ -292,13 +329,33 @@ def _split_of(cfg: RunConfig) -> DatasetSplit:
     return split_dataset(ids, fractions=fractions, seed=derive_seed(cfg.seed, "split"))
 
 
-def _resolve_features(cfg: RunConfig, records: Sequence[FlightRecord]) -> tuple[str, ...]:
+def _fixed_inputs(cfg: RunConfig) -> tuple[str, ...] | None:
+    """The configured net inputs; None when correlation rules pick them."""
     feats = cfg.features
     if feats.inputs:
         return feats.inputs
-    if feats.rules != FeatureRules():
+    return None if feats.rules != FeatureRules() else DEFAULT_FEATURES
+
+
+def _resolve_features(cfg: RunConfig, records: Sequence[FlightRecord]) -> tuple[str, ...]:
+    inputs = _fixed_inputs(cfg)
+    if inputs is None:
+        feats = cfg.features
         return select_features(correlation_matrix(records), feats.target, feats.rules)
-    return DEFAULT_FEATURES
+    return inputs
+
+
+def _net_channels(cfg: RunConfig) -> tuple[str, ...] | None:
+    """The channels a net reads: its inputs and the target, or every one under rules."""
+    inputs = _fixed_inputs(cfg)
+    return None if inputs is None else (*inputs, cfg.features.target)
+
+
+def _model_channels(model: SparseModel | TrainedNet) -> tuple[str, ...]:
+    """The channels a fitted model reads: its state and input, or its features and target."""
+    if isinstance(model, SparseModel):
+        return model.state_names[0], model.input_names[0]
+    return (*model.feature_names, model.target_name)
 
 
 def _net_data(records: Sequence[FlightRecord], inputs: Sequence[str], target: str,
@@ -658,7 +715,7 @@ def cmd_generate(stage: _Stage) -> None:
 
 
 def cmd_ingest(stage: _Stage) -> None:
-    records = stage.records(_corpus_cfg(stage.cfg).flight_ids)
+    records = stage.records(_corpus_cfg(stage.cfg).flight_ids, channels=())
     lines = ["flight_id,n_samples,duration_s,n_maneuvers,n_excluded"]
     for rec in records:
         n_exc = sum(1 for seg in rec.maneuvers if seg.excluded)
@@ -672,7 +729,7 @@ def cmd_ingest(stage: _Stage) -> None:
 
 def cmd_correlate(stage: _Stage) -> None:
     cfg = stage.cfg
-    corr = correlation_matrix(stage.records(_corpus_cfg(cfg).flight_ids))
+    corr = correlation_matrix(stage.flights(_corpus_cfg(cfg).flight_ids))
     lines = ["channel," + ",".join(corr.names)]
     for i, nm in enumerate(corr.names):
         lines.append(nm + "," + ",".join(repr(float(v)) for v in corr.values[i]))
@@ -701,7 +758,7 @@ def cmd_split(stage: _Stage) -> None:
 def cmd_fit_sindy(stage: _Stage, orders: Sequence[int]) -> None:
     cfg = stage.cfg
     split = _split_of(cfg)
-    train_recs = stage.records(split.train_ids)
+    train_recs = stage.records(split.train_ids, SPARSE_CHANNELS)
     for order in orders:
         with stage.timed(f"order{order}"):
             model = fit_sparse(train_recs, order, cfg.sindy_config(order))
@@ -720,7 +777,7 @@ def cmd_fit_sindy(stage: _Stage, orders: Sequence[int]) -> None:
 def cmd_train(stage: _Stage, kinds: Sequence[str]) -> None:
     cfg = stage.cfg
     split = _split_of(cfg)
-    records = stage.records(split.train_ids + split.val_ids)
+    records = stage.records(split.train_ids + split.val_ids, _net_channels(cfg))
     train_recs = records[:len(split.train_ids)]
     val_recs = records[len(split.train_ids):]
     inputs = _resolve_features(cfg, train_recs)
@@ -741,14 +798,16 @@ def cmd_simulate(stage: _Stage, orders: Sequence[int]) -> None:
     """Integrate each sparse model over the test flights and write one CSV per segment.
 
     Each model is one unit of :func:`_fork_units`, since ``rk4_sparse``
-    batches a model's segments across flights.
+    batches a model's segments across flights.  Every model is loaded
+    first, so that the flights are read with only the channels they use.
     """
     cfg = stage.cfg
     test_ids = _split_of(cfg).test_ids
-    test_recs = stage.records(test_ids)
+    models = {f"sindy{order}": _load_model(cfg, f"sindy{order}") for order in orders}
+    test_recs = stage.records(test_ids, [nm for m in models.values() for nm in _model_channels(m)])
 
     def simulate_model(model_id: str):
-        model = _load_model(cfg, model_id)
+        model = models[model_id]
         sim_dir = cfg.paths.out_dir / f"sim_{model_id}"
         stamps = {_model_path(cfg, model_id): model.fingerprint,
                   sim_dir: _sim_fingerprint(stage, model_id, model, test_ids)}
@@ -763,9 +822,8 @@ def cmd_simulate(stage: _Stage, orders: Sequence[int]) -> None:
         return model_id, stamps, outputs
 
     digests = stage.extra["output_sha256"] = {}
-    model_ids = {f"sindy{order}": f"sindy{order}" for order in orders}
-    for model_id, stamps, outputs in _fork_units(simulate_model, model_ids, [1] * len(orders),
-                                                 stage.timings):
+    for model_id, stamps, outputs in _fork_units(simulate_model, {m: m for m in models},
+                                                 [1] * len(models), stage.timings):
         for path, fp in stamps.items():
             stage.stamp(path, fp)
         for path, sha in outputs:
@@ -782,13 +840,15 @@ def cmd_evaluate(stage: _Stage, model_ids: Sequence[str]) -> None:
     net's prediction for the flight and writes the flight's overlays of
     every model as ``.staged`` files.  A model's overlays replace the old
     ones only once its report is written, so a model that fails to score
-    leaves its old report and overlays in place.
+    leaves its old report and overlays in place.  Every model is loaded
+    first, so that the flights are read with only the channels they use.
     """
     cfg = stage.cfg
     test_ids = _split_of(cfg).test_ids
-    test_recs = stage.records(test_ids)
     target = cfg.features.target
     models = {model_id: stage.model(model_id) for model_id in model_ids}
+    test_recs = stage.records(test_ids, [target, *(nm for model in models.values()
+                                                   for nm in _model_channels(model))])
     preds = {model_id: {} if model_id in NET_KINDS
              else _sparse_predictions(stage, model_id, model, test_recs, test_ids)
              for model_id, model in models.items()}
@@ -857,7 +917,7 @@ def cmd_retrain_experiment(stage: _Stage) -> None:
                           "leave at least one flight for evaluation")
     # the split covers every flight, and the experiment uses all of them
     ids = _corpus_cfg(cfg).flight_ids
-    records = stage.records(ids)
+    records = stage.records(ids, _net_channels(cfg))
     by_id = dict(zip(ids, records))
     eval_recs = [by_id[i] for i in eval_ids]
     val_recs = [by_id[i] for i in split.val_ids]

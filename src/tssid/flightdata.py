@@ -1,8 +1,9 @@
 """Flight records: ingestion, maneuver annotation, scaling, splits, features.
 
 A flight is one read-only float64 block, a row per equally-sampled channel
-(:class:`FlightRecord`), plus an ordered list of maneuver segments; ingest,
-the parsed-flight cache and :func:`emit_csv` move the block whole.  CSV layout:
+(:class:`FlightRecord`), plus an ordered list of maneuver segments.  Ingest
+and :func:`emit_csv` move the block whole; the parsed-flight cache stores it
+whole and serves only the rows of the channels a reader asks for.  CSV layout:
 
     time_s,TRQ,WF,...          header: time column first, then channels
     0.0,312.5,260.1,...        one row per sample
@@ -104,6 +105,8 @@ class FlightRecord:
     The record owns it: any input is copied once, except a read-only
     C-order float64 array that owns its memory, which is kept as it is.
     :meth:`with_maneuvers` shares the block and does not check it again.
+    A record may hold only some of a flight's channels, or none: a cache
+    read projected onto the channels a stage uses (:func:`ingest_cached`).
     Records compare and hash by identity, as does every tssid value type
     that holds an array.
     """
@@ -118,8 +121,6 @@ class FlightRecord:
         if self.sample_rate_hz <= 0:
             raise LengthMismatch(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         names = tuple(self.channel_names)
-        if not names:
-            raise MissingChannel(f"flight {self.flight_id!r} has no channels")
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise UnknownChannel(f"duplicate channel {name!r}")
@@ -225,24 +226,37 @@ def ingest_csv(path: str | Path, sample_rate_hz: float,
 
 
 def ingest_cached(path: str | Path, sample_rate_hz: float, flight_id: str,
-                  cache_dir: str | Path) -> tuple[FlightRecord, str]:
+                  cache_dir: str | Path, channels: Collection[str] | None = None,
+                  digest: str | None = None) -> tuple[FlightRecord, str]:
     """:func:`ingest_csv` through a parsed-flight cache; also returns the
     sha256 hex digest of the CSV's bytes.
 
     The cache holds at most one entry per flight,
     ``<cache_dir>/<flight_id>/<sha256>.npy``: the record's block from the
     last successful ingest of the flight's CSV, keyed by the digest of the
-    CSV's bytes.  A hit keeps the block it reads from the entry as the
-    record's, without a copy, and takes the channel names from the CSV's
-    first line, so it gives bitwise the record a fresh ingest gives, and
-    any edit to the CSV is a miss.  An entry that cannot be read, does not
-    fit the header or holds a non-finite cell counts as a miss; a miss
-    ingests the CSV and, only if that succeeds, replaces the flight's entry.
+    CSV's bytes.  A hit takes the channel names from the CSV's first line
+    and reads the rows it serves into one read-only block that the record
+    keeps, so it gives bitwise the rows a fresh ingest gives, and any edit
+    to the CSV is a miss.  An entry that cannot be read, does not fit the
+    header or holds a non-finite cell among the rows served counts as a
+    miss; a miss ingests the CSV and, only if that succeeds, replaces the
+    flight's entry with the whole block.
+
+    ``channels`` projects the record onto those channels, in the CSV's
+    order: a hit reads only their rows, so it costs 8 B per requested cell,
+    and ``()`` reads none and serves the sample count alone.  A channel the
+    CSV lacks is a :class:`MissingChannel`, as :meth:`FlightRecord.values`
+    raises it.  ``digest`` is the CSV's digest as an earlier read of the
+    stage recorded it: the entry under it is read without hashing the CSV
+    again, and a miss whose CSV no longer has that digest raises
+    :class:`IoError`, so that a stage never mixes two versions of a flight.
     """
     path = Path(path)
-    digest = file_sha256(path)
+    recorded = digest
+    if digest is None:
+        digest = file_sha256(path)
     entry = Path(cache_dir) / flight_id / f"{digest}.npy"
-    hit = _load_entry(path, entry)
+    hit = _load_entry(path, entry, flight_id, channels)
     if hit is not None:
         with contextlib.suppress(NonNumericCell):
             return FlightRecord(flight_id, sample_rate_hz, *hit), digest
@@ -250,28 +264,51 @@ def ingest_cached(path: str | Path, sample_rate_hz: float, flight_id: str,
     # a CSV edited during the parse must not be stored under the old digest
     if file_sha256(path) == digest:
         _store_entry(entry, rec)
-    return rec, digest
+    elif recorded is not None:
+        raise IoError(f"{path} changed while the stage was reading it")
+    if channels is None:
+        return rec, digest
+    rows = _channel_rows(rec.channel_names, channels, flight_id)
+    block = rec.samples[rows]
+    block.setflags(write=False)
+    return FlightRecord(flight_id, sample_rate_hz, [rec.channel_names[r] for r in rows],
+                        block), digest
 
 
 def file_sha256(path: Path) -> str:
-    """sha256 hex digest of a file's bytes, read in chunks."""
+    """sha256 hex digest of a file's bytes, read into one 64 KiB buffer in turn."""
     digest = hashlib.sha256()
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
     try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 18), b""):
-                digest.update(chunk)
+        with open(path, "rb", buffering=0) as fh:
+            while n := fh.readinto(buf):
+                digest.update(view[:n])
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()
 
 
-def _load_entry(path: Path, entry: Path) -> tuple[list[str], np.ndarray] | None:
-    """Channel names and samples of a cache hit; None for a missing or
-    unusable entry.
+def _channel_rows(names: Sequence[str], channels: Collection[str] | None,
+                  flight_id: str) -> list[int]:
+    """The rows of ``names`` that hold ``channels`` (every row for None), in order."""
+    if channels is None:
+        return list(range(len(names)))
+    for name in channels:
+        if name not in names:
+            raise MissingChannel(f"flight {flight_id!r} has no channel {name!r}")
+    return [r for r, name in enumerate(names) if name in channels]
+
+
+def _load_entry(path: Path, entry: Path, flight_id: str, channels: Collection[str] | None
+                ) -> tuple[list[str], np.ndarray] | None:
+    """Channel names and samples of the rows a cache hit serves; None for a
+    missing or unusable entry.
 
     The entry's ``.npy`` header must declare a C-order float64 block with
     one row per channel of the CSV header, and the file must hold exactly
-    that block.
+    that block.  Each requested row is contiguous in the file and is read
+    straight into its row of the returned block.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -283,13 +320,19 @@ def _load_entry(path: Path, entry: Path) -> tuple[list[str], np.ndarray] | None:
             if (dtype != np.float64 or fortran or len(shape) != 2
                     or shape[0] != len(names) or shape[1] < 1):
                 return None
-            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * shape[0] * shape[1]:
+            start, row_bytes = fh.tell(), 8 * shape[1]
+            if os.fstat(fh.fileno()).st_size - start != row_bytes * shape[0]:
                 return None
-            data = np.fromfile(fh, dtype=(np.float64, shape[1]), count=shape[0])
+            rows = _channel_rows(names, channels, flight_id)
+            data = np.empty((len(rows), shape[1]))
+            for out, r in zip(data, rows):
+                fh.seek(start + row_bytes * r)
+                if fh.readinto(out) != row_bytes:
+                    return None
     except (OSError, ValueError, StopIteration, csv.Error):
         return None
     data.setflags(write=False)  # a block that owns its memory: the record keeps it
-    return names, data
+    return [names[r] for r in rows], data
 
 
 def _store_entry(entry: Path, rec: FlightRecord) -> None:
@@ -576,34 +619,44 @@ class CorrelationMatrix:
         return float(self.values[ia, ib])
 
 
-def correlation_matrix(records: Sequence[FlightRecord],
+def correlation_matrix(records: Iterable[FlightRecord],
                        names: Sequence[str] | None = None) -> CorrelationMatrix:
     """Pearson correlation matrix across flights.
 
     Samples inside excluded maneuvers are dropped before pooling.  Raises
-    :class:`ZeroVariance` if any pooled channel is constant.
+    :class:`ZeroVariance` if any pooled channel is constant.  Without
+    ``names`` the channels are the first flight's, and a flight whose
+    channel set differs from it is a :class:`MissingChannel` naming both
+    flights and the channel.
 
     The pool is streamed flight by flight and never concatenated: a first
     pass takes each channel's sum, min and max, a second accumulates the
-    centred co-moment matrix one flight block at a time.
+    centred co-moment matrix one flight block at a time.  ``records`` is
+    iterated once per pass, in the same order, so it may be an iterable
+    that reads each flight again when it is reached, and then at most one
+    flight is held at a time.
     """
-    if not records:
-        raise EmptyDataset("correlation_matrix needs at least one flight")
-    if names is None:
-        names = records[0].channel_names
-    names = tuple(names)
-    k = len(names)
+    first = None
+    check = names is None
     n = 0
-    total = np.zeros(k)
-    lo = np.full(k, np.inf)
-    hi = np.full(k, -np.inf)
     for rec in records:
+        if first is None:
+            first = rec
+            names = tuple(rec.channel_names if check else names)
+            k = len(names)
+            total = np.zeros(k)
+            lo = np.full(k, np.inf)
+            hi = np.full(k, -np.inf)
+        elif check:
+            _same_channels(first, rec)
         block = _included_block(rec, names)
         if block.shape[0]:
             n += block.shape[0]
             total += block.sum(axis=0)
             np.minimum(lo, block.min(axis=0), out=lo)
             np.maximum(hi, block.max(axis=0), out=hi)
+    if first is None:
+        raise EmptyDataset("correlation_matrix needs at least one flight")
     if n < 2:
         raise EmptyDataset("correlation_matrix needs at least two pooled samples")
     for nm, a, b in zip(names, lo, hi):
@@ -621,6 +674,15 @@ def correlation_matrix(records: Sequence[FlightRecord],
     np.clip(c, -1.0, 1.0, out=c)
     np.fill_diagonal(c, 1.0)
     return CorrelationMatrix(names, c)
+
+
+def _same_channels(first: FlightRecord, rec: FlightRecord) -> None:
+    """Refuse ``rec`` unless it carries exactly the channels of ``first``."""
+    for a, b in ((first, rec), (rec, first)):
+        for name in a.channel_names:
+            if name not in b.channel_names:
+                raise MissingChannel(f"flight {b.flight_id!r} has no channel {name!r}, "
+                                     f"which flight {a.flight_id!r} has")
 
 
 def _included_block(rec: FlightRecord, names: tuple[str, ...]) -> np.ndarray:

@@ -61,6 +61,9 @@ from .settings import TEXT, check, read, setting
 
 DERIVATIVE_METHODS = ("central", "smoothed_central")
 
+#: the state and control channels that :func:`fit_sparse` fits by default
+SPARSE_CHANNELS = ("TRQ", "WF")
+
 
 @dataclass(frozen=True)
 class LibrarySpec:
@@ -155,12 +158,19 @@ class DesignMatrix:
     input_names: tuple[str, ...]
 
 
+#: rows of the design matrix evaluated per ``library_terms`` call
+_LIBRARY_BLOCK_ROWS = 1024
+
+
 def build_library(X: np.ndarray, U: np.ndarray, spec: LibrarySpec,
                   state_names: Sequence[str] = ("TRQ",),
                   input_names: Sequence[str] = ("WF",)) -> DesignMatrix:
     """Evaluate every candidate term over sample arrays.
 
-    ``X``/``U`` may be 1-D (one state / one input) or 2-D ``(m, k)``.
+    ``X``/``U`` may be 1-D (one state / one input) or 2-D ``(m, k)``.  The
+    terms are evaluated ``_LIBRARY_BLOCK_ROWS`` rows at a time into one
+    preallocated matrix, so no other array of its size is made; each term
+    is an elementwise product, so the values do not depend on the blocks.
     """
     X = np.asarray(X, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
@@ -181,7 +191,11 @@ def build_library(X: np.ndarray, U: np.ndarray, spec: LibrarySpec,
             f"state rows ({X.shape[0]}) and input rows ({U.shape[0]}) differ"
         )
     expo, trg, labels = build_term_encoding(state_names, input_names, spec)
-    values = kernels.library_terms(expo, trg)(np.hstack([X, U]))
+    terms = kernels.library_terms(expo, trg)
+    values = np.empty((X.shape[0], len(labels)))
+    for lo in range(0, X.shape[0], _LIBRARY_BLOCK_ROWS):
+        hi = lo + _LIBRARY_BLOCK_ROWS
+        values[lo:hi] = terms(np.hstack([X[lo:hi], U[lo:hi]]))
     return DesignMatrix(values, labels, expo, trg, tuple(state_names), tuple(input_names))
 
 
@@ -266,6 +280,13 @@ def stlsq(theta: np.ndarray, targets: np.ndarray, threshold: float = 0.05,
     An equation whose very first solve is exactly zero (an all-zero
     target) yields a zero row; an active set that empties out from
     nonzero coefficients raises :class:`NoActiveTerms`.
+
+    ``theta`` is never modified.  Once its normalized copy exists, this
+    function drops its own reference to it, so a caller that passes the
+    only reference (as :func:`fit_sparse` does) frees it: with a ridge,
+    the solves then hold at most two (m, p) matrices, the normalized one
+    and an active block.  Without a ridge, ``lstsq`` makes a copy of
+    each block of its own.
     """
     theta = np.asarray(theta, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -284,6 +305,7 @@ def stlsq(theta: np.ndarray, targets: np.ndarray, threshold: float = 0.05,
     rms = np.sqrt(np.mean(theta * theta, axis=0))
     safe = np.where(rms > 0.0, rms, 1.0)
     theta_n = theta / safe
+    del theta
 
     xi = np.zeros((y.shape[1], p))
     for eq in range(y.shape[1]):
@@ -347,33 +369,42 @@ def _segment_rows(flights: Sequence[FlightRecord], order: int, method: str, stat
                   control: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Library states, inputs and target, from each scoring segment's derivative stacks.
 
+    Each segment's stacks are written straight into preallocated arrays.
     The target gets an array of its own: BLAS would sum a strided column
     of a wider array in another order.
     """
     min_len = 2 * order + 1
-    stacks = []
-    for fl in flights:
-        for seg in fl.scoring_segments():
-            if seg.n_samples < min_len:
-                raise SeriesTooShort(f"flight {fl.flight_id!r}: segment {seg.label!r} has "
-                                     f"{seg.n_samples} samples, need >= {min_len}")
-            x, u = (fl.values(nm)[seg.start_index:seg.end_index] for nm in (state, control))
-            stacks.append(_derivative_stack(x, fl.dt, order, method)
-                          + _derivative_stack(u, fl.dt, order - 1, method))
-    cols = list(zip(*stacks))
-    X, U = (np.column_stack([np.concatenate(c) for c in part])
-            for part in (cols[:order], cols[order + 1:]))
-    return X, U, np.concatenate(cols[order])
+    segs = [(fl, seg) for fl in flights for seg in fl.scoring_segments()]
+    if not segs:
+        raise EmptyDataset("no flight has a scoring segment: every maneuver is excluded")
+    m = sum(seg.n_samples for _, seg in segs)
+    X, U, target = np.empty((m, order)), np.empty((m, order)), np.empty(m)
+    lo = 0
+    for fl, seg in segs:
+        if seg.n_samples < min_len:
+            raise SeriesTooShort(f"flight {fl.flight_id!r}: segment {seg.label!r} has "
+                                 f"{seg.n_samples} samples, need >= {min_len}")
+        x, u = (fl.values(nm)[seg.start_index:seg.end_index] for nm in (state, control))
+        hi = lo + seg.n_samples
+        xs = _derivative_stack(x, fl.dt, order, method)
+        X[lo:hi].T[:], target[lo:hi] = xs[:order], xs[order]
+        U[lo:hi].T[:] = _derivative_stack(u, fl.dt, order - 1, method)
+        lo = hi
+    return X, U, target
 
 
 def fit_sparse(flights: Sequence[FlightRecord], order: int,
-               config: SINDyConfig = SINDyConfig(), state: str = "TRQ",
-               control: str = "WF") -> SparseModel:
+               config: SINDyConfig = SINDyConfig(), state: str = SPARSE_CHANNELS[0],
+               control: str = SPARSE_CHANNELS[1]) -> SparseModel:
     """Fit state^(order) = Xi . theta(state..state^(order-1), control..control^(order-1)).
 
     Every scoring segment, of at least ``2*order + 1`` samples, contributes
     its samples.  A second-order model has two equations: the structural
     d(state)/dt = state_dot, and the fitted second one.
+
+    Besides the sample rows, at most two (rows, terms) matrices are alive
+    at a time (see :func:`build_library` and :func:`stlsq`): the library
+    is built once for STLSQ and once more for the residual.
     """
     if order not in (1, 2):
         raise ConfigError(f"order must be 1 or 2, got {order}")
@@ -381,15 +412,17 @@ def fit_sparse(flights: Sequence[FlightRecord], order: int,
         raise EmptyDataset("fit_sparse needs at least one flight")
     X, U, target = _segment_rows(flights, order, config.derivative_method, state, control)
     s_names, i_names = ((nm, f"{nm}_dot")[:order] for nm in (state, control))
-    design = build_library(X, U, config.library, s_names, i_names)
-    xi = np.zeros((order, len(design.labels)))
+    expo, trig, labels = build_term_encoding(s_names, i_names, config.library)
+    xi = np.zeros((order, len(labels)))
     for s in range(order - 1):
-        xi[s, design.labels.index(s_names[s + 1])] = 1.0
-    xi[-1] = stlsq(design.values, target, config.threshold,
-                   config.max_iterations, config.ridge_lambda)[0]
-    resid = design.values @ xi[-1] - target
+        xi[s, labels.index(s_names[s + 1])] = 1.0
+    # stlsq gets the only reference to the library and frees it once it holds
+    # the normalized copy; the residual is taken from the library built again
+    xi[-1] = stlsq(build_library(X, U, config.library, s_names, i_names).values, target,
+                   config.threshold, config.max_iterations, config.ridge_lambda)[0]
+    resid = build_library(X, U, config.library, s_names, i_names).values @ xi[-1] - target
     rmse = float(np.sqrt(np.mean(resid * resid)))
-    return SparseModel(order, s_names, i_names, xi, design.labels, design.expo, design.trig,
+    return SparseModel(order, s_names, i_names, xi, labels, expo, trig,
                        config, residual_rmse=(0.0,) * (order - 1) + (rmse,))
 
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 import re
 import shutil
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -683,6 +684,84 @@ def test_exit_code_2_zero_variance_channel(tmp_path, capsys):
             csv.writer(fh, lineterminator="\n").writerows(rows)
     assert run_cli("correlate", "--config", cfg) == 2
     assert "NR" in capsys.readouterr().err
+
+
+def _drop_column(path: Path, name: str) -> None:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index(name)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(row[:col] + row[col + 1:] for row in rows)
+
+
+@pytest.mark.parametrize("flight, channel, lacking, having", [
+    ("smk01", "COL", "smk01", "smk02"),  # used to write a matrix without COL
+    ("smk02", "TRQ", "smk02", "smk01"),
+])
+def test_exit_code_2_correlate_flights_that_carry_other_channels(
+        tmp_path, capsys, smoke_corpus, flight, channel, lacking, having):
+    cfg = make_run(tmp_path, "smoke")
+    shutil.copytree(smoke_corpus, tmp_path / "data")
+    _drop_column(tmp_path / "data" / "flights" / f"{flight}.csv", channel)
+    assert run_cli("correlate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"flight {lacking!r} has no channel {channel!r}, which flight {having!r} has" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "correlation_matrix.csv").exists()
+
+
+def test_exit_code_3_correlate_refuses_a_flight_that_changes_between_its_passes(
+        tmp_path, capsys, smoke_corpus, monkeypatch):
+    cfg = make_run(tmp_path, "smoke")
+    shutil.copytree(smoke_corpus, tmp_path / "data")
+    correlate = cli.correlation_matrix
+
+    def edit_then_correlate(flights):
+        # after the stage hashed every CSV: smk03 changes and its cache entry goes
+        path = tmp_path / "data" / "flights" / "smk03.csv"
+        path.write_text(path.read_text(encoding="utf-8").replace("\n0.0,", "\n0.0,1", 1),
+                        encoding="utf-8")
+        shutil.rmtree(tmp_path / "out" / "cache" / "smk03")
+        return correlate(flights)
+
+    monkeypatch.setattr(cli, "correlation_matrix", edit_then_correlate)
+    assert run_cli("correlate", "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert "smk03.csv changed while the stage was reading it" in err
+    assert not (tmp_path / "out" / "correlation_matrix.csv").exists()
+
+
+def _smoke_corpus_of(tmp: Path, count: int) -> Path:
+    """The smoke preset with ``count`` flights of 120 s (2 400 samples) and the default split."""
+    tmp.mkdir()
+    cfg = make_run(tmp, "smoke")
+    raw = yaml.safe_load(cfg.read_text(encoding="utf-8"))
+    raw["corpus"]["templates"][0].update(count=count, duration_s=120.0)
+    del raw["split"], raw["retrain"]
+    cfg.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    assert run_cli("generate", "--config", cfg) == 0
+    return cfg
+
+
+def _stage_peak(*argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_and_correlate_hold_one_flight_at_a_time(tmp_path, capsys):
+    runs = ("ingest", "ingest", "correlate")  # cache misses, then hits
+    peaks = {}
+    for i, count in enumerate((2, 2, 5)):  # the first corpus imports and caches outside
+        cfg = _smoke_corpus_of(tmp_path / str(i), count)
+        peaks[count] = [_stage_peak(command, "--config", cfg) for command in runs]
+    block_bytes = 2400 * 14 * 8
+    for command, two, five in zip(("ingest (misses)", "ingest (hits)", "correlate"),
+                                  peaks[2], peaks[5]):
+        assert five - two < block_bytes, (command, two, five)
 
 
 def test_exit_code_4_evaluate_before_artifacts(tmp_path, capsys):

@@ -24,6 +24,7 @@ from tssid.errors import (
     DegenerateChannel,
     EmptyDataset,
     IncompleteSplit,
+    IoError,
     LengthMismatch,
     MalformedCsv,
     MissingChannel,
@@ -482,6 +483,74 @@ def test_cache_hit_keeps_the_entry_block_and_derived_records_share_it(tmp_path):
             assert np.shares_memory(derived.values(name), rec.values(name))
 
 
+@pytest.mark.parametrize("channels", [("WF", "TRQ"), ("AIRSPEED",), ()])
+def test_cache_projection_is_the_rows_of_a_full_read(tmp_path, monkeypatch, channels):
+    path, cache = _cached_flight(tmp_path)
+    full = ingest_csv(path, 50.0, flight_id="fl")
+    served = [nm for nm in full.channel_names if nm in channels]
+
+    def check(rec):
+        assert rec.channel_names == tuple(served)
+        assert _bits(rec) == [(nm, full.values(nm).tobytes()) for nm in served]
+        assert rec.samples.shape == (len(served), full.n_samples)
+        assert rec.samples.flags.owndata and not rec.samples.flags.writeable
+
+    miss, d1 = ingest_cached(path, 50.0, "fl", cache, channels)
+    check(miss)
+    (entry,) = cache.rglob("*.npy")
+    assert np.array_equal(np.load(entry), full.samples)  # a miss stores the whole block
+    monkeypatch.setattr("tssid.flightdata.ingest_csv", None)  # a hit parses nothing
+    hit, d2 = ingest_cached(path, 50.0, "fl", cache, channels)
+    check(hit)
+    assert d1 == d2 == file_sha256(path)
+
+
+def test_cache_projection_checks_only_the_rows_it_serves(tmp_path, monkeypatch):
+    path, cache = _cached_flight(tmp_path)
+    ingest_cached(path, 50.0, "fl", cache)
+    (entry,) = cache.rglob("*.npy")
+    good = entry.read_bytes()
+    entry.write_bytes(_non_finite(good))  # the last cell of the last row, AIRSPEED
+    full = ingest_csv(path, 50.0, flight_id="fl")
+    with monkeypatch.context() as m:
+        m.setattr("tssid.flightdata.ingest_csv", None)
+        rec, _ = ingest_cached(path, 50.0, "fl", cache, ("TRQ", "WF"))
+    assert _bits(rec) == [(nm, full.values(nm).tobytes()) for nm in ("TRQ", "WF")]
+    assert entry.read_bytes() == _non_finite(good)
+    rec, _ = ingest_cached(path, 50.0, "fl", cache)  # a full read is a miss
+    assert _bits(rec) == _bits(full)
+    assert entry.read_bytes() == good
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["miss", "hit"])
+def test_cache_projection_onto_a_channel_the_csv_lacks(tmp_path, cached):
+    path, cache = _cached_flight(tmp_path)
+    if cached:
+        ingest_cached(path, 50.0, "fl", cache)
+    with pytest.raises(MissingChannel) as err:
+        ingest_cached(path, 50.0, "fl", cache, ("TRQ", "XYZ"))
+    with pytest.raises(MissingChannel) as expected:
+        ingest_csv(path, 50.0, flight_id="fl").values("XYZ")
+    assert str(err.value) == str(expected.value) == "flight 'fl' has no channel 'XYZ'"
+    assert err.value.exit_code == 2
+
+
+def test_cache_read_under_a_recorded_digest_hashes_nothing_and_mixes_nothing(
+        tmp_path, monkeypatch):
+    path, cache = _cached_flight(tmp_path)
+    first, digest = ingest_cached(path, 50.0, "fl", cache)
+    emit_csv(_corpus_io_flight(n=300, seed=5), path)  # the CSV changes after the first read
+    with monkeypatch.context() as m:
+        m.setattr("tssid.flightdata.file_sha256", None)
+        rec, d = ingest_cached(path, 50.0, "fl", cache, digest=digest)
+    assert d == digest and _bits(rec) == _bits(first)  # the bytes the digest names
+    for entry in cache.rglob("*.npy"):
+        entry.unlink()
+    with pytest.raises(IoError, match=r"fl\.csv changed while the stage was reading it"):
+        ingest_cached(path, 50.0, "fl", cache, digest=digest)
+    assert _entries(cache) == []
+
+
 def _corpus_io_flight(flight_id="fl", n=6000, seed=0):
     """A flight of the size of the corpus-io workload: 6 000 rows, 14 channels."""
     rng = np.random.default_rng(seed)
@@ -651,6 +720,40 @@ def test_correlation_zero_variance():
 def test_correlation_empty_corpus():
     with pytest.raises(EmptyDataset):
         correlation_matrix([])
+
+
+@pytest.mark.parametrize("first, second", [("COL", None), (None, "TRQ")])
+def test_correlation_refuses_flights_whose_channels_differ(first, second):
+    recs = [_corpus_io_flight(f"fl{i}", n=300, seed=i) for i in range(3)]
+    for i, drop in enumerate((first, second)):
+        if drop is not None:
+            keep = [nm for nm in recs[i].channel_names if nm != drop]
+            recs[i] = FlightRecord(recs[i].flight_id, 50.0, keep,
+                                   [recs[i].values(nm) for nm in keep], recs[i].maneuvers)
+    lacking, having = ("fl0", "fl1") if first else ("fl1", "fl0")
+    with pytest.raises(MissingChannel) as err:
+        correlation_matrix(recs)
+    assert str(err.value) == (f"flight {lacking!r} has no channel {first or second!r}, "
+                              f"which flight {having!r} has")
+    assert err.value.exit_code == 2
+    keep = [nm for nm in CHANNEL_UNITS if nm not in ("COL", "TRQ")]
+    assert correlation_matrix(recs, keep).names == tuple(keep)  # named channels: no check
+
+
+def test_correlation_of_flights_read_again_on_each_pass_is_bitwise_a_list():
+    recs = [_corpus_io_flight(f"fl{i}", n=700, seed=i) for i in range(3)]
+    reads = []
+
+    class Reread:
+        def __iter__(self):
+            for rec in recs:
+                reads.append(rec.flight_id)
+                yield FlightRecord(rec.flight_id, 50.0, rec.channel_names,
+                                   rec.samples.copy(), rec.maneuvers)
+
+    assert correlation_matrix(Reread()).values.tobytes() == \
+        correlation_matrix(recs).values.tobytes()
+    assert reads == ["fl0", "fl1", "fl2"] * 2
 
 
 def test_correlation_matrix_shape_validation():

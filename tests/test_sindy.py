@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -376,6 +377,52 @@ def test_fit_sparse_segment_length_and_order_bounds():
         fit_sparse([fl], 3, cfg)
     with pytest.raises(EmptyDataset):
         fit_sparse([], 1, cfg)
+    excluded = fl.with_maneuvers(replace(seg, excluded=True) for seg in fl.maneuvers)
+    with pytest.raises(EmptyDataset, match="every maneuver is excluded"):
+        fit_sparse([excluded], 1, cfg)
+
+
+@pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 2049])
+def test_build_library_in_row_blocks_is_bitwise_one_evaluation(m):
+    rng = np.random.default_rng(m)
+    X, U = rng.normal(size=(m, 2)) * 3, rng.normal(size=(m, 2)) * 3
+    spec = LibrarySpec(degree=3, trig=True)
+    design = build_library(X, U, spec, ("a", "b"), ("c", "d"))
+    whole = kernels.library_terms(design.expo, design.trig)(np.hstack([X, U]))
+    assert design.values.tobytes() == whole.tobytes()
+
+
+def test_fit_sparse_holds_at_most_two_design_matrices():
+    # three flights of 20 000 samples: 60 000 rows of the 15-term order-2 library
+    rng = np.random.default_rng(3)
+    flights = []
+    for i in range(3):
+        wf = 200.0 + 30.0 * np.sin(0.006 * np.arange(20_000) + i) + rng.normal(size=20_000)
+        trq = 300.0 + 0.1 * rng.normal(size=20_000).cumsum() + 0.5 * wf
+        flights.append(FlightRecord(f"f{i}", 50.0, ("TRQ", "WF"), (trq, wf)))
+    # a threshold that prunes 3 of the 15 terms, so that STLSQ also solves on a block
+    cfg = SINDyConfig(threshold=20.0, library=LibrarySpec(degree=2))
+    fit_sparse(flights[:1], 2, cfg)  # imports and caches outside the bound
+    tracemalloc.start()
+    try:
+        model = fit_sparse(flights, 2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, terms = 60_000, len(model.labels)
+    assert terms == 15 and len(model.active_terms(1)) == 12
+    design_bytes = rows * terms * 8
+    sample_rows = rows * (2 * model.order + 1) * 8  # X, U and the target
+    assert peak < 2 * design_bytes + sample_rows + 0.05 * design_bytes
+
+
+def test_stlsq_leaves_its_argument_alone():
+    rng = np.random.default_rng(0)
+    theta = rng.normal(size=(200, 4))
+    theta.setflags(write=False)
+    before = theta.tobytes()
+    stlsq(theta, theta @ np.array([1.0, 0.0, -2.0, 0.01]), threshold=0.1)
+    assert theta.tobytes() == before
 
 
 # --- simulation and the reduction identity -------------------------------------------
