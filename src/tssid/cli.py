@@ -19,10 +19,11 @@ those CSVs when both still hold, and integrates the model itself when not.
 
 ``generate``, ``simulate``, ``evaluate`` and ``retrain-experiment`` run their
 independent units (a flight, a sparse model, a test flight, one net of one
-phase) on every CPU in the process's affinity mask, one forked process per
-share of units (see ``_fork_units``).  Their stdout, artifacts and
-manifests' stable payloads, and on failure their exit code and message,
-are those of a serial run, which ``taskset -c 0`` forces.
+phase) as one serial loop, which ``taskset -c 0`` leaves alone.  On more
+CPUs, one forked process per share of units fills in results ahead of the
+loop, and the loop computes any unit whose result did not come back (see
+``_fork_units``).  So their stdout, artifacts and manifests' stable
+payloads, and on failure their exit code and message, are a serial run's.
 
 Set ``TSSID_LOG=INFO`` (or ``DEBUG``) for progress logging; the variable
 only changes verbosity, never results.
@@ -571,42 +572,28 @@ def _one_blas_thread():
         set_(before)
 
 
-def _run_share(fn: Callable, args: Sequence, share: Sequence[int],
-               done: dict[int, tuple]) -> tuple[int, Exception] | None:
-    """Run ``fn`` on the units of ``share`` in order; the first failure, or None.
+def _timed(fn: Callable, arg) -> tuple:
+    """``fn(arg)`` and its wall time."""
+    t0 = time.perf_counter()
+    return fn(arg), time.perf_counter() - t0
 
-    Each result goes into ``done`` with its wall time.  A failure is the
-    unit's index with the :class:`TssidError` or ``OSError`` it raised, and
-    ends the share as it ends a serial run.
+
+def _fork_child(k: int, fn: Callable, args: Sequence, share: Sequence[int]) -> tuple[int, int]:
+    """Fork child ``k`` to run ``share``: its pid and the read end of its pipe.
+
+    The child sends its timed results down the pipe and exits 0, or exits 1
+    if a unit raises or the results do not pickle.  It leaves by
+    ``os._exit``, so it prints nothing and runs no exit handler or buffer
+    flush of the parent's.  A pipe or fork that cannot be made raises its
+    ``OSError`` with no descriptor left open.
     """
-    for i in share:
-        t0 = time.perf_counter()
-        try:
-            result = fn(args[i])
-        except (TssidError, OSError) as exc:
-            return i, exc
-        done[i] = result, time.perf_counter() - t0
-    return None
-
-
-def _fork_child(k: int, fn: Callable, args: Sequence,
-                share: Sequence[int]) -> tuple[int, int] | None:
-    """Fork child ``k`` to run ``share``: its pid and the read end of its pipe, or None.
-
-    The child sends its results down the pipe and exits 0 only if every
-    unit succeeded.  It leaves by ``os._exit``, so it prints nothing and
-    runs no exit handler or buffer flush of the parent's.
-    """
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
+    r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        return None
+        raise
     if pid:
         os.close(w)
         return pid, r
@@ -614,11 +601,10 @@ def _fork_child(k: int, fn: Callable, args: Sequence,
     try:
         os.close(r)
         _start_on_cpu(k)
-        done: dict[int, tuple] = {}
-        if _run_share(fn, args, share, done) is None:
-            with open(w, "wb") as pipe:
-                pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
+        done = {i: _timed(fn, args[i]) for i in share}
+        with open(w, "wb") as pipe:
+            pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
     finally:
         os._exit(code)
 
@@ -627,56 +613,49 @@ def _fork_units(fn: Callable, units: Mapping[str, object], costs: Sequence[float
                 timings: dict[str, float]) -> Iterator:
     """Yield ``fn(unit)`` for each of the named ``units``, in order, computed on every usable CPU.
 
-    The units are split into one share per usable CPU, balanced by
-    ``costs``.  The parent runs the first share and forks a child per other
-    share (:func:`_fork_child`), each process starting on a CPU of its own
-    and using one BLAS thread; a child's results come back pickled through
-    a pipe.  Every child is reaped, on success and on error.  Each unit's
-    wall time goes into ``timings`` under its name.
+    This is a serial loop over the units: each unit's result is yielded and
+    its wall time goes into ``timings`` under its name.  With more than one
+    usable CPU, a parallel attempt first fills in results ahead of the loop.
+    The units are split into one share per CPU, balanced by ``costs``; the
+    parent forks a child per share after the first (:func:`_fork_child`)
+    and runs the first share itself, each process starting on a CPU of its
+    own and using one BLAS thread.  A child's results come back pickled
+    through a pipe, and every child is reaped.  Whatever goes wrong in the
+    attempt (a pipe or fork that cannot be made, a child that fails, dies
+    or cannot pickle its results, an exception in the parent's share) only
+    leaves results missing, and the loop computes each missing unit in
+    order, here.  So a forked run yields and raises what a serial run does;
+    units after a failing one may have written their files.
 
     ``fn`` must leave the caller's state alone: what a unit adds to the
     stage travels in its result, which the caller merges as it iterates.
     A unit's files are a pure function of the unit, so they equal a serial
-    run's.  A child that fails, or cannot be forked, has its share run
-    again here, so the results are yielded up to the first failing unit and
-    then its :class:`TssidError` or ``OSError`` is raised, as in a serial
-    run; units after it may have written their files.  ``os.fork`` rather
-    than a process pool: nothing is sent to a child, and the only other
-    thread is OpenBLAS's pool, which shuts itself down across a fork.
+    run's.  ``os.fork`` rather than a process pool: nothing is sent to a
+    child, and the only other thread is OpenBLAS's pool, which shuts itself
+    down across a fork.
     """
     names, args = list(units), list(units.values())
     shares = _balanced_shares(costs, max(1, min(_usable_cpus(), len(args))))
     done: dict[int, tuple] = {}
-    children: dict[int, tuple[list[int], int]] = {}
-    redo: list[list[int]] = []
-    forking = len(shares) > 1
-    with _one_blas_thread() if forking else contextlib.nullcontext():
-        try:
-            if forking:
-                _start_on_cpu(0)
-            for k, share in enumerate(shares[1:], start=1):
-                child = _fork_child(k, fn, args, share)
-                if child is None:
-                    redo.append(share)
-                else:
-                    children[child[0]] = share, child[1]
-            failures = [_run_share(fn, args, shares[0], done)]
-        finally:
-            for pid, (share, fd) in children.items():
-                with open(fd, "rb") as pipe:  # to the end first: a full pipe blocks the child
-                    blob = pipe.read()
-                _, status = os.waitpid(pid, 0)
-                if os.waitstatus_to_exitcode(status) == 0:
-                    done.update(pickle.loads(blob))
-                else:
-                    redo.append(share)
-    failures += [_run_share(fn, args, share, done) for share in redo]
-    first = min((f for f in failures if f is not None), key=lambda f: f[0], default=None)
-    for i in range(len(args) if first is None else first[0]):
-        result, timings[names[i]] = done[i]
+    if len(shares) > 1:
+        children: list[tuple[int, int]] = []
+        with _one_blas_thread():
+            try:
+                with contextlib.suppress(Exception):  # what it leaves undone, the loop computes
+                    _start_on_cpu(0)
+                    for k, share in enumerate(shares[1:], start=1):
+                        children.append(_fork_child(k, fn, args, share))
+                    for i in shares[0]:
+                        done[i] = _timed(fn, args[i])
+            finally:
+                for pid, fd in children:
+                    with open(fd, "rb") as pipe:  # to the end first: a full pipe blocks the child
+                        blob = pipe.read()
+                    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+                        done.update(pickle.loads(blob))
+    for i, name in enumerate(names):
+        result, timings[name] = done[i] if i in done else _timed(fn, args[i])
         yield result
-    if first is not None:
-        raise first[1]
 
 
 # --- commands ---------------------------------------------------------------
@@ -763,7 +742,7 @@ def cmd_fit_sindy(stage: _Stage, orders: Sequence[int]) -> None:
         with stage.timed(f"order{order}"):
             model = fit_sparse(train_recs, order, cfg.sindy_config(order))
             mp = _model_path(cfg, f"sindy{order}")
-            fp = _model_fingerprint(cfg, f"sindy{order}", split.train_ids, split.val_ids)
+            fp = _fresh_fingerprint(cfg, f"sindy{order}")
             save_model(dataclasses.replace(model, fingerprint=fp), mp)
             stage.wrote(mp, fp)
             eq_text = format_equations(model)
@@ -784,7 +763,7 @@ def cmd_train(stage: _Stage, kinds: Sequence[str]) -> None:
     for kind in kinds:
         with stage.timed(kind):
             wp = _model_path(cfg, kind)
-            fp = _model_fingerprint(cfg, kind, split.train_ids, split.val_ids)
+            fp = _fresh_fingerprint(cfg, kind)
             net = _train_one(cfg, kind, train_recs, val_recs, inputs, fp)
             save_net(net, wp)
             stage.wrote(wp, fp)

@@ -248,11 +248,12 @@ def ingest_cached(path: str | Path, sample_rate_hz: float, flight_id: str,
     CSV lacks is a :class:`MissingChannel`, as :meth:`FlightRecord.values`
     raises it.  ``digest`` is the CSV's digest as an earlier read of the
     stage recorded it: the entry under it is read without hashing the CSV
-    again, and a miss whose CSV no longer has that digest raises
-    :class:`IoError`, so that a stage never mixes two versions of a flight.
+    again.  A miss whose CSV, once parsed, no longer has the digest looked
+    up (recorded or just taken) raises :class:`IoError`, so a record is
+    always that of the bytes its digest names, and a stage never mixes two
+    versions of a flight.
     """
     path = Path(path)
-    recorded = digest
     if digest is None:
         digest = file_sha256(path)
     entry = Path(cache_dir) / flight_id / f"{digest}.npy"
@@ -261,11 +262,10 @@ def ingest_cached(path: str | Path, sample_rate_hz: float, flight_id: str,
         with contextlib.suppress(NonNumericCell):
             return FlightRecord(flight_id, sample_rate_hz, *hit), digest
     rec = ingest_csv(path, sample_rate_hz, flight_id)
-    # a CSV edited during the parse must not be stored under the old digest
-    if file_sha256(path) == digest:
-        _store_entry(entry, rec)
-    elif recorded is not None:
+    # a record parsed from other bytes than the digest's is neither returned nor stored
+    if file_sha256(path) != digest:
         raise IoError(f"{path} changed while the stage was reading it")
+    _store_entry(entry, rec)
     if channels is None:
         return rec, digest
     rows = _channel_rows(rec.channel_names, channels, flight_id)
@@ -619,15 +619,13 @@ class CorrelationMatrix:
         return float(self.values[ia, ib])
 
 
-def correlation_matrix(records: Iterable[FlightRecord],
-                       names: Sequence[str] | None = None) -> CorrelationMatrix:
-    """Pearson correlation matrix across flights.
+def correlation_matrix(records: Iterable[FlightRecord]) -> CorrelationMatrix:
+    """Pearson correlation matrix across flights, of the first flight's channels.
 
     Samples inside excluded maneuvers are dropped before pooling.  Raises
-    :class:`ZeroVariance` if any pooled channel is constant.  Without
-    ``names`` the channels are the first flight's, and a flight whose
-    channel set differs from it is a :class:`MissingChannel` naming both
-    flights and the channel.
+    :class:`ZeroVariance` if any pooled channel is constant.  A flight
+    whose channel set differs from the first flight's is a
+    :class:`MissingChannel` naming both flights and the channel.
 
     The pool is streamed flight by flight and never concatenated: a first
     pass takes each channel's sum, min and max, a second accumulates the
@@ -637,17 +635,16 @@ def correlation_matrix(records: Iterable[FlightRecord],
     flight is held at a time.
     """
     first = None
-    check = names is None
     n = 0
     for rec in records:
         if first is None:
             first = rec
-            names = tuple(rec.channel_names if check else names)
+            names = tuple(rec.channel_names)
             k = len(names)
             total = np.zeros(k)
             lo = np.full(k, np.inf)
             hi = np.full(k, -np.inf)
-        elif check:
+        else:
             _same_channels(first, rec)
         block = _included_block(rec, names)
         if block.shape[0]:

@@ -61,7 +61,7 @@ from .settings import TEXT, check, read, setting
 
 DERIVATIVE_METHODS = ("central", "smoothed_central")
 
-#: the state and control channels that :func:`fit_sparse` fits by default
+#: the state and control channels that :func:`fit_sparse` fits
 SPARSE_CHANNELS = ("TRQ", "WF")
 
 
@@ -365,8 +365,8 @@ def _derivative_stack(series: np.ndarray, dt: float, k: int, method: str) -> lis
     return stack
 
 
-def _segment_rows(flights: Sequence[FlightRecord], order: int, method: str, state: str,
-                  control: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _segment_rows(flights: Sequence[FlightRecord], order: int, method: str
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Library states, inputs and target, from each scoring segment's derivative stacks.
 
     Each segment's stacks are written straight into preallocated arrays.
@@ -384,7 +384,7 @@ def _segment_rows(flights: Sequence[FlightRecord], order: int, method: str, stat
         if seg.n_samples < min_len:
             raise SeriesTooShort(f"flight {fl.flight_id!r}: segment {seg.label!r} has "
                                  f"{seg.n_samples} samples, need >= {min_len}")
-        x, u = (fl.values(nm)[seg.start_index:seg.end_index] for nm in (state, control))
+        x, u = (fl.values(nm)[seg.start_index:seg.end_index] for nm in SPARSE_CHANNELS)
         hi = lo + seg.n_samples
         xs = _derivative_stack(x, fl.dt, order, method)
         X[lo:hi].T[:], target[lo:hi] = xs[:order], xs[order]
@@ -394,9 +394,9 @@ def _segment_rows(flights: Sequence[FlightRecord], order: int, method: str, stat
 
 
 def fit_sparse(flights: Sequence[FlightRecord], order: int,
-               config: SINDyConfig = SINDyConfig(), state: str = SPARSE_CHANNELS[0],
-               control: str = SPARSE_CHANNELS[1]) -> SparseModel:
-    """Fit state^(order) = Xi . theta(state..state^(order-1), control..control^(order-1)).
+               config: SINDyConfig = SINDyConfig()) -> SparseModel:
+    """Fit state^(order) = Xi . theta(state..state^(order-1), control..control^(order-1)),
+    the state and control being :data:`SPARSE_CHANNELS`.
 
     Every scoring segment, of at least ``2*order + 1`` samples, contributes
     its samples.  A second-order model has two equations: the structural
@@ -410,8 +410,8 @@ def fit_sparse(flights: Sequence[FlightRecord], order: int,
         raise ConfigError(f"order must be 1 or 2, got {order}")
     if not flights:
         raise EmptyDataset("fit_sparse needs at least one flight")
-    X, U, target = _segment_rows(flights, order, config.derivative_method, state, control)
-    s_names, i_names = ((nm, f"{nm}_dot")[:order] for nm in (state, control))
+    X, U, target = _segment_rows(flights, order, config.derivative_method)
+    s_names, i_names = ((nm, f"{nm}_dot")[:order] for nm in SPARSE_CHANNELS)
     expo, trig, labels = build_term_encoding(s_names, i_names, config.library)
     xi = np.zeros((order, len(labels)))
     for s in range(order - 1):

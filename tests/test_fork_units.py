@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
@@ -196,17 +197,59 @@ def test_units_come_back_in_order_with_their_wall_times():
     assert list(timings) == [f"u{i}" for i in range(7)]
 
 
+@pytest.mark.parametrize("error", [ComputationError, OSError, ValueError])
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_results_before_the_first_failing_unit_are_yielded(cpus):
+def test_results_before_the_first_failing_unit_are_yielded(cpus, error):
     def square_or_fail(x):
         if x in (2, 5):
-            raise ComputationError(f"unit {x}")
+            raise error(f"unit {x}")
         return x * x
 
     got = []
-    with usable_cpus(cpus), pytest.raises(ComputationError, match="unit 2"):
+    with usable_cpus(cpus), pytest.raises(error, match="unit 2"):
         for result in cli._fork_units(square_or_fail, {str(i): i for i in range(7)},
                                       [1] * 7, {}):
             got.append(result)
     assert_no_child_left()
     assert got == [0, 1]
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("fault", ["pipe", "second_fork", "unpicklable_result", "killed_child",
+                                   "parent_share"])
+def test_a_parallel_attempt_that_goes_wrong_leaves_the_serial_results(fault):
+    """Whatever the attempt fails to bring back, the parent computes, in order."""
+    parent, raised = os.getpid(), []
+
+    def square(x):
+        if fault == "parent_share" and x == 4 and not raised:  # the parent's share is [4]
+            raised.append(x)
+            raise ValueError("only the first time")
+        if os.getpid() != parent and x == 3:  # in the first child's share
+            if fault == "killed_child":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if fault == "unpicklable_result":
+                return lambda: x
+        return x * x
+
+    def refuse():
+        raise OSError(f"{fault} refused")
+
+    timings: dict[str, float] = {}
+    fds = _open_fds()
+    with usable_cpus(3) as forks, pytest.MonkeyPatch.context() as m:
+        if fault == "pipe":
+            m.setattr(os, "pipe", refuse)
+        if fault == "second_fork":
+            fork = os.fork
+            m.setattr(os, "fork", lambda: refuse() if forks else fork())
+        got = list(cli._fork_units(square, {f"u{i}": i for i in range(7)},
+                                   [1, 5, 2, 2, 9, 1, 3], timings))
+    assert_no_child_left()
+    assert got == [i * i for i in range(7)]
+    assert list(timings) == [f"u{i}" for i in range(7)]
+    assert len(forks) == {"pipe": 0, "second_fork": 1}.get(fault, 2)
+    assert _open_fds() == fds
