@@ -11,8 +11,9 @@ Identical config and seed produce byte-identical artifacts on re-run
 
 Every artifact a later stage reads carries a fingerprint of what produced
 it (see ``Artifact fingerprints`` below): the corpus in
-``manifest_generate.json``, sparse models, weights files and eval reports
-in their headers.  A stage refuses a stale or unstamped one with exit 4.
+``manifest_generate.json``, sparse models, weights files and eval reports in
+their headers.  The stage receipt ``_Stage`` reads each one back for the
+command, and refuses a stale or unstamped one with exit 4.
 ``simulate`` records the fingerprint of each model's simulation and the
 sha256 of every sim CSV in ``manifest_simulate.json``; ``evaluate`` scores
 those CSVs when both still hold, and integrates the model itself when not.
@@ -52,6 +53,7 @@ from . import __version__
 from .config import MODEL_IDS, RunConfig, load_config
 from .errors import ConfigError, IoError, MissingArtifact, TssidError
 from .evaluation import (
+    EvalReport,
     compare_models,
     load_report,
     save_report,
@@ -119,8 +121,11 @@ class _Stage:
 
     :func:`_dispatch` creates it before the command runs and calls
     :meth:`finish`, the only writer of a manifest, once it returns; a
-    command that fails leaves the previous manifest in place.  The command
-    records each file it writes with :meth:`write_text` or :meth:`wrote`.
+    command that fails leaves the previous manifest in place.  It alone
+    reads what earlier stages wrote (:meth:`records`, :meth:`flights`,
+    :meth:`model`, :meth:`report`, :meth:`simulation`); the command
+    computes, and records each file it writes with :meth:`write_text`,
+    :meth:`wrote` or :meth:`simulated`.
     ``fingerprints`` are keyed by paths relative to ``base_dir``.
     """
 
@@ -131,6 +136,7 @@ class _Stage:
         self.outputs: list[Path] = []
         self.timings: dict[str, float] = {}
         self.extra: dict = {}
+        self.model_sha256: dict[str, str] = {}
         self._t0 = time.perf_counter()
 
     def records(self, ids: Sequence[str],
@@ -165,13 +171,81 @@ class _Stage:
         return _Reread(read, heads)
 
     def model(self, model_id: str) -> SparseModel | TrainedNet:
-        """The fresh model (see :func:`_load_model`), recorded as checked."""
-        model = _load_model(self.cfg, model_id)
-        self.stamp(_model_path(self.cfg, model_id), model.fingerprint)
+        """The fitted or trained model, refused unless its stamp is fresh, recorded as checked.
+
+        The file's sha256, taken before and after its parse, is kept in
+        ``model_sha256``; a file that changes in between is refused.
+        """
+        path = _model_path(self.cfg, model_id)
+        producer = "train" if model_id in NET_KINDS else "fit-sindy"
+        if not path.exists():
+            raise MissingArtifact(f"no {model_id} model at {path}; run `tssid {producer}` first")
+        sha = file_sha256(path)
+        model = load_net(path) if model_id in NET_KINDS else load_model(path)
+        if file_sha256(path) != sha:
+            raise IoError(f"{path} changed while the stage was reading it")
+        self.model_sha256[model_id] = sha
+        self.checked(path, model.fingerprint, _fresh_fingerprint(self.cfg, model_id), producer)
         return model
+
+    def report(self, model_id: str) -> EvalReport:
+        """The model's eval report, refused unless its stamp is fresh, recorded as checked."""
+        path = self.cfg.paths.out_dir / f"eval_{model_id}.txt"
+        if not path.exists():
+            raise MissingArtifact(f"no evaluation at {path}; run `tssid evaluate` first")
+        report = load_report(path)
+        if report.model_id != model_id:
+            raise IoError(f"{path}: holds the report of model {report.model_id!r}, "
+                          f"not {model_id!r}")
+        expected = _eval_fingerprint(self.cfg, _fresh_fingerprint(self.cfg, model_id),
+                                     _split_of(self.cfg).test_ids)
+        self.checked(path, report.fingerprint, expected, "evaluate")
+        return report
+
+    def simulation(self, model_id: str, model: SparseModel,
+                   records: Sequence[FlightRecord]) -> dict[str, np.ndarray]:
+        """Each test record's prediction by the sparse model (see :func:`simulate_flights`).
+
+        Read back, and the simulation's stamp recorded, when the simulate
+        manifest records this stamp and each segment CSV's sha256 still
+        holds; else integrated.  ``TRQ_pred`` was written with ``repr``, so
+        the values read back are bitwise the ones integrated.
+        """
+        sim_dir = self.cfg.paths.out_dir / f"sim_{model_id}"
+        fp = _sim_fingerprint(self, model_id, model)
+        with contextlib.suppress(IoError, OSError, ValueError):  # each a miss: integrate
+            man = load_manifest(manifest_path(self.cfg.paths.out_dir, "simulate"))
+            digests = man.extra.get("output_sha256")
+            if man.fingerprints.get(self.rel(sim_dir)) == fp and isinstance(digests, dict):
+                preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
+                for rec, seg, path in _segment_files(records, sim_dir):
+                    blob = path.read_bytes()
+                    if hashlib.sha256(blob).hexdigest() != digests.get(self.rel(path)):
+                        break
+                    rows = blob.decode("utf-8").splitlines()[1:]
+                    preds[rec.flight_id][seg.start_index:seg.end_index] = [
+                        float(row.rpartition(",")[2]) for row in rows]
+                else:
+                    self.stamp(sim_dir, fp)
+                    return preds
+        return simulate_flights(model, records)
+
+    def simulated(self, model_id: str, model: SparseModel, written: Sequence[Path]) -> None:
+        """Record the model's simulation: its stamp, and each CSV it wrote with its sha256."""
+        self.stamp(self.cfg.paths.out_dir / f"sim_{model_id}",
+                   _sim_fingerprint(self, model_id, model))
+        digests = self.extra.setdefault("output_sha256", {})
+        for path in written:
+            self.wrote(path)
+            digests[self.rel(path)] = file_sha256(path)
 
     def rel(self, path: Path) -> str:
         return path.relative_to(self.base_dir).as_posix()
+
+    def checked(self, path: Path, recorded: str, expected: str, producer: str) -> None:
+        """Record the stamp ``recorded`` read at ``path``, refused unless it is ``expected``."""
+        check_fingerprint(path, recorded, expected, producer)
+        self.stamp(path, recorded)
 
     def stamp(self, path: Path, fp: str) -> None:
         """Record the fingerprint of the artifact written or checked at ``path``."""
@@ -215,17 +289,6 @@ class _Reread:
         return map(self.read, self.items)
 
 
-def _load_model(cfg: RunConfig, model_id: str) -> SparseModel | TrainedNet:
-    """The fitted or trained model, refused unless its stamp is fresh."""
-    path = _model_path(cfg, model_id)
-    producer = "train" if model_id in NET_KINDS else "fit-sindy"
-    if not path.exists():
-        raise MissingArtifact(f"no {model_id} model at {path}; run `tssid {producer}` first")
-    model = load_net(path) if model_id in NET_KINDS else load_model(path)
-    check_fingerprint(path, model.fingerprint, _fresh_fingerprint(cfg, model_id), producer)
-    return model
-
-
 def _corpus_cfg(cfg: RunConfig):
     if cfg.corpus is None:
         raise ConfigError("this command needs a 'corpus' section in the config")
@@ -243,18 +306,13 @@ def _corpus_cfg(cfg: RunConfig):
 #   sim_sindy<k>/ (in                the model's stamp and file sha256, test
 #     manifest_simulate.json)        ids, sha256 of each test flight and
 #                                    maneuvers.csv read
-# All but the last are pure functions of the resolved configuration; the
-# readers (_load_records, _Stage.model, cmd_report) compare them with the
-# recorded stamps through check_fingerprint.  A simulation that is not
-# fresh is integrated again, never refused.
+# All but the last are pure functions of the resolved configuration;
+# _load_records and _Stage.checked compare them with the recorded stamps
+# through check_fingerprint.  A simulation that is not fresh is integrated
+# again, never refused (_Stage.simulation).
 
 def _corpus_fingerprint(cfg: RunConfig) -> str:
     return fingerprint("corpus", _corpus_cfg(cfg))
-
-
-def _net_settings(cfg: RunConfig, kind: str) -> tuple:
-    section = cfg.ffnn if kind == "ffnn" else cfg.lstm
-    return tuple(getattr(section, f.name) for f in dataclasses.fields(section))
 
 
 def _model_fingerprint(cfg: RunConfig, model_id: str, train_ids: Sequence[str],
@@ -262,8 +320,9 @@ def _model_fingerprint(cfg: RunConfig, model_id: str, train_ids: Sequence[str],
     """A model fitted (SINDy, which reads no val flight) or trained on these flights."""
     corpus = _corpus_fingerprint(cfg)
     if model_id in NET_KINDS:
+        net = cfg.ffnn if model_id == "ffnn" else cfg.lstm
         return fingerprint(model_id, corpus, train_ids, val_ids, cfg.features,
-                           _net_settings(cfg, model_id))
+                           tuple(getattr(net, f.name) for f in dataclasses.fields(net)))
     order = int(model_id.removeprefix("sindy"))
     return fingerprint(model_id, corpus, train_ids, cfg.sindy_config(order))
 
@@ -272,11 +331,10 @@ def _eval_fingerprint(cfg: RunConfig, model_fp: str, test_ids: Sequence[str]) ->
     return fingerprint("eval", model_fp, test_ids, cfg.features.target)
 
 
-def _sim_fingerprint(stage: _Stage, model_id: str, model: SparseModel,
-                     test_ids: Sequence[str]) -> str:
-    """The simulation of this model file over the bytes of the test flights the stage read."""
-    model_sha = file_sha256(_model_path(stage.cfg, model_id))
-    return fingerprint("sim", model.fingerprint, model_sha, test_ids, stage.inputs)
+def _sim_fingerprint(stage: _Stage, model_id: str, model: SparseModel) -> str:
+    """The simulation of the model file the stage read over the test flights' bytes it read."""
+    return fingerprint("sim", model.fingerprint, stage.model_sha256[model_id],
+                       _split_of(stage.cfg).test_ids, stage.inputs)
 
 
 def _fresh_fingerprint(cfg: RunConfig, model_id: str) -> str:
@@ -420,53 +478,6 @@ def _model_path(cfg: RunConfig, model_id: str) -> Path:
     """``{ffnn,lstm}_weights.bin`` or ``sindy<k>_model.txt``."""
     suffix = "weights.bin" if model_id in NET_KINDS else "model.txt"
     return cfg.paths.out_dir / f"{model_id}_{suffix}"
-
-
-def _read_simulation(cfg: RunConfig, model_id: str, records: Sequence[FlightRecord],
-                     sim_fp: str) -> dict[str, np.ndarray] | None:
-    """The predictions ``simulate`` wrote for this model, or None unless fresh.
-
-    Fresh means ``manifest_simulate.json`` records ``sim_fp`` for the
-    model's sim directory and every segment CSV still has the sha256 it
-    recorded.  ``TRQ_pred``, the last column, was written with ``repr``, so
-    the values read back are bitwise the ones integrated.
-    """
-    try:
-        man = load_manifest(manifest_path(cfg.paths.out_dir, "simulate"))
-    except IoError:
-        return None
-    sim_dir = Path(f"sim_{model_id}")
-    digests = man.extra.get("output_sha256")
-    if man.fingerprints.get(sim_dir.name) != sim_fp or not isinstance(digests, dict):
-        return None
-    preds = {rec.flight_id: np.full(rec.n_samples, np.nan) for rec in records}
-    for rec, seg, rel in _segment_files(records, sim_dir):
-        try:
-            blob = (cfg.paths.out_dir / rel).read_bytes()
-            if hashlib.sha256(blob).hexdigest() != digests.get(rel.as_posix()):
-                return None
-            values = [float(row.rpartition(",")[2])
-                      for row in blob.decode("utf-8").splitlines()[1:]]
-        except (OSError, ValueError):
-            return None
-        preds[rec.flight_id][seg.start_index:seg.end_index] = values
-    return preds
-
-
-def _sparse_predictions(stage: _Stage, model_id: str, model: SparseModel,
-                        records: Sequence[FlightRecord],
-                        test_ids: Sequence[str]) -> dict[str, np.ndarray]:
-    """Each record's prediction by the sparse model.
-
-    They are read from a fresh simulation, whose stamp the stage then
-    records, or else integrated.
-    """
-    sim_fp = _sim_fingerprint(stage, model_id, model, test_ids)
-    preds = _read_simulation(stage.cfg, model_id, records, sim_fp)
-    if preds is None:
-        return simulate_flights(model, records)
-    stage.stamp(stage.cfg.paths.out_dir / f"sim_{model_id}", sim_fp)
-    return preds
 
 
 def _staged(path: Path) -> Path:
@@ -782,32 +793,24 @@ def cmd_simulate(stage: _Stage, orders: Sequence[int]) -> None:
     """
     cfg = stage.cfg
     test_ids = _split_of(cfg).test_ids
-    models = {f"sindy{order}": _load_model(cfg, f"sindy{order}") for order in orders}
+    models = {f"sindy{order}": stage.model(f"sindy{order}") for order in orders}
     test_recs = stage.records(test_ids, [nm for m in models.values() for nm in _model_channels(m)])
 
-    def simulate_model(model_id: str):
+    def simulate_model(model_id: str) -> list[Path]:
         model = models[model_id]
-        sim_dir = cfg.paths.out_dir / f"sim_{model_id}"
-        stamps = {_model_path(cfg, model_id): model.fingerprint,
-                  sim_dir: _sim_fingerprint(stage, model_id, model, test_ids)}
         preds = simulate_flights(model, test_recs)
-        outputs = []
-        for rec, seg, path in _segment_files(test_recs, sim_dir):
+        written = []
+        for rec, seg, path in _segment_files(test_recs, cfg.paths.out_dir / f"sim_{model_id}"):
             s, e = seg.start_index, seg.end_index
             write_float_csv(path, ("time_s", "WF", "TRQ_actual", "TRQ_pred"),
                             (np.arange(s, e) * rec.dt, rec.values(model.input_names[0])[s:e],
                              rec.values(model.state_names[0])[s:e], preds[rec.flight_id][s:e]))
-            outputs.append((path, file_sha256(path)))
-        return model_id, stamps, outputs
+            written.append(path)
+        return written
 
-    digests = stage.extra["output_sha256"] = {}
-    for model_id, stamps, outputs in _fork_units(simulate_model, {m: m for m in models},
-                                                 [1] * len(models), stage.timings):
-        for path, fp in stamps.items():
-            stage.stamp(path, fp)
-        for path, sha in outputs:
-            stage.wrote(path)
-            digests[stage.rel(path)] = sha
+    for model_id, written in zip(models, _fork_units(simulate_model, {m: m for m in models},
+                                                     [1] * len(models), stage.timings)):
+        stage.simulated(model_id, models[model_id], written)
         print(f"simulated {model_id} over {len(test_recs)} test flights "
               f"-> {cfg.paths.out_dir / f'sim_{model_id}'}")
 
@@ -829,7 +832,7 @@ def cmd_evaluate(stage: _Stage, model_ids: Sequence[str]) -> None:
     test_recs = stage.records(test_ids, [target, *(nm for model in models.values()
                                                    for nm in _model_channels(model))])
     preds = {model_id: {} if model_id in NET_KINDS
-             else _sparse_predictions(stage, model_id, model, test_recs, test_ids)
+             else stage.simulation(model_id, model, test_recs)
              for model_id, model in models.items()}
     overlay_dir = cfg.paths.out_dir / "overlays"
     overlays = {model_id: [path for *_, path in _segment_files(test_recs, overlay_dir / model_id)]
@@ -954,33 +957,15 @@ def cmd_retrain_experiment(stage: _Stage) -> None:
 
 def cmd_report(stage: _Stage, model_ids: Sequence[str]) -> None:
     cfg = stage.cfg
-    test_ids = _split_of(cfg).test_ids
-    reports = []
-    for model_id in model_ids:
-        path = cfg.paths.out_dir / f"eval_{model_id}.txt"
-        if not path.exists():
-            raise MissingArtifact(f"no evaluation at {path}; run `tssid evaluate` first")
-        report = load_report(path)
-        if report.model_id != model_id:
-            raise IoError(f"{path}: holds the report of model {report.model_id!r}, "
-                          f"not {model_id!r}")
-        expected = _eval_fingerprint(cfg, _fresh_fingerprint(cfg, model_id), test_ids)
-        check_fingerprint(path, report.fingerprint, expected, "evaluate")
-        stage.stamp(path, report.fingerprint)
-        reports.append(report)
-    table = compare_models(reports)
+    table = compare_models([stage.report(model_id) for model_id in model_ids])
     cp = cfg.paths.out_dir / "comparison.csv"
     write_comparison_csv(table, cp)
     stage.wrote(cp)
 
     width = max(len(f) for f in table.flight_ids + ("overall",)) + 2
-    header = "flight".ljust(width) + "".join(m.rjust(12) for m in table.model_ids)
-    rows = [header]
-    for r, fid in enumerate(table.flight_ids):
-        cells = "".join(f"{v * 100:11.2f}%" for v in table.per_flight[r])
-        rows.append(fid.ljust(width) + cells)
-    rows.append("overall".ljust(width)
-                + "".join(f"{v * 100:11.2f}%" for v in table.overall))
+    rows = ["flight".ljust(width) + "".join(m.rjust(12) for m in table.model_ids)]
+    for fid, values in zip((*table.flight_ids, "overall"), (*table.per_flight, table.overall)):
+        rows.append(fid.ljust(width) + "".join(f"{v * 100:11.2f}%" for v in values))
     text = "\n".join(rows) + "\n"
     stage.write_text(cfg.paths.out_dir / "report.txt", text)
     print(text, end="")

@@ -201,13 +201,14 @@ def build_library(X: np.ndarray, U: np.ndarray, spec: LibrarySpec,
 
 # --- derivatives --------------------------------------------------------------
 
-def _savgol_smooth(y: np.ndarray, window: int = 7, polyorder: int = 3) -> np.ndarray:
-    """Savitzky-Golay smoothing (least-squares local polynomial).
+def _savgol_smooth(y: np.ndarray) -> np.ndarray:
+    """Savitzky-Golay smoothing (least-squares local cubic over a 7-sample window).
 
     Interior points use the centered projection row; each edge uses the
     fitted polynomial of its end window.  Series shorter than the window
     are returned unchanged.
     """
+    window, polyorder = 7, 3
     n = y.shape[0]
     if n < window:
         return y.copy()
@@ -572,54 +573,47 @@ def format_equations(model: SparseModel) -> str:
     """Human-readable fitted equations, one line per state."""
     lines = []
     for s, sname in enumerate(model.state_names):
-        row = model.xi[s]
-        terms = []
-        for j in range(row.shape[0]):
-            if row[j] == 0.0:
-                continue
-            label = model.labels[j]
-            mag = _fmt_coef(abs(row[j]))
-            body = mag if label == "1" else f"{mag}*{label}"
-            terms.append((row[j] < 0, body))
-        if not terms:
-            rhs = "0"
-        else:
-            first_neg, first_body = terms[0]
-            rhs = ("-" if first_neg else "") + first_body
-            for neg, body in terms[1:]:
-                rhs += (" - " if neg else " + ") + body
-        lines.append(f"d({sname})/dt = {rhs}")
+        rhs = ""
+        for label, c in model.active_terms(s).items():
+            sign = (" - " if c < 0 else " + ") if rhs else ("-" if c < 0 else "")
+            rhs += sign + _fmt_coef(abs(c)) + ("" if label == "1" else f"*{label}")
+        lines.append(f"d({sname})/dt = {rhs or '0'}")
     return "\n".join(lines)
 
 
 _MAGIC = "tssid sparse model v1"
 
 
+def _fit_settings(config, prefix: str = ""):
+    """Each field of a fit config as (name, text), a nested config's as ``<field>_<name>``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, LibrarySpec):
+            yield from _fit_settings(value, f"{f.name}_")
+        elif isinstance(value, bool):
+            yield prefix + f.name, str(int(value))
+        else:
+            yield prefix + f.name, repr(value) if isinstance(value, float) else str(value)
+
+
 def save_model(model: SparseModel, path: str | Path) -> None:
-    """Write the model as UTF-8 text; floats use exact repr round-trip."""
-    lib = model.config.library
+    """Write the model as UTF-8 text; floats use exact repr round-trip.
+
+    The header lists every field of the fit's :class:`SINDyConfig`, in
+    field order, so that :func:`load_model` can rebuild it.
+    """
     lines = [
         _MAGIC,
         f"order: {model.order}",
         f"states: {','.join(model.state_names)}",
         f"inputs: {','.join(model.input_names)}",
-        f"threshold: {repr(model.config.threshold)}",
-        f"max_iterations: {model.config.max_iterations}",
-        f"ridge_lambda: {repr(model.config.ridge_lambda)}",
-        f"derivative_method: {model.config.derivative_method}",
-        f"library_degree: {lib.degree}",
-        f"library_cross_terms: {int(lib.cross_terms)}",
-        f"library_trig: {int(lib.trig)}",
-        f"library_bias: {int(lib.bias)}",
+        *(f"{name}: {text}" for name, text in _fit_settings(model.config)),
         "residual_rmse: " + ",".join(repr(float(r)) for r in model.residual_rmse),
         f"fingerprint: {model.fingerprint}",
     ]
     for s, sname in enumerate(model.state_names):
         lines.append(f"equation: {sname}")
-        row = model.xi[s]
-        for j in range(row.shape[0]):
-            if row[j] != 0.0:
-                lines.append(f"{model.labels[j]}\t{repr(float(row[j]))}")
+        lines += [f"{label}\t{c!r}" for label, c in model.active_terms(s).items()]
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

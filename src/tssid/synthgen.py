@@ -174,11 +174,11 @@ def profile_segments(profiles: Sequence[ManeuverProfile],
 
 
 def simulate_engine(params: GroundTruthParams, wf: np.ndarray, dt: float,
-                    trq0: float | None = None, trqdot0: float = 0.0) -> np.ndarray:
+                    trq0: float | None = None) -> np.ndarray:
     """Integrate the ground-truth plant over a WF series with RK4.
 
     ``trq0`` defaults to the steady state for ``wf[0]``; the second-order
-    plant also takes an initial derivative (default 0).
+    plant starts with a zero derivative.
     """
     wf = np.ascontiguousarray(wf, dtype=np.float64)
     if wf.ndim != 1 or wf.shape[0] < 2:
@@ -190,7 +190,7 @@ def simulate_engine(params: GroundTruthParams, wf: np.ndarray, dt: float,
     if params.order == "first":
         return kernels.rk4_first_order(params.a, params.b, params.c, wf, dt, float(trq0))
     x, _ = kernels.rk4_cascade(params.mu, params.tau1, params.tau2, wf, dt,
-                               float(trq0), float(trqdot0))
+                               float(trq0), 0.0)
     return x
 
 

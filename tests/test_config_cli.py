@@ -577,6 +577,14 @@ def _refit_order_1(base: Path, cfg: Path) -> None:
     assert run_cli("fit-sindy", "--config", cfg, "--order", 1) == 0
 
 
+def _list_sim_digests(base: Path, cfg: Path) -> None:
+    # a well-formed manifest whose digest table is not a mapping
+    path = base / "out" / "manifest_simulate.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["extra"]["output_sha256"] = sorted(payload["extra"]["output_sha256"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 @pytest.mark.parametrize("prepare, overrides, integrated", [
     (None, {}, 0),
     (_edit_sim_csv, {}, 1),
@@ -586,8 +594,10 @@ def _refit_order_1(base: Path, cfg: Path) -> None:
     (_refit_order_1, {"sindy": {"threshold": 0.1}}, 1),
     (_edit_test_flight, {}, 2),
     (_garble_simulate_manifest, {}, 2),
+    (_list_sim_digests, {}, 2),
 ], ids=["fresh", "edited-sim-csv", "deleted-sim-csv", "simulate-order-1-only",
-        "edited-model", "refit-model", "edited-test-flight", "garbled-manifest"])
+        "edited-model", "refit-model", "edited-test-flight", "garbled-manifest",
+        "digest-list"])
 def test_evaluate_reads_fresh_simulations_and_integrates_the_rest(
         tmp_path, monkeypatch, smoke_run, prepare, overrides, integrated):
     """evaluate after simulate writes the bytes it writes when it integrates."""
@@ -605,6 +615,32 @@ def test_evaluate_reads_fresh_simulations_and_integrates_the_rest(
         scored[route] = _scored(base / "out")
     assert len(scored["after-simulate"]) > 4
     assert scored["after-simulate"] == scored["integrating"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_model_file_replaced_while_the_stage_reads_it_is_refused(tmp_path, monkeypatch,
+                                                                 smoke_run, capsys, command):
+    # else the simulation would be stamped with the new file's digest but integrated
+    # from the old bytes, and a later evaluate would reuse it
+    cfg = _copy_smoke_run(smoke_run, tmp_path)
+    out = tmp_path / "out"
+    model_path = out / "sindy1_model.txt"
+    real = cli.load_model
+
+    def load_then_replace(path):
+        model = real(path)
+        if path == model_path:
+            _edit_model_keeping_its_stamp(tmp_path, cfg)
+        return model
+
+    monkeypatch.setattr(cli, "load_model", load_then_replace)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    before = _files(out)
+    assert run_cli(command, "--config", cfg) == 3
+    assert f"{model_path} changed while the stage was reading it" in capsys.readouterr().err
+    after = _files(out)
+    assert after.pop(model_path)[0] != before.pop(model_path)[0]
+    assert after == before  # no sim CSV, report, overlay or manifest written
 
 
 def test_rerun_is_byte_identical(smoke_run):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import loop_kernels
 import numpy as np
@@ -578,6 +578,16 @@ def test_save_load_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(back.xi, model.xi)  # repr round-trip is exact
     np.testing.assert_array_equal(back.expo, model.expo)
     np.testing.assert_array_equal(back.trig, model.trig)
+
+
+def test_model_header_lists_every_fit_setting_in_field_order(tmp_path):
+    # load_model needs every SINDyConfig field, so save_model must write each one
+    p = tmp_path / "model.txt"
+    save_model(_manual_first_order_model(), p)
+    keys = [ln.partition(":")[0] for ln in p.read_text(encoding="utf-8").splitlines()]
+    settings = keys[keys.index("inputs") + 1:keys.index("residual_rmse")]
+    assert settings == [f.name for f in fields(SINDyConfig) if f.name != "library"] + [
+        f"library_{f.name}" for f in fields(LibrarySpec)]
 
 
 def test_load_model_rejects_bad_files(tmp_path):
