@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 scripts/compare_presets.py PARENT_TREE CHANGE_TREE [--preset NAME ...]
+    python3 scripts/compare_presets.py PARENT_TREE CHANGE_TREE
 
 For each tree and preset, the preset's config is copied from the tree's
 ``configs/`` into a fresh temporary directory, so its ``../runs/<preset>``
@@ -83,11 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", type=Path, help="the source tree to compare against")
     parser.add_argument("change", type=Path, help="the source tree of the change")
-    parser.add_argument("--preset", action="append", choices=PRESETS,
-                        help="a preset to run (repeatable; default: all five)")
     args = parser.parse_args(argv)
     differ = False
-    for preset in args.preset or PRESETS:
+    for preset in PRESETS:
         parent, change = (run_preset(tree.resolve(), preset)
                           for tree in (args.parent, args.change))
         diffs = compare(preset, parent, change)

@@ -173,8 +173,8 @@ class _Stage:
     def model(self, model_id: str) -> SparseModel | TrainedNet:
         """The fitted or trained model, refused unless its stamp is fresh, recorded as checked.
 
-        The file's sha256, taken before and after its parse, is kept in
-        ``model_sha256``; a file that changes in between is refused.
+        A weights file or sparse model that changes between the sha256s taken
+        before and after its parse is refused; the digest goes into ``model_sha256``.
         """
         path = _model_path(self.cfg, model_id)
         producer = "train" if model_id in NET_KINDS else "fit-sindy"
@@ -230,14 +230,14 @@ class _Stage:
                     return preds
         return simulate_flights(model, records)
 
-    def simulated(self, model_id: str, model: SparseModel, written: Sequence[Path]) -> None:
-        """Record the model's simulation: its stamp, and each CSV it wrote with its sha256."""
+    def simulated(self, model_id: str, model: SparseModel, written: Sequence[tuple]) -> None:
+        """Record the model's simulation: its stamp, and the (path, sha256) of each CSV written."""
         self.stamp(self.cfg.paths.out_dir / f"sim_{model_id}",
                    _sim_fingerprint(self, model_id, model))
         digests = self.extra.setdefault("output_sha256", {})
-        for path in written:
+        for path, sha in written:
             self.wrote(path)
-            digests[self.rel(path)] = file_sha256(path)
+            digests[self.rel(path)] = sha
 
     def rel(self, path: Path) -> str:
         return path.relative_to(self.base_dir).as_posix()
@@ -796,7 +796,7 @@ def cmd_simulate(stage: _Stage, orders: Sequence[int]) -> None:
     models = {f"sindy{order}": stage.model(f"sindy{order}") for order in orders}
     test_recs = stage.records(test_ids, [nm for m in models.values() for nm in _model_channels(m)])
 
-    def simulate_model(model_id: str) -> list[Path]:
+    def simulate_model(model_id: str) -> list[tuple[Path, str]]:
         model = models[model_id]
         preds = simulate_flights(model, test_recs)
         written = []
@@ -805,7 +805,7 @@ def cmd_simulate(stage: _Stage, orders: Sequence[int]) -> None:
             write_float_csv(path, ("time_s", "WF", "TRQ_actual", "TRQ_pred"),
                             (np.arange(s, e) * rec.dt, rec.values(model.input_names[0])[s:e],
                              rec.values(model.state_names[0])[s:e], preds[rec.flight_id][s:e]))
-            written.append(path)
+            written.append((path, file_sha256(path)))
         return written
 
     for model_id, written in zip(models, _fork_units(simulate_model, {m: m for m in models},

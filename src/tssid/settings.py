@@ -10,17 +10,18 @@ in that ``__post_init__`` and name the field they refuse.
 :func:`read` builds a dataclass from a mapping: it admits the class's
 fields as keys, coerces each value by its annotation, and names the dotted
 key in every refusal.  Its coercion has one mode per source: YAML, the JSON
-of a weights header, and the ``key: value`` text of a model file.
+of a weights header, and the ``key: value`` text of a model file, which
+:func:`text_items` writes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
-from typing import Any, Collection, Mapping
+from typing import Any, Collection, Iterator, Mapping
 
 from .errors import ConfigError, TssidError
 
@@ -188,6 +189,8 @@ JSON = {"int": _exact(lambda v: type(v) is int, "an integer"),
         "list": _exact(lambda v: type(v) is list, "a list")}
 TEXT = {"int": _text(int), "float": _text(float), "str": _text(str),
         "bool": _text({"0": False, "1": True}.__getitem__)}
+# The text of each type TEXT reads back, exactly
+_TEXT_OF = {bool: lambda v: str(int(v)), int: str, float: repr, str: str}
 
 
 def _coerce(ann: str, value, key: str, mode: Mapping, owner: type, base) -> Any:
@@ -244,3 +247,16 @@ def read(cls, raw, context: str, mode: Mapping = YAML, **defaults):
         return cls(**values)
     except TssidError as exc:
         raise type(exc)(f"{context}.{exc}") from None
+
+
+def text_items(obj, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """Each field of ``obj`` as a (key, text) pair whose text TEXT reads back, a nested
+    dataclass's keyed ``<field>_<name>``; a type TEXT cannot read is a TypeError."""
+    for f in fields(obj):
+        key, value = prefix + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from text_items(value, key + "_")
+        elif type(value) not in _TEXT_OF:
+            raise TypeError(f"{key}: {value!r} has no text form")
+        else:
+            yield key, _TEXT_OF[type(value)](value)

@@ -57,7 +57,7 @@ from .errors import (
 )
 from .evaluation import check_finite_prediction
 from .flightdata import FlightRecord, atomic_open
-from .settings import TEXT, check, read, setting
+from .settings import TEXT, check, read, setting, text_items
 
 DERIVATIVE_METHODS = ("central", "smoothed_central")
 
@@ -584,18 +584,6 @@ def format_equations(model: SparseModel) -> str:
 _MAGIC = "tssid sparse model v1"
 
 
-def _fit_settings(config, prefix: str = ""):
-    """Each field of a fit config as (name, text), a nested config's as ``<field>_<name>``."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, LibrarySpec):
-            yield from _fit_settings(value, f"{f.name}_")
-        elif isinstance(value, bool):
-            yield prefix + f.name, str(int(value))
-        else:
-            yield prefix + f.name, repr(value) if isinstance(value, float) else str(value)
-
-
 def save_model(model: SparseModel, path: str | Path) -> None:
     """Write the model as UTF-8 text; floats use exact repr round-trip.
 
@@ -607,7 +595,7 @@ def save_model(model: SparseModel, path: str | Path) -> None:
         f"order: {model.order}",
         f"states: {','.join(model.state_names)}",
         f"inputs: {','.join(model.input_names)}",
-        *(f"{name}: {text}" for name, text in _fit_settings(model.config)),
+        *(f"{key}: {text}" for key, text in text_items(model.config)),
         "residual_rmse: " + ",".join(repr(float(r)) for r in model.residual_rmse),
         f"fingerprint: {model.fingerprint}",
     ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import loop_kernels
 import numpy as np
@@ -26,6 +26,7 @@ from tssid.errors import (
 )
 from tssid import kernels
 from tssid.flightdata import FlightRecord, ManeuverSegment, filter_maneuvers
+from tssid.settings import TEXT, read, text_items
 from tssid.sindy import (
     _savgol_smooth,
     LibrarySpec,
@@ -589,6 +590,27 @@ def test_model_header_lists_every_fit_setting_in_field_order(tmp_path):
     assert settings == [f.name for f in fields(SINDyConfig) if f.name != "library"] + [
         f"library_{f.name}" for f in fields(LibrarySpec)]
 
+
+
+def test_text_items_are_read_back_by_text_mode():
+    # the model header's writer is the inverse of read(..., TEXT), nested config included
+    config = SINDyConfig(threshold=0.1 + 0.2, max_iterations=7, ridge_lambda=3e-9,
+                         derivative_method="central",
+                         library=LibrarySpec(degree=3, cross_terms=False, trig=True, bias=False))
+    pairs = dict(text_items(config))
+    raw = {k: v for k, v in pairs.items() if not k.startswith("library_")}
+    raw["library"] = {k.removeprefix("library_"): v for k, v in pairs.items()
+                      if k.startswith("library_")}
+    assert all(isinstance(v, str) for v in pairs.values())
+    assert read(SINDyConfig, raw, "header", TEXT) == config
+
+    @dataclass
+    class Window:
+        lookback: int | None = None
+
+    # TEXT reads no None back, so the writer refuses it rather than write "None"
+    with pytest.raises(TypeError, match="lookback: None has no text form"):
+        list(text_items(Window()))
 
 def test_load_model_rejects_bad_files(tmp_path):
     missing = tmp_path / "nope.txt"
